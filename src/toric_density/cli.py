@@ -155,10 +155,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_constants(args) -> int:
     problem, hyper, poly = _resolve_problem(args)
-    if poly is None:
-        raise InputError("constants needs --polynomial")
-    report: dict = {"schema": SCHEMA, "command": "constants",
-                    "polynomial": format_polynomial(poly)}
+    report: dict = {"schema": SCHEMA, "command": "constants"}
+    if poly is not None:
+        report["polynomial"] = format_polynomial(poly)
+    elif not args.euler_only:
+        raise InputError("constants needs --polynomial unless --euler")
     if args.sargos_only:
         from .volumes import newton_at_infinity
         data = newton_at_infinity(poly)
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeta", help="height zeta partial sums")
     common(p)
     p.add_argument("--s", required=True, help="evaluation points, comma separated")
-    p.set_defaults(func=cmd_zeta)
+    p.set_defaults(func=cmd_zeta, budget=counting.ZETA_BUDGET)
 
     p = sub.add_parser("verify", help="full pipeline with density validation")
     common(p)

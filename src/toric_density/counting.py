@@ -1,14 +1,30 @@
 """Ground truth and assembly: exact point counts, height zeta partial sums,
 and the full predicted leading constant.
 
-Counting is exact integer arithmetic end to end: monomial relations are
-checked via cross-multiplied products, heights via scaled integer polynomial
-comparison, primitivity via running gcds. numpy carries the innermost loops;
-overflow risks fall back to Python integers.
+Three enumerators produce the positive primitive solutions of the monomial
+relations:
+
+- the relation enumerator (`_enumerate_relations`) walks coordinate
+  prefixes and solves or vectorises the last coordinate; it serves any
+  problem;
+- the coprime-pair grid (`_pair_grid`) scans coprime (w1, w2) under a
+  monomial coordinate map; it serves the torus of P^1 and the two-variable
+  hypersurfaces;
+- prefix solving (`_count_prefix_solve`) walks x_1..x_(n-1) of a
+  hypersurface and solves x_n through prime valuations; it serves counts
+  on hypersurfaces with n >= 3.
+
+Two reductions consume their points: an exact count, with heights compared
+as scaled integers (`_height_mask`, in int64 or in Python ints when a bound
+shows int64 could overflow), and a zeta collector of float heights summed
+per s. Monomial relations are checked via cross-multiplied products,
+primitivity via running gcds. Fixed chunk partitions reduced in order keep
+every result independent of the thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -39,8 +55,16 @@ class NonCompactFace(Exception):
     pass
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, not bad input."""
+
+
 DEFAULT_BUDGET = 10_000_000_000
-CHUNK = 2048  # fixed partition size keeps reductions thread-count independent
+ZETA_BUDGET = 100_000_000  # zeta_partial's default number of terms
+# Fixed partitions keep reductions independent of the thread count. The
+# zeta float sums also depend on GRID_ROWS, the pair-grid rows per chunk.
+CHUNK = 2048
+GRID_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -99,15 +123,14 @@ def _perfect_root(x: int, k: int) -> Optional[int]:
 
 
 def _height_data(poly: GeneralizedPolynomial, t: Fraction):
-    """(scale, integer terms, scaled rhs) so that height <= t is exact arithmetic."""
+    """(integer terms, limit): height <= t iff the terms sum to at most limit."""
     if not poly.has_integer_exponents:
         raise ValueError("exact counting needs integer exponents in the height")
     scale, terms = poly.scaled_integer_terms()
     d = poly.degree
     if d.denominator != 1:
         raise ValueError("homogeneous integer degree required")
-    rhs = frac(t) ** int(d) * scale
-    return scale, terms, rhs
+    return terms, math.floor(frac(t) ** int(d) * scale)
 
 
 def _poly_box(poly: GeneralizedPolynomial, t: Fraction) -> int:
@@ -117,40 +140,66 @@ def _poly_box(poly: GeneralizedPolynomial, t: Fraction) -> int:
     return int(math.floor(float(t) / kappa ** (1.0 / d) * (1 + 1e-12)))
 
 
-def _eval_terms_int(terms, point) -> int:
+def _eval_terms_int(terms, point):
+    """Sum of the integer terms at a point of ints or broadcast int arrays."""
     total = 0
     for coeff, exps in terms:
         v = coeff
         for x, e in zip(point, exps):
             if e:
-                v *= x ** e
-        total += v
+                v = v * x ** e
+        total = total + v
     return total
 
 
-def _eval_terms_vec(terms, prefix, vec, rhs):
-    """Boolean mask of P(prefix, vec) <= rhs, exact; vec is an int64 array."""
-    bound = 0
-    top = int(vec[-1]) if len(vec) else 0
-    for coeff, exps in terms:
-        v = abs(coeff)
-        for x, e in zip(prefix, exps[:-1]):
-            v *= x ** e
-        v *= max(top, 1) ** exps[-1]
-        bound += v
-    if bound < 2 ** 62 and rhs.denominator == 1 and rhs.numerator < 2 ** 62:
-        total = np.zeros(len(vec), dtype=np.int64)
-        for coeff, exps in terms:
-            v = coeff
-            for x, e in zip(prefix, exps[:-1]):
-                v *= x ** e
-            term = np.full(len(vec), v, dtype=np.int64)
-            if exps[-1]:
-                term = term * vec ** exps[-1]
-            total += term
-        return total <= int(rhs)
-    return np.array([Fraction(_eval_terms_int(terms, tuple(prefix) + (int(m),))) <= rhs
-                     for m in vec])
+def _height_mask(terms, limit, peaks, coords):
+    """Exact mask of P <= limit over broadcast integer coordinates.
+
+    coords(dtype) builds the coordinates, each at most its entry of peaks.
+    They are int64 when sum |c| prod peak^e, which bounds every partial sum,
+    and limit fit in it, else numpy object arrays of Python ints.
+    """
+    bound = sum(abs(c) * math.prod(p ** e for p, e in zip(peaks, exps))
+                for c, exps in terms)
+    dtype = np.int64 if max(bound, limit, *peaks) < 2 ** 63 else object
+    return _eval_terms_int(terms, coords(dtype)) <= limit
+
+
+def _float_heights(poly: GeneralizedPolynomial, coords):
+    """P(coords)^(1/d) in float64 over broadcast coordinate arrays."""
+    total = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in coords)))
+    for c, e in poly.monomials:
+        term = float(c)
+        for x, ek in zip(coords, e):
+            if ek:
+                term = term * x ** float(ek)
+        total += term
+    return total ** (1.0 / float(poly.degree))
+
+
+def _chunk_map(fn, starts, threads):
+    """fn over a fixed partition, results in partition order: reductions of
+    the results do not depend on the thread count."""
+    starts = list(starts)
+    nthreads = _threads(threads)
+    if nthreads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+            return list(pool.map(fn, starts))
+    return [fn(lo) for lo in starts]
+
+
+def _count_setup(poly, t, w, height_mode):
+    """(t, per-coordinate box, exact height data or None for the sup norm)."""
+    t = frac(t)
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    if height_mode == "sup":
+        return t, int(t), None
+    if height_mode != "polynomial":
+        raise ValueError(f"unknown height mode {height_mode!r}")
+    if poly is None or poly.nvars != w or not poly.is_homogeneous:
+        raise ValueError("polynomial mode needs a homogeneous height in all coordinates")
+    return t, _poly_box(poly, t), _height_data(poly, t)
 
 
 def count_points(problem: ToricProblem, poly: Optional[GeneralizedPolynomial],
@@ -161,21 +210,8 @@ def count_points(problem: ToricProblem, poly: Optional[GeneralizedPolynomial],
     The count is the sign factor times the number of positive primitive
     integer solutions of the monomial relations inside the height ball.
     """
-    t = frac(t)
-    if t < 1:
-        raise ValueError("t must be at least 1")
     w = problem.width
-    if height_mode == "sup":
-        box = int(t)
-        hdata = None
-    elif height_mode == "polynomial":
-        if poly is None or poly.nvars != w or not poly.is_homogeneous:
-            raise ValueError("polynomial mode needs a homogeneous height in all coordinates")
-        box = _poly_box(poly, t)
-        hdata = _height_data(poly, t)
-    else:
-        raise ValueError(f"unknown height mode {height_mode!r}")
-
+    t, box, hdata = _count_setup(poly, t, w, height_mode)
     rows = problem.rows
     solving = [r for r in rows if r[w - 1] != 0]
     est = box ** (w - 1) if solving or not rows else box ** w
@@ -188,113 +224,136 @@ def count_points(problem: ToricProblem, poly: Optional[GeneralizedPolynomial],
 
     csign = sign_count(problem).value
     started = time.monotonic()
-    total = _enumerate_relations(rows, w, box, hdata, solving, threads)
+    total = _enumerate_relations(rows, w, box, hdata, threads, _count_batch, int)
     return CountResult(t=t, count=csign * total, box=(box,) * w, mode=height_mode,
                        elapsed=time.monotonic() - started)
 
 
-def _enumerate_relations(rows, w, box, hdata, solving, threads) -> int:
-    """Recursive enumeration; the last coordinate is solved or vectorized."""
-    checks = {}
+def _count_batch(values, last, keep) -> int:
+    return len(last) if keep is None else int(np.count_nonzero(keep))
+
+
+def _monomial_sides(pairs, values):
+    """Both sides of a monomial relation given by its (column, nonzero
+    exponent) pairs, evaluated at values."""
+    num = den = 1
+    for j, a in pairs:
+        if a > 0:
+            num *= values[j] ** a
+        else:
+            den *= values[j] ** (-a)
+    return num, den
+
+
+def _enumerate_relations(rows, w, box, hdata, threads, batch, start):
+    """Positive primitive solutions in [1, box]^w, prefix by prefix.
+
+    The last coordinate is solved from the first row that uses it, or
+    vectorised when none does. Each batch of solutions goes to
+    batch(prefix, last coordinates, keep mask or None); the results are
+    summed from start() per chunk of first coordinates, then in chunk order.
+    """
+    checks = {}  # relations by their last column, as (column, exponent) pairs
     for r in rows:
-        last = max(j for j in range(w) if r[j] != 0)
-        checks.setdefault(last, []).append(r)
-    terms = hdata[1] if hdata else None
-    rhs = hdata[2] if hdata else None
+        pairs = tuple((j, a) for j, a in enumerate(r) if a)
+        checks.setdefault(pairs[-1][0], []).append(pairs)
+    solving = checks.get(w - 1, [])
+    if solving:  # x_w^e times the monomial `head` of the other columns
+        head, (_, e) = solving[0][:-1], solving[0][-1]
+    terms, limit = hdata if hdata else (None, None)
+    vec = np.arange(1, box + 1, dtype=np.int64)
+    empty = start()  # only ever added into fresh accumulators
 
     def prefix_ok(depth, values):
         for r in checks.get(depth - 1, []):
-            num = den = 1
-            for j in range(depth):
-                a = r[j]
-                if a > 0:
-                    num *= values[j] ** a
-                elif a < 0:
-                    den *= values[j] ** (-a)
+            num, den = _monomial_sides(r, values)
             if num != den:
                 return False
         if hdata and depth < w:
             floor_pt = tuple(values) + (1,) * (w - depth)
-            if Fraction(_eval_terms_int(terms, floor_pt)) > rhs:
+            if _eval_terms_int(terms, floor_pt) > limit:
                 return False
         return True
 
-    def last_candidates(values, g):
-        count = 0
-        if solving:
-            r = solving[0]
-            e = r[w - 1]
-            num = den = 1
-            for j in range(w - 1):
-                a = r[j]
-                if a > 0:
-                    num *= values[j] ** a
-                elif a < 0:
-                    den *= values[j] ** (-a)
-            if e > 0:
-                if den % num:
-                    return 0
-                m = _perfect_root(den // num, e)
-            else:
-                if num % den:
-                    return 0
-                m = _perfect_root(num // den, -e)
-            if m is None or m < 1 or m > box:
-                return 0
-            cand = tuple(values) + (m,)
-            for r2 in solving[1:]:
-                num = den = 1
-                for j in range(w):
-                    a = r2[j]
-                    if a > 0:
-                        num *= cand[j] ** a
-                    elif a < 0:
-                        den *= cand[j] ** (-a)
-                if num != den:
-                    return 0
-            if gcd(g, m) != 1:
-                return 0
-            if hdata and Fraction(_eval_terms_int(terms, cand)) > rhs:
-                return 0
-            return 1
-        vec = np.arange(1, box + 1, dtype=np.int64)
-        mask = np.gcd(vec, g) == 1
-        if hdata:
-            mask &= _eval_terms_vec(terms, values, vec, rhs)
-        return int(np.count_nonzero(mask))
+    def last_coordinates(values, g):
+        if not solving:
+            keep = np.gcd(vec, g) == 1
+            if hdata:
+                keep &= _height_mask(terms, limit, values + (box,),
+                                     lambda dtype: values + (vec.astype(dtype),))
+            return vec, keep
+        num, den = _monomial_sides(head, values)
+        if e > 0:
+            if den % num:
+                return None
+            m = _perfect_root(den // num, e)
+        else:
+            if num % den:
+                return None
+            m = _perfect_root(num // den, -e)
+        if m is None or not 1 <= m <= box or gcd(g, m) != 1:
+            return None
+        cand = values + (m,)
+        for r in solving[1:]:
+            num, den = _monomial_sides(r, cand)
+            if num != den:
+                return None
+        if hdata and _eval_terms_int(terms, cand) > limit:
+            return None
+        return (m,), None
 
     def rec(depth, values, g):
         if depth == w - 1:
-            return last_candidates(values, g)
-        total = 0
+            found = last_coordinates(values, g)
+            return batch(values, *found) if found else empty
+        total = start()
         for m in range(1, box + 1):
             vals = values + (m,)
             if prefix_ok(depth + 1, vals):
                 total += rec(depth + 1, vals, gcd(g, m))
         return total
 
-    nthreads = _threads(threads)
-    chunks = [(lo, min(lo + CHUNK - 1, box)) for lo in range(1, box + 1, CHUNK)]
-
-    def chunk_total(bounds):
-        lo, hi = bounds
-        total = 0
-        for m in range(lo, hi + 1):
+    def chunk(lo):
+        total = start()
+        for m in range(lo, min(lo + CHUNK, box + 1)):
             if prefix_ok(1, (m,)):
                 total += rec(1, (m,), m)
         return total
 
-    if nthreads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            return sum(pool.map(chunk_total, chunks))
-    return sum(chunk_total(ch) for ch in chunks)
+    return sum(_chunk_map(chunk, range(1, box + 1, CHUNK), threads), start())
 
 
 def _two_var_powers(a):
-    """Exponent data of the coprime parametrization m_i = w_i^(q_i)."""
+    """The primitive solutions of x1^a1 x2^a2 = x3^q are (w1^q1, w2^q2,
+    w1^e1 w2^e2) over coprime w1, w2: these exponents as (w1, w2) pairs."""
     q = sum(a)
     g1, g2 = gcd(a[0], q), gcd(a[1], q)
-    return q // g1, q // g2, a[0] // g1, a[1] // g2
+    return (q // g1, 0), (0, q // g2), (a[0] // g1, a[1] // g2)
+
+
+def _pair_coords(v1, v2, powers):
+    """Coordinates w1^a w2^b, one (a, b) per coordinate, over the grid v1 x v2."""
+    coords = []
+    for a, b in powers:
+        if a and b:
+            coords.append((v1 ** a)[:, None] * (v2 ** b)[None, :])
+        elif a:
+            coords.append((v1 ** a)[:, None])
+        else:
+            coords.append((v2 ** b)[None, :])
+    return coords
+
+
+def _pair_grid(w1max, w2max, reduce, threads):
+    """reduce(v1, v2, coprime mask) over the rows of [1, w1max] x [1, w2max]
+    in fixed chunks of GRID_ROWS; the results come back in chunk order."""
+    v2 = np.arange(1, w2max + 1, dtype=np.int64)
+
+    def chunk(lo):
+        v1 = np.arange(lo, min(lo + GRID_ROWS - 1, w1max) + 1, dtype=np.int64)
+        return reduce(v1, v2, np.gcd(v1[:, None], v2[None, :]) == 1)
+
+    return _chunk_map(chunk, range(1, w1max + 1, GRID_ROWS), threads)
 
 
 def count_points_hypersurface(a, poly: Optional[GeneralizedPolynomial], t,
@@ -309,19 +368,9 @@ def count_points_hypersurface(a, poly: Optional[GeneralizedPolynomial], t,
     """
     a = tuple(int(x) for x in a)
     problem = hypersurface_problem(a)
-    t = frac(t)
-    if t < 1:
-        raise ValueError("t must be at least 1")
     n = len(a)
     w = n + 1
-    if height_mode == "sup":
-        box = int(t)
-        hdata = None
-    else:
-        if poly is None or poly.nvars != w or not poly.is_homogeneous:
-            raise ValueError("polynomial mode needs a homogeneous height in all coordinates")
-        box = _poly_box(poly, t)
-        hdata = _height_data(poly, t)
+    t, box, hdata = _count_setup(poly, t, w, height_mode)
     csign = sign_count(problem).value
     started = time.monotonic()
     if n == 2:
@@ -333,81 +382,16 @@ def count_points_hypersurface(a, poly: Optional[GeneralizedPolynomial], t,
 
 
 def _count_two_var(a, box, hdata, threads) -> int:
-    q1, q2, e1, e2 = _two_var_powers(a)
-    w1max = _iroot(box, q1)
-    w2max = _iroot(box, q2)
-    if w1max < 1 or w2max < 1:
-        return 0
-    terms = hdata[1] if hdata else None
-    rhs = hdata[2] if hdata else None
-    # int64 is safe when the largest coordinate and monomial values fit
-    safe = (w1max ** q1 < 2 ** 31 and w2max ** q2 < 2 ** 31
-            and w1max ** e1 * w2max ** e2 < 2 ** 31)
-    if not safe:
-        return _count_two_var_slow(a, box, hdata, (q1, q2, e1, e2),
-                                   (w1max, w2max))
-    v2 = np.arange(1, w2max + 1, dtype=np.int64)
-    m2 = v2 ** q2
-    total = 0
-    for lo in range(1, w1max + 1, CHUNK):
-        hi = min(lo + CHUNK - 1, w1max)
-        v1 = np.arange(lo, hi + 1, dtype=np.int64)
-        cop = np.gcd(v1[:, None], v2[None, :]) == 1
-        if hdata is None:
-            total += int(np.count_nonzero(cop))
-            continue
-        m1 = v1 ** q1
-        y = v1[:, None] ** e1 * v2[None, :] ** e2
-        hb = _grid_height_mask(terms, rhs, m1[:, None], m2[None, :], y)
-        total += int(np.count_nonzero(cop & hb))
-    return total
+    powers = _two_var_powers(a)
+    w1max, w2max = _iroot(box, powers[0][0]), _iroot(box, powers[1][1])
+    peaks = [w1max ** p * w2max ** q for p, q in powers]
 
-
-def _count_two_var_slow(a, box, hdata, powers, wmax):
-    q1, q2, e1, e2 = powers
-    w1max, w2max = wmax
-    terms = hdata[1] if hdata else None
-    rhs = hdata[2] if hdata else None
-    total = 0
-    for w1 in range(1, w1max + 1):
-        for w2 in range(1, w2max + 1):
-            if gcd(w1, w2) != 1:
-                continue
-            if hdata is None:
-                total += 1
-                continue
-            point = (w1 ** q1, w2 ** q2, w1 ** e1 * w2 ** e2)
-            if Fraction(_eval_terms_int(terms, point)) <= rhs:
-                total += 1
-    return total
-
-
-def _grid_height_mask(terms, rhs, m1, m2, y):
-    """Exact height filter over broadcast integer grids."""
-    peak = int(np.max(m1)), int(np.max(m2)), int(np.max(y))
-    bound = sum(abs(c) * peak[0] ** e[0] * peak[1] ** e[1] * peak[2] ** e[2]
-                for c, e in terms)
-    if bound < 2 ** 62 and rhs.denominator == 1 and rhs.numerator < 2 ** 62:
-        total = np.zeros(np.broadcast(m1, m2).shape, dtype=np.int64)
-        for c, e in terms:
-            term = np.full(total.shape, c, dtype=np.int64)
-            if e[0]:
-                term = term * m1 ** e[0]
-            if e[1]:
-                term = term * m2 ** e[1]
-            if e[2]:
-                term = term * y ** e[2]
-            total += term
-        return total <= int(rhs)
-    shape = np.broadcast(m1, m2).shape
-    out = np.zeros(shape, dtype=bool)
-    m1b = np.broadcast_to(m1, shape)
-    m2b = np.broadcast_to(m2, shape)
-    yb = np.broadcast_to(y, shape)
-    for idx in np.ndindex(shape):
-        val = _eval_terms_int(terms, (int(m1b[idx]), int(m2b[idx]), int(yb[idx])))
-        out[idx] = Fraction(val) <= rhs
-    return out
+    def reduce(v1, v2, cop):
+        if hdata:
+            cop &= _height_mask(*hdata, peaks, lambda dtype: _pair_coords(
+                v1.astype(dtype), v2.astype(dtype), powers))
+        return int(np.count_nonzero(cop))
+    return sum(_pair_grid(w1max, w2max, reduce, threads))
 
 
 def _factorize(m: int) -> dict:
@@ -430,8 +414,7 @@ def _count_prefix_solve(a, box, hdata, budget) -> int:
     g_last = gcd(a[-1], q)
     step = q // g_last
     inv = pow(a[-1] // g_last, -1, step) if step > 1 else 0
-    terms = hdata[1] if hdata else None
-    rhs = hdata[2] if hdata else None
+    terms, limit = hdata if hdata else (None, None)
     if box ** (n - 1) > budget:
         raise BoxTooLarge(f"prefix box {box}^{n - 1} exceeds budget")
     total = 0
@@ -454,16 +437,18 @@ def _count_prefix_solve(a, box, hdata, budget) -> int:
                     break
                 if gcd(g, mn) == 1:
                     y = _perfect_root(rval * mn ** a[-1], q)
-                    assert y is not None
+                    if y is None:
+                        raise InvariantError(
+                            f"valuation solve gave {mn}, but the product is no {q}-th power")
                     point = values + (mn, y)
-                    if hdata is None or Fraction(_eval_terms_int(terms, point)) <= rhs:
+                    if hdata is None or _eval_terms_int(terms, point) <= limit:
                         total += 1
                 j += 1
             return
         for m in range(1, box + 1):
             if hdata is not None:
                 floor_pt = values + (m,) + (1,) * (n + 1 - idx - 1)
-                if Fraction(_eval_terms_int(terms, floor_pt)) > rhs:
+                if _eval_terms_int(terms, floor_pt) > limit:
                     break
             fac = _factorize(m)
             nf = dict(rfac)
@@ -539,7 +524,9 @@ def manin_constant(problem_or_a, poly: GeneralizedPolynomial,
     pts = face_points(spec, df.c)
     t_type = MixedTypeT.of(pts, [spec.g(b) for b in pts])
     k_reg = sum(t_type.multiplicities)
-    assert k_reg == df.face_point_count
+    if k_reg != df.face_point_count:
+        raise InvariantError(f"face points carry weight {k_reg}, the diagonal "
+                             f"face counts {df.face_point_count}")
     volume = mixed_volume_constant(t_type, weight_poly, tol=quad_tol, seed=seed)
     euler = euler_constant(spec, df.c, k_reg, cutoff=cutoff, tol=euler_tol,
                            precision=precision, generators=gens, threads=threads)
@@ -583,14 +570,14 @@ def sup_norm_prediction(problem_or_a):
     a = tuple(int(x) for x in problem_or_a)
     if len(a) != 2:
         raise ValueError("sup-norm prediction implemented for two-variable hypersurfaces")
-    q1, q2, _, _ = _two_var_powers(a)
+    (q1, _), (_, q2), _ = _two_var_powers(a)
     csign = sign_count(hypersurface_problem(a)).value
     iota = Fraction(1, q1) + Fraction(1, q2)
     return csign / float(mp.zeta(2)), iota, 1
 
 
 def zeta_partial(problem_or_a, poly: GeneralizedPolynomial, s_values,
-                 iota: Fraction, rho: int = 1, term_budget: int = 100_000_000,
+                 iota: Fraction, rho: int = 1, term_budget: int = ZETA_BUDGET,
                  height_mode: str = "polynomial",
                  threads: Optional[int] = None):
     """Partial sums of the height zeta function at real s > iota.
@@ -607,19 +594,19 @@ def zeta_partial(problem_or_a, poly: GeneralizedPolynomial, s_values,
         if s <= iota_f:
             raise ValueError(f"s = {s} is not beyond the abscissa {iota_f}")
     spec, weight_poly, csign, problem = _pipeline_inputs(problem_or_a, poly)
-
-    nthreads = _threads(threads)
-    if spec.kind == "hypersurface" and spec.arity == 2:
-        sums, h_cov, n_cov = _zeta_two_var(problem.rows[0][:2], poly, s_list,
-                                           term_budget, height_mode, nthreads)
-    elif problem is not None and problem.l == 0 and problem.width == 2:
-        sums, h_cov, n_cov = _zeta_full_torus_2d(poly, s_list, term_budget,
-                                                 height_mode, nthreads)
-    elif problem is not None:
-        sums, h_cov, n_cov = _zeta_generic(problem, poly, s_list, term_budget,
-                                           height_mode)
-    else:
+    if problem is None:
         raise ValueError("zeta sums need a toric problem or exponent vector")
+    powers = None
+    if spec.kind == "hypersurface" and spec.arity == 2:
+        powers = _two_var_powers(problem.rows[0][:2])
+    elif problem.l == 0 and problem.width == 2:
+        powers = ((1, 0), (0, 1))
+    if powers:
+        sums, h_cov, n_cov = _zeta_pair_grid(powers, poly, s_list, term_budget,
+                                             height_mode, threads)
+    else:
+        sums, h_cov, n_cov = _zeta_relations(problem, poly, s_list, term_budget,
+                                             height_mode, threads)
     out = []
     for s, partial in zip(s_list, sums):
         n_b = csign * n_cov
@@ -636,152 +623,63 @@ def zeta_partial(problem_or_a, poly: GeneralizedPolynomial, s_values,
     return out[0] if single else out
 
 
-def _zeta_two_var(a, poly, s_list, term_budget, height_mode, nthreads=1):
-    q1, q2, e1, e2 = _two_var_powers(tuple(int(x) for x in a))
-    wmax = int(math.sqrt(term_budget))
-    w1max = w2max = wmax
-    if height_mode == "polynomial":
-        kappa = ellipticity_witness(poly)
-        d = float(poly.degree)
-        h_cov = kappa ** (1 / d) * min((w1max + 1) ** q1, (w2max + 1) ** q2) * (1 - 1e-9)
-    else:
-        h_cov = float(min((w1max + 1) ** q1, (w2max + 1) ** q2)) * (1 - 1e-9)
-    v2 = np.arange(1, w2max + 1, dtype=np.float64)
-    m2 = v2 ** q2
-    iv2 = np.arange(1, w2max + 1, dtype=np.int64)
+def _zeta_pair_grid(powers, poly, s_list, term_budget, height_mode, threads):
+    """Float heights over the coprime grid w1, w2 <= sqrt(term_budget).
 
-    def chunk(lo):
-        hi = min(lo + 255, w1max)
-        iv1 = np.arange(lo, hi + 1, dtype=np.int64)
-        cop = np.gcd(iv1[:, None], iv2[None, :]) == 1
-        v1 = iv1.astype(np.float64)
-        m1 = v1 ** q1
-        y = np.outer(v1 ** e1, v2 ** e2)
+    The ball of height h lies in the grid while every coordinate w_i^(q_i)
+    <= h / kappa^(1/d) (sup norm: kappa = 1) keeps w_i <= wmax.
+    """
+    wmax = int(math.sqrt(term_budget))
+    edge = min((wmax + 1) ** powers[0][0], (wmax + 1) ** powers[1][1])
+    kappa, d = ((ellipticity_witness(poly), float(poly.degree))
+                if height_mode == "polynomial" else (1.0, 1.0))
+    h_cov = kappa ** (1 / d) * edge * (1 - 1e-9)
+
+    def reduce(v1, v2, cop):
+        coords = _pair_coords(v1.astype(np.float64), v2.astype(np.float64), powers)
         if height_mode == "polynomial":
-            hval = _eval_float_grid(poly, m1[:, None], m2[None, :], y) \
-                ** (1.0 / float(poly.degree))
+            hval = _float_heights(poly, coords)
         else:
-            hval = np.maximum(m1[:, None], m2[None, :])
+            hval = functools.reduce(np.maximum, coords)
         mask = cop & (hval <= h_cov)
         hsel = hval[mask]
         return ([float(np.sum(hsel ** (-s))) for s in s_list],
                 int(np.count_nonzero(mask)))
 
-    return _reduce_zeta_chunks(chunk, range(1, w1max + 1, 256), s_list,
-                               h_cov, nthreads)
-
-
-def _reduce_zeta_chunks(chunk, starts, s_list, h_cov, nthreads):
-    """Fixed chunk partition with in-order reduction: thread-count invariant."""
-    starts = list(starts)
-    if nthreads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(chunk, starts))
-    else:
-        results = [chunk(lo) for lo in starts]
     sums = [0.0 for _ in s_list]
     n_cov = 0
-    for part, cnt in results:
+    for part, cnt in _pair_grid(wmax, wmax, reduce, threads):
         for i, v in enumerate(part):
             sums[i] += v
         n_cov += cnt
     return sums, h_cov, n_cov
 
 
-def _eval_float_grid(poly, m1, m2, y):
-    total = np.zeros(np.broadcast(m1, m2, y).shape, dtype=np.float64)
-    for c, e in poly.monomials:
-        term = np.full(total.shape, float(c))
-        if e[0]:
-            term = term * m1 ** float(e[0])
-        if e[1]:
-            term = term * m2 ** float(e[1])
-        if e[2]:
-            term = term * y ** float(e[2])
-        total += term
-    return total
-
-
-def _zeta_full_torus_2d(poly, s_list, term_budget, height_mode, nthreads=1):
-    box = int(math.sqrt(term_budget))
-    if height_mode == "polynomial":
-        kappa = ellipticity_witness(poly)
-        d = float(poly.degree)
-        h_cov = kappa ** (1 / d) * (box + 1) * (1 - 1e-9)
-    else:
-        h_cov = float(box)
-    iv2 = np.arange(1, box + 1, dtype=np.int64)
-    v2 = iv2.astype(np.float64)
-
-    def chunk(lo):
-        hi = min(lo + 255, box)
-        iv1 = np.arange(lo, hi + 1, dtype=np.int64)
-        cop = np.gcd(iv1[:, None], iv2[None, :]) == 1
-        v1 = iv1.astype(np.float64)
-        if height_mode == "polynomial":
-            total = np.zeros((len(iv1), box), dtype=np.float64)
-            for c, e in poly.monomials:
-                term = np.full(total.shape, float(c))
-                if e[0]:
-                    term = term * (v1[:, None] ** float(e[0]))
-                if e[1]:
-                    term = term * (v2[None, :] ** float(e[1]))
-                total += term
-            hval = total ** (1.0 / float(poly.degree))
-        else:
-            hval = np.maximum(v1[:, None], v2[None, :])
-        mask = cop & (hval <= h_cov)
-        hsel = hval[mask]
-        return ([float(np.sum(hsel ** (-s))) for s in s_list],
-                int(np.count_nonzero(mask)))
-
-    return _reduce_zeta_chunks(chunk, range(1, box + 1, 256), s_list,
-                               h_cov, nthreads)
-
-
-def _zeta_generic(problem, poly, s_list, term_budget, height_mode):
-    """Small boxes only: reuse the exact counter's enumeration point by point."""
+def _zeta_relations(problem, poly, s_list, term_budget, height_mode, threads):
+    """Heights of the relation enumerator's points in a box of side
+    term_budget^(1/width), point by point, summed in sorted order."""
     w = problem.width
     box = max(2, int(term_budget ** (1.0 / w)))
-    pts = list(_primitive_points(problem, box))
     if height_mode == "polynomial":
-        kappa = ellipticity_witness(poly)
         d = float(poly.degree)
-        h_cov = kappa ** (1 / d) * (box + 1) * (1 - 1e-9)
-        heights = [poly.eval_float(p) ** (1 / d) for p in pts]
+        h_cov = ellipticity_witness(poly) ** (1 / d) * (box + 1) * (1 - 1e-9)
+
+        def height(p):
+            return poly.eval_float(p) ** (1 / d)
     else:
         h_cov = float(box)
-        heights = [float(max(p)) for p in pts]
-    kept = [h for h in heights if h <= h_cov]
-    sums = [sum(h ** (-s) for h in sorted(kept)) for s in s_list]
+
+        def height(p):
+            return float(max(p))
+
+    def batch(values, last, keep):
+        return [height(values + (int(m),))
+                for m in (last if keep is None else last[keep])]
+
+    heights = _enumerate_relations(problem.rows, w, box, None, threads, batch, list)
+    kept = sorted(h for h in heights if h <= h_cov)
+    sums = [sum(h ** (-s) for h in kept) for s in s_list]
     return sums, h_cov, len(kept)
-
-
-def _primitive_points(problem, box):
-    """All positive primitive relation solutions inside the coordinate box."""
-    w = problem.width
-    rows = problem.rows
-
-    def rec(values, g):
-        depth = len(values)
-        if depth == w:
-            for r in rows:
-                num = den = 1
-                for j in range(w):
-                    a = r[j]
-                    if a > 0:
-                        num *= values[j] ** a
-                    elif a < 0:
-                        den *= values[j] ** (-a)
-                if num != den:
-                    return
-            if g == 1:
-                yield values
-            return
-        for m in range(1, box + 1):
-            yield from rec(values + (m,), gcd(g, m))
-
-    yield from rec((), 0)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,6 @@ class NotElliptic(ValueError):
     pass
 
 
-EXHAUSTIVE_SIGN_LIMIT = 24  # beyond this many variables, count sign vectors by GF(2) rank
-
-
 @dataclass(frozen=True)
 class ToricProblem:
     """Monomial relations prod_j x_j^(a_ij) = 1 cutting a toric variety out of P^n."""
@@ -127,18 +124,6 @@ class GeneralizedPolynomial:
             total += term
         return total
 
-    def eval_exact(self, x) -> Fraction:
-        """Exact value at a rational point; requires integer exponents."""
-        if not self.has_integer_exponents:
-            raise ValueError("exact evaluation needs integer exponents")
-        total = Fraction(0)
-        for c, e in self.monomials:
-            term = c
-            for xi, ei in zip(x, e):
-                term *= frac(xi) ** int(ei)
-            total += term
-        return total
-
     def scaled_integer_terms(self):
         """(scale, [(int coeff, int exponent vector)]) with scale * P integral."""
         if not self.has_integer_exponents:
@@ -204,29 +189,10 @@ def hypersurface_problem(a) -> ToricProblem:
 def sign_count(problem: ToricProblem) -> SignCount:
     """Count sign vectors killing all relations, halved.
 
-    Only parities of the entries matter, so for wide matrices the count is
-    2^(n - rank of A over GF(2)).
+    Only parities of the entries matter: the sign vectors form the kernel of
+    A mod 2, so half their number is 2^(n - rank of A over GF(2)).
     """
-    w = problem.width
-    if w <= EXHAUSTIVE_SIGN_LIMIT:
-        total = 0
-        for eps in itertools.product((1, -1), repeat=w):
-            ok = True
-            for row in problem.rows:
-                s = 1
-                for e, aij in zip(eps, row):
-                    if aij % 2 and e < 0:
-                        s = -s
-                if s != 1:
-                    ok = False
-                    break
-            if ok:
-                total += 1
-        assert total % 2 == 0
-        return SignCount(total // 2)
-    parity = [[aij % 2 for aij in row] for row in problem.rows]
-    r2 = _gf2_rank(parity)
-    return SignCount(2 ** (problem.n - r2))
+    return SignCount(2 ** (problem.n - _gf2_rank(problem.rows)))
 
 
 def _gf2_rank(rows) -> int:

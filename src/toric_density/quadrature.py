@@ -34,9 +34,6 @@ class ConstantValue:
     abs_error: float
     method: str
 
-    def agrees_with(self, other: float, extra: float = 0.0) -> bool:
-        return abs(self.value - other) <= self.abs_error + extra
-
 
 def integrate_cube(f, dim: int, tol: float = 1e-9, seed: int = 0) -> ConstantValue:
     """Integrate f over the open unit cube (0,1)^dim."""

@@ -23,17 +23,8 @@ def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vadd(u, v) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u, v) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(u, s) -> tuple:
-    s = frac(s)
-    return tuple(a * s for a in u)
 
 
 def is_zero(v) -> bool:
@@ -77,15 +68,6 @@ def primitive(v) -> tuple:
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)
-
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of a set of points."""
-    pts = [fracvec(p) for p in points]
-    if not pts:
-        return -1
-    base = pts[0]
-    return rank([vsub(p, base) for p in pts[1:]])
 
 
 def format_frac(x: Fraction):

@@ -1,6 +1,11 @@
+import inspect
 import json
+import math
+
+import pytest
 
 from toric_density import cli
+from toric_density.counting import zeta_partial
 
 
 def run_cli(args, capsys):
@@ -78,6 +83,14 @@ class TestConstants:
         import math
         assert abs(data["sargos"]["value"] - math.pi / 4) < 1e-8
 
+    def test_euler_without_polynomial(self, capsys):
+        code, out = run_cli(["constants", "--euler", "--projective-torus", "1",
+                             "--prime-cutoff", "100"], capsys)
+        data = json.loads(out)
+        assert code == 0 and "polynomial" not in data
+        euler = data["euler"]
+        assert abs(float(euler["value_str"]) - 6 / math.pi ** 2) <= euler["error_bound"]
+
     def test_full_assembly(self, capsys):
         code, out = run_cli(["constants", "--hypersurface", "1,1",
                              "--polynomial", "X1^2+X2^2+X3^2",
@@ -115,6 +128,12 @@ class TestZeta:
         assert data["samples"][0]["s"] == 1.5
         assert abs(data["samples"][0]["probe"] - 1.0248) < 0.1
 
+    def test_default_budget(self):
+        args = cli.build_parser().parse_args(["zeta", "--projective-torus", "1",
+                                              "--s", "2.5"])
+        default = inspect.signature(zeta_partial).parameters["term_budget"].default
+        assert args.budget == default
+
 
 class TestProblemFiles:
     def test_round_trip(self, tmp_path, capsys):
@@ -148,6 +167,19 @@ class TestDeterminism:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("problem", [
+        ("--hypersurface", "1,2", "--polynomial", "X1^2+X2^2+X3^2", "--s", "1.5,1.2"),
+        ("--projective-torus", "1", "--polynomial", "X1^2+X2^2", "--s", "2.5,2.2"),
+        ("--matrix", "1,1,-2", "--polynomial", "X1^2+X2^2+X3^2", "--s", "1.5,1.2")])
+    def test_zeta_thread_flag(self, capsys, problem):
+        outputs = []
+        for threads in ("1", "2"):
+            code, out = run_cli(["zeta", *problem, "--budget", "1000000",
+                                 "--threads", threads], capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_count_thread_flag(self, capsys):
         results = []

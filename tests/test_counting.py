@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from math import gcd
@@ -5,13 +6,14 @@ from math import gcd
 import mpmath as mp
 import pytest
 
-from toric_density.counting import (BoxTooLarge, NonCompactFace,
+from toric_density import counting
+from toric_density.counting import (BoxTooLarge, InvariantError, NonCompactFace,
                                     asymptotic_report, count_points,
                                     count_points_hypersurface, manin_constant,
                                     predicted_density, sup_norm_prediction,
                                     zeta_partial)
 from toric_density.model import (GeneralizedPolynomial, hypersurface_problem,
-                                 validate_toric_matrix)
+                                 sign_count, validate_toric_matrix)
 
 
 def poly(terms):
@@ -138,6 +140,28 @@ class TestInvariants:
         hi = count_points_hypersurface((1, 1), None, t / math.sqrt(kappa), "sup").count
         assert lo <= npts <= hi
 
+    @pytest.mark.parametrize("t,sup,squares", [(2 ** 64, 86, 86), (2 ** 70, 126, 122)])
+    def test_heights_beyond_int64(self, t, sup, squares):
+        # x1 x2^20 = x3^21: coordinates w^21 pass 2^63, so the exact height
+        # comparison runs on Python ints
+        wmax = 1
+        while (wmax + 1) ** 21 <= t:
+            wmax += 1
+        points = [(w1 ** 21, w2 ** 21, w1 * w2 ** 20)
+                  for w1, w2 in itertools.product(range(1, wmax + 1), repeat=2)
+                  if gcd(w1, w2) == 1]
+        oracle_sup = 2 * sum(1 for p in points if max(p) <= t)
+        oracle_squares = 2 * sum(1 for p in points if sum(x * x for x in p) <= t * t)
+        assert count_points_hypersurface((1, 20), None, t, "sup").count == oracle_sup == sup
+        got = count_points_hypersurface((1, 20), SQUARES, t, "polynomial").count
+        assert got == oracle_squares == squares
+
+    def test_face_point_invariant_raises(self, monkeypatch):
+        real = counting.face_points
+        monkeypatch.setattr(counting, "face_points", lambda spec, c: real(spec, c)[1:])
+        with pytest.raises(InvariantError):
+            manin_constant((1, 1), SQUARES)
+
     def test_budget_guard(self):
         with pytest.raises(BoxTooLarge):
             count_points(validate_toric_matrix([], width=4), None, 10 ** 4,
@@ -261,6 +285,26 @@ class TestZeta:
         stieltjes = counts[0] * 1.0 ** -s + sum(
             (counts[t] - counts[t - 1]) * (t + 1.0) ** -s for t in range(1, b))
         assert sample.partial == pytest.approx(stieltjes, rel=1e-9)
+
+    @pytest.mark.parametrize("rows,width,budget", [
+        ([(1, 1, -2)], 3, 30 ** 3), ([(1, 2, -3)], 3, 30 ** 3), ([], 3, 12 ** 3)])
+    def test_relations_equal_brute_force(self, rows, width, budget):
+        prob = validate_toric_matrix(rows, width=width)
+        s_list = [3.5, 4.2]
+        samples = zeta_partial(prob, SQUARES, s_list, Fraction(3), term_budget=budget)
+        box = max(2, int(budget ** (1.0 / width)))
+        heights = []
+        for m in itertools.product(range(1, box + 1), repeat=width):
+            if math.gcd(*m) != 1:
+                continue
+            if all(math.prod(x ** a for x, a in zip(m, r) if a > 0)
+                   == math.prod(x ** -a for x, a in zip(m, r) if a < 0) for r in rows):
+                heights.append(SQUARES.eval_float(m) ** (1 / 2.0))
+        kept = sorted(h for h in heights if h <= samples[0].covered_height)
+        sign = sign_count(prob).value
+        for s, sample in zip(s_list, samples):
+            assert sample.partial == sign * sum(h ** (-s) for h in kept)
+            assert sample.covered_count == sign * len(kept)
 
     def test_requires_s_beyond_abscissa(self):
         with pytest.raises(ValueError):

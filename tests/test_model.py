@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toric_density.model import (DependentRows, GeneralizedPolynomial,
                                  NonZeroRowSum, NotElliptic,
@@ -73,6 +75,21 @@ class TestSignCount:
             except Exception:
                 continue
             assert sign_count(prob).value == brute_sign_count([tuple(row)], w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_gf2_rank_against_oracle(self, data):
+        width = data.draw(st.integers(2, 8))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            head = data.draw(st.lists(st.integers(-4, 4), min_size=width - 1,
+                                      max_size=width - 1))
+            rows.append(tuple(head) + (-sum(head),))
+        try:
+            prob = validate_toric_matrix(rows)
+        except DependentRows:
+            assume(False)
+        assert sign_count(prob).value == brute_sign_count(rows, width)
 
     def test_divides_power_of_two(self):
         prob = validate_toric_matrix([(1, 1, -2), (1, -1, 0)])
