@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import counting, euler as eulermod, generators as genmod
-from .model import (GeneralizedPolynomial, hypersurface_problem,
+from .model import (GeneralizedPolynomial, InvariantError, hypersurface_problem,
                     hypersurface_weight, toric_weight, validate_toric_matrix)
 from .polyhedron import build_polyhedron, diagonal_face, iota_lp
 from .polyparse import PolynomialSyntaxError, format_polynomial, parse_polynomial
@@ -183,7 +183,7 @@ def cmd_constants(args) -> int:
         rep = eulermod.euler_constant(
             spec, df.c, df.face_point_count, cutoff=args.prime_cutoff,
             tol=args.euler_tol, precision=args.precision, generators=gens,
-            threads=args.threads, keep_factors=args.full_factors)
+            keep_factors=args.full_factors)
         payload = {"value": float(rep.value), "value_str": _mpf_str(rep.value),
                    "cutoff": rep.cutoff, "K": rep.K,
                    "epsilon_gap": rep.epsilon_gap,
@@ -200,7 +200,7 @@ def cmd_constants(args) -> int:
     rep = counting.manin_constant(
         target, poly, cap=args.cap, cutoff=args.prime_cutoff,
         quad_tol=args.quad_tol, euler_tol=args.euler_tol,
-        precision=args.precision, threads=args.threads, seed=args.seed)
+        precision=args.precision, seed=args.seed)
     report.update(_manin_json(rep))
     emit(report, args.out)
     flagged = not (rep.stabilized and rep.compact and rep.dimension_ok)
@@ -310,7 +310,7 @@ def cmd_verify(args) -> int:
         rep = counting.manin_constant(
             target, poly, cap=args.cap, cutoff=args.prime_cutoff,
             quad_tol=args.quad_tol, euler_tol=args.euler_tol,
-            precision=args.precision, threads=args.threads, seed=args.seed)
+            precision=args.precision, seed=args.seed)
         checks.append({"name": "dimension-hypothesis", "ok": rep.dimension_ok})
         constant, iota, rho = rep.leading_constant, rep.iota, rep.rho
         extra = _manin_json(rep)
@@ -384,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="working precision in bits")
         p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
         p.add_argument("--threads", type=int, default=None,
-                       help="overrides MANIN_TORIC_THREADS")
+                       help="threads for counting and zeta sums; "
+                            "overrides MANIN_TORIC_THREADS")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--allow-flags", action="store_true",
                        help="exit 0 despite hypothesis-failure flags")
@@ -456,6 +457,9 @@ def main(argv=None) -> int:
     except counting.BoxTooLarge as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (InputError, PolynomialSyntaxError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,9 +38,10 @@ import numpy as np
 
 from .euler import EulerReport, euler_constant
 from .generators import generators_with_check
-from .model import (GeneralizedPolynomial, ToricProblem, ellipticity_witness,
-                    hypersurface_problem, hypersurface_weight,
-                    restrict_to_hypersurface, sign_count, toric_weight)
+from .model import (GeneralizedPolynomial, InvariantError, ToricProblem,
+                    ellipticity_witness, hypersurface_problem,
+                    hypersurface_weight, restrict_to_hypersurface, sign_count,
+                    toric_weight)
 from .polyhedron import build_polyhedron, diagonal_face, face_points
 from .quadrature import ConstantValue
 from .vectors import frac, rank
@@ -53,10 +54,6 @@ class BoxTooLarge(Exception):
 
 class NonCompactFace(Exception):
     pass
-
-
-class InvariantError(RuntimeError):
-    """An internal consistency check failed: a bug, not bad input."""
 
 
 DEFAULT_BUDGET = 10_000_000_000
@@ -503,8 +500,7 @@ def _pipeline_inputs(problem_or_a, poly):
 def manin_constant(problem_or_a, poly: GeneralizedPolynomial,
                    cap: Optional[int] = None, cutoff: int = 100_000,
                    quad_tol: float = 1e-9, euler_tol: float = 1e-10,
-                   precision: int = 160, threads: Optional[int] = None,
-                   seed: int = 0) -> ManinReport:
+                   precision: int = 160, seed: int = 0) -> ManinReport:
     """Assemble the predicted leading constant for the height density.
 
     sign * d^rho * A0 * Euler / (iota * (rho-1)!), with A0 the mixed volume
@@ -529,7 +525,7 @@ def manin_constant(problem_or_a, poly: GeneralizedPolynomial,
                              f"face counts {df.face_point_count}")
     volume = mixed_volume_constant(t_type, weight_poly, tol=quad_tol, seed=seed)
     euler = euler_constant(spec, df.c, k_reg, cutoff=cutoff, tol=euler_tol,
-                           precision=precision, generators=gens, threads=threads)
+                           precision=precision, generators=gens)
     rho = df.rho
     iota = df.iota
     d = weight_poly.degree

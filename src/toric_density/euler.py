@@ -4,14 +4,14 @@ Per prime the local series sum_v g(v) p^(-<v,c>) is truncated with a
 certified geometric-polynomial tail bound; the regularized factors
 (1 - 1/p)^K * L_p tend to 1 like p^(-(1+eps)), and the product over primes
 beyond the cutoff is corrected through the prime zeta function applied to
-the exponent expansion of log[(1 - x)^K W(x)].
+the exponent expansion of log[(1 - x)^K W(x)]. The product runs in one
+thread, prime after prime, and every prime reads the one WeightProfile
+built from the support walk of the weight.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -19,17 +19,17 @@ from typing import Optional
 import mpmath as mp
 
 from .generators import LatticePointSet
-from .model import UniformMultiplicativeSpec
+# NonPositivePolar is raised by the support walk and importable from here
+from .model import NonPositivePolar, UniformMultiplicativeSpec, polar_scale  # noqa: F401
 from .vectors import fracvec
-
-
-class NonPositivePolar(Exception):
-    pass
-
 
 DEFAULT_CUTOFF = 100_000
 DEFAULT_PRECISION = 160
 EXPANSION_DEPTH = Fraction(6)   # exponents kept in the log-factor expansion
+MAX_LEVEL = 100_000             # required_level gives up beyond this |v|
+# log partial sums are taken per block of primes, then added up: the block
+# size fixes the rounding of every reported value
+PRIME_BLOCK = 1024
 
 
 def primes_up_to(n: int):
@@ -65,56 +65,53 @@ class EulerReport:
         return float(self.value)
 
 
+def _tail_bound(spec: UniformMultiplicativeSpec, min_c: float, p: int,
+                level: int) -> float:
+    """Upper bound for the weight series beyond |v| = level at prime p:
+    C sum_(k>N) (1+k)^(M+n-1) p^(-k min c), summed as a geometric majorant."""
+    x = float(p) ** (-min_c)
+    d = spec.growth_m + spec.arity - 1
+    r = x * math.exp(d / (level + 2))
+    if r >= 1:
+        return math.inf
+    return spec.growth_c * (level + 2) ** d * x ** (level + 1) / (1 - r)
+
+
+def _first_level(spec: UniformMultiplicativeSpec, min_c: float, p: int,
+                 tol: float, limit: int) -> Optional[int]:
+    """The first level in 1..limit whose tail bound at p is below tol."""
+    return next((level for level in range(1, limit + 1)
+                 if _tail_bound(spec, min_c, p, level) < tol), None)
+
+
 class WeightProfile:
-    """Support points grouped by polar exponent, with the |v| level retained.
+    """Support weight keyed by (|v| level, D<c,v>), D = polar_scale(c).
 
     The level drives the certified truncation: per prime only levels up to
     N(p) are summed and the remainder is bounded by
-    C sum_(k>N) (1+k)^(M+n-1) p^(-k min c).
+    C sum_(k>N) (1+k)^(M+n-1) p^(-k min c). Exponents stay integers in units
+    of 1/D until they are evaluated.
     """
 
     def __init__(self, spec: UniformMultiplicativeSpec, c, max_level: int):
-        c = fracvec(c)
-        if any(x <= 0 for x in c):
-            raise NonPositivePolar("polar vector must be strictly positive")
         self.spec = spec
-        self.c = c
-        self.min_c = min(c)
+        self.c = fracvec(c)
+        self.scale = polar_scale(self.c)
+        self.min_c = float(min(self.c))
         self.max_level = max_level
-        self.degree_bound = spec.growth_m + spec.arity - 1
-        self.growth_c = spec.growth_c
         entries: dict = {}
-
-        n = spec.arity
-
-        def rec(prefix, level, expo):
-            i = len(prefix)
-            if i == n:
-                w = spec.g(prefix)
-                if w:
-                    key = (level, expo)
-                    entries[key] = entries.get(key, 0) + w
-                return
-            for k in range(max_level - level + 1):
-                rec(prefix + (k,), level + k, expo + k * c[i])
-
-        rec((), 0, Fraction(0))
-        self.entries = sorted(entries.items())  # ((level, exponent), weight)
+        for _, w, level, expo in spec.support(self.c, max_level=max_level):
+            key = (level, expo)
+            entries[key] = entries.get(key, 0) + w
+        self.entries = sorted(entries.items())  # ((level, D * exponent), weight)
 
     def tail_bound(self, p: int, level: int) -> float:
         """Upper bound for the weight series beyond |v| = level at prime p."""
-        x = float(p) ** (-float(self.min_c))
-        d = self.degree_bound
-        r = x * math.exp(d / (level + 2))
-        if r >= 1:
-            return math.inf
-        return self.growth_c * (level + 2) ** d * x ** (level + 1) / (1 - r)
+        return _tail_bound(self.spec, self.min_c, p, level)
 
     def level_for(self, p: int, tol: float) -> int:
-        for level in range(1, self.max_level + 1):
-            if self.tail_bound(p, level) < tol:
-                return level
-        return self.max_level
+        level = _first_level(self.spec, self.min_c, p, tol, self.max_level)
+        return self.max_level if level is None else level
 
     def local_sum(self, p: int, level: int):
         """sum g(v) p^(-<v,c>) over |v| <= level, exact exponents, mpf value."""
@@ -122,36 +119,29 @@ class WeightProfile:
         pm = mp.mpf(p)
         for (lvl, expo), w in self.entries:
             if lvl > level:
-                continue
-            total += w * mp.power(pm, mp.mpf(-expo.numerator) / expo.denominator) \
+                break  # entries are sorted by level
+            total += w * mp.power(pm, mp.mpf(-expo) / self.scale) \
                 if expo != 0 else mp.mpf(w)
         return total
 
     def exponent_weights(self, depth: Fraction) -> dict:
         """Total weight per polar exponent, up to the expansion depth."""
         out: dict = {}
+        top = depth * self.scale
         for (lvl, expo), w in self.entries:
-            if 0 < expo <= depth:
-                out[expo] = out.get(expo, 0) + w
+            if 0 < expo <= top:
+                key = Fraction(expo, self.scale)
+                out[key] = out.get(key, 0) + w
         return out
 
 
 def required_level(spec: UniformMultiplicativeSpec, c, tol: float) -> int:
     """Smallest truncation level certified below tol at p = 2."""
-    c = fracvec(c)
-    if any(x <= 0 for x in c):
-        raise NonPositivePolar("polar vector must be strictly positive")
-    min_c = float(min(c))
-    d = spec.growth_m + spec.arity - 1
-    x = 2.0 ** (-min_c)
-    level = 1
-    while True:
-        r = x * math.exp(d / (level + 2))
-        if r < 1 and spec.growth_c * (level + 2) ** d * x ** (level + 1) / (1 - r) < tol:
-            return level
-        level += 1
-        if level > 100_000:
-            raise ValueError("cannot certify truncation; polar vector too small")
+    polar_scale(c)  # rejects a polar vector that is not strictly positive
+    level = _first_level(spec, float(min(fracvec(c))), 2, tol, MAX_LEVEL)
+    if level is None:
+        raise ValueError("cannot certify truncation; polar vector too small")
+    return level
 
 
 def local_factor(spec: UniformMultiplicativeSpec, c, p: int, tol: float = 1e-12,
@@ -170,32 +160,13 @@ def epsilon_gap(generators: LatticePointSet, c) -> Fraction:
     """min(1, smallest excess <c,v> - 1 over off-face support points).
 
     Points with <c,v> >= 2 cannot realize a smaller excess than 1, so the
-    scan is confined to the box <c,v> < 2; this catches non-minimal support
+    walk is confined to D<c,v> <= 2D - 1; this catches non-minimal support
     points sitting closer to the face than any generator.
     """
-    spec = generators.spec
-    c = fracvec(c)
-    if any(x <= 0 for x in c):
-        raise NonPositivePolar("polar vector must be strictly positive")
-    n = spec.arity
-    best = Fraction(1)
-
-    def rec(prefix, expo):
-        nonlocal best
-        i = len(prefix)
-        if i == n:
-            if spec.g(prefix) and expo > 1:
-                ex = expo - 1
-                if ex < best:
-                    best = ex
-            return
-        k = 0
-        while expo + k * c[i] < 2:
-            rec(prefix + (k,), expo + k * c[i])
-            k += 1
-
-    rec((), Fraction(0))
-    return best
+    scale = polar_scale(c)
+    walk = generators.spec.support(c, max_expo=2 * scale - 1)
+    return Fraction(min((e - scale for _, _, _, e in walk if e > scale),
+                        default=scale), scale)
 
 
 def _log_factor_expansion(weights: dict, k_reg: int, depth: Fraction) -> dict:
@@ -240,48 +211,39 @@ def euler_constant(spec: UniformMultiplicativeSpec, c, k_reg: int,
                    cutoff: int = DEFAULT_CUTOFF, tol: float = 1e-10,
                    precision: int = DEFAULT_PRECISION,
                    generators: Optional[LatticePointSet] = None,
-                   threads: Optional[int] = None,
                    keep_factors: bool = False) -> EulerReport:
     """Regularized product over primes with a prime-zeta tail correction.
 
     The reported error combines the per-prime truncation budget, the
     correction remainder beyond the expansion depth, and a rounding envelope.
+    With keep_factors, every regularized local factor is kept in the same
+    pass over the primes.
     """
-    c = fracvec(c)
-    if any(x <= 0 for x in c):
-        raise NonPositivePolar("polar vector must be strictly positive")
-    if threads is None:
-        threads = int(os.environ.get("MANIN_TORIC_THREADS", "1"))
     plist = primes_up_to(cutoff)
     nprimes = len(plist)
     tol_pp = tol / (4 * max(nprimes, 1))
 
     with mp.workprec(precision):
         profile = WeightProfile(spec, c, required_level(spec, c, tol_pp))
-        gap = epsilon_gap(generators, c) if generators is not None else None
+        gap = epsilon_gap(generators, c) if generators is not None else Fraction(1)
 
-        def block_log(block):
-            s = mp.mpf(0)
-            tails = 0.0
-            for p in block:
+        log_total = mp.mpf(0)
+        tail_sum = 0.0
+        factors = [] if keep_factors else None
+        for start in range(0, nprimes, PRIME_BLOCK):
+            block_log = mp.mpf(0)
+            block_tails = 0.0
+            for p in plist[start:start + PRIME_BLOCK]:
                 level = profile.level_for(p, tol_pp)
                 local = profile.local_sum(p, level)
                 reg = (1 - mp.mpf(1) / p) ** k_reg * local
-                s += mp.log(reg)
-                tails += profile.tail_bound(p, level) / float(local)
-            return s, tails
-
-        blocks = [plist[i:i + 1024] for i in range(0, len(plist), 1024)]
-        if threads > 1 and len(blocks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(block_log, blocks))
-        else:
-            results = [block_log(b) for b in blocks]
-        log_total = mp.mpf(0)
-        tail_sum = 0.0
-        for s, tails in results:
-            log_total += s
-            tail_sum += tails
+                block_log += mp.log(reg)
+                bound = profile.tail_bound(p, level)
+                block_tails += bound / float(local)
+                if factors is not None:
+                    factors.append(LocalFactor(p=p, value=reg, tail_bound=bound))
+            log_total += block_log
+            tail_sum += block_tails
 
         weights = profile.exponent_weights(EXPANSION_DEPTH)
         series = _log_factor_expansion(weights, k_reg, EXPANSION_DEPTH)
@@ -302,17 +264,6 @@ def euler_constant(spec: UniformMultiplicativeSpec, c, k_reg: int,
         rounding = nprimes * (k_reg + 4) * math.ldexp(1.0, -precision + 4)
         err = float(value) * (tail_sum + remainder + rounding) + remainder
 
-        factors = None
-        if keep_factors:
-            factors = []
-            for p in plist:
-                level = profile.level_for(p, tol_pp)
-                local = profile.local_sum(p, level)
-                factors.append(LocalFactor(
-                    p=p, value=(1 - mp.mpf(1) / p) ** k_reg * local,
-                    tail_bound=profile.tail_bound(p, level)))
-            factors = tuple(factors)
-
-        return EulerReport(value=value, cutoff=cutoff, K=k_reg,
-                           epsilon_gap=gap if gap is not None else Fraction(1),
-                           error_bound=err, precision=precision, factors=factors)
+        return EulerReport(value=value, cutoff=cutoff, K=k_reg, epsilon_gap=gap,
+                           error_bound=err, precision=precision,
+                           factors=tuple(factors) if factors is not None else None)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .model import InvariantError
 from .vectors import dot, frac, fracvec, is_zero, primitive, rank, vsub
 
 
@@ -109,7 +110,8 @@ def upward_hull(points, n, dim_cap=10):
         w, w0 = ray[:n], ray[n]
         if is_zero(w):
             continue  # the t >= 0 inequality of the homogenization
-        assert all(x >= 0 for x in w)
+        if any(x < 0 for x in w):
+            raise InvariantError("facet normals of an upward hull are nonnegative")
         facets.append((tuple(map(frac, w)), -frac(w0)))
     facets.sort()
     vertices = []

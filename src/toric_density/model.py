@@ -8,10 +8,11 @@ documented limitation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Optional
 
 from .vectors import frac, fracvec, rank
@@ -27,6 +28,14 @@ class DependentRows(ValueError):
 
 class NotElliptic(ValueError):
     pass
+
+
+class NonPositivePolar(Exception):
+    pass
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -114,13 +123,18 @@ class GeneralizedPolynomial:
                 return False
         return True
 
+    @functools.cached_property
+    def _float_terms(self) -> tuple:
+        """(float coefficient, ((index, float exponent) for nonzero exponents))."""
+        return tuple((float(c), tuple((i, float(x)) for i, x in enumerate(e) if x != 0))
+                     for c, e in self.monomials)
+
     def eval_float(self, x) -> float:
         total = 0.0
-        for c, e in self.monomials:
-            term = float(c)
-            for xi, ei in zip(x, e):
-                if ei != 0:
-                    term *= float(xi) ** float(ei)
+        for c, powers in self._float_terms:
+            term = c
+            for i, ei in powers:
+                term *= float(x[i]) ** ei
             total += term
         return total
 
@@ -157,6 +171,51 @@ class UniformMultiplicativeSpec:
         if len(nu) != self.arity or any(x < 0 for x in nu):
             raise ValueError(f"expected a vector in N_0^{self.arity}")
         return self.g(nu)
+
+    def support(self, c, max_level: Optional[int] = None,
+                max_expo: Optional[int] = None):
+        """The supported v as (v, g(v), |v|, D<c,v>), D = polar_scale(c).
+
+        The walk covers |v| <= max_level and D<c,v> <= max_expo (at least
+        one bound is needed), in lexicographic order and in integers. It is
+        the one enumeration of the support: the Euler profile, the diagonal
+        face and the epsilon gap all read it.
+        """
+        if max_level is None and max_expo is None:
+            raise ValueError("the support walk needs max_level or max_expo")
+        scale = polar_scale(c)
+        steps = [int(x * scale) for x in fracvec(c)]
+        if len(steps) != self.arity:
+            raise ValueError(f"polar vector needs {self.arity} coordinates")
+        # each bound implies one for the other, since every step is >= 1
+        if max_level is None:
+            max_level = max_expo // min(steps)
+        if max_expo is None:
+            max_expo = max_level * max(steps)
+        g, last = self.g, self.arity - 1
+
+        def walk(i, prefix, level, expo):
+            step = steps[i]
+            top = min(max_level - level, (max_expo - expo) // step)
+            if i == last:
+                for k in range(top + 1):
+                    v = prefix + (k,)
+                    w = g(v)
+                    if w:
+                        yield v, w, level + k, expo + k * step
+            else:
+                for k in range(top + 1):
+                    yield from walk(i + 1, prefix + (k,), level + k, expo + k * step)
+
+        return walk(0, (), 0, 0)
+
+
+def polar_scale(c) -> int:
+    """D = lcm of the denominators of c, which must be strictly positive."""
+    c = fracvec(c)
+    if any(x <= 0 for x in c):
+        raise NonPositivePolar("polar vector must be strictly positive")
+    return lcm(*(x.denominator for x in c))
 
 
 def validate_toric_matrix(rows, width: Optional[int] = None) -> ToricProblem:
@@ -240,13 +299,16 @@ def restrict_to_hypersurface(p: GeneralizedPolynomial, a) -> GeneralizedPolynomi
 ELLIPTICITY_MESH = 64  # simplex grid 1/64, then one bisection refinement
 
 
+@functools.lru_cache(maxsize=128)
 def ellipticity_witness(p: GeneralizedPolynomial) -> float:
     """Certified positive lower bound for min of the top part on the unit simplex.
 
     Uses monotonicity in each variable: on any grid cell the value at the
     lower corner bounds the cell from below, so the reported kappa is a true
     lower bound (not the minimum itself). P(m) >= kappa * |m|_1^d follows for
-    homogeneous P.
+    homogeneous P. The mesh runs on integer indices k, evaluated at k/64 and
+    k/128, which are exact doubles. The polynomial is frozen, so each one is
+    meshed once per process.
     """
     top = p.top_part()
     n = p.nvars
@@ -256,38 +318,31 @@ def ellipticity_witness(p: GeneralizedPolynomial) -> float:
         if top.eval_float(axis) == 0.0:
             raise NotElliptic(f"top part vanishes at coordinate axis {i + 1}")
 
-    from math import ceil, floor
-
     steps = ELLIPTICITY_MESH
-    h = Fraction(1, steps)
-
-    corners = []  # lower corners of mesh cells meeting the simplex slab
+    corners = []  # index vectors of lower cell corners meeting the simplex slab
 
     def rec(prefix, total):
         if len(prefix) == n - 1:
-            lo = max(0, ceil((1 - n * h - total) * steps))
-            hi = floor((1 - total) * steps)
-            for k in range(lo, hi + 1):
-                corners.append(tuple(prefix + [Fraction(k, steps)]))
+            for k in range(max(0, steps - n - total), steps - total + 1):
+                corners.append(prefix + (k,))
             return
-        hi = floor((1 - total) * steps)
-        for k in range(hi + 1):
-            rec(prefix + [Fraction(k, steps)], total + Fraction(k, steps))
+        for k in range(steps - total + 1):
+            rec(prefix + (k,), total + k)
 
-    rec([], Fraction(0))
-    vals = [(top.eval_float(v), v) for v in corners]
+    rec((), 0)
+    vals = [(top.eval_float([k / steps for k in v]), v) for v in corners]
     kappa1 = min(v for v, _ in vals)
     cutoff = kappa1 * 1.5 + 1e-12
     best = min((v for v, _ in vals if v > cutoff), default=float("inf"))
-    h2 = h / 2
+    fine = 2 * steps
     for val, corner in vals:
         if val > cutoff:
             continue
-        for offs in itertools.product((Fraction(0), h2), repeat=n):
-            v = tuple(a + b for a, b in zip(corner, offs))
-            if sum(v) > 1:
+        for offs in itertools.product((0, 1), repeat=n):
+            v = [2 * a + b for a, b in zip(corner, offs)]
+            if sum(v) > fine:
                 continue
-            best = min(best, top.eval_float(v))
+            best = min(best, top.eval_float([k / fine for k in v]))
     kappa = best * (1 - 1e-12)
     if kappa <= 0:
         raise NotElliptic("certified minimum not positive")

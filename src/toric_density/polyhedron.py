@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import lp
 from .hull import upward_hull
-from .model import UniformMultiplicativeSpec
+from .model import InvariantError, UniformMultiplicativeSpec, polar_scale
 from .vectors import dot, frac, fracvec, rank, vsub
 
 
@@ -161,7 +161,8 @@ def diagonal_face(e: NewtonPolyhedron,
     t0 = diagonal_hit(e)
     diag = tuple(t0 for _ in range(e.n))
     active = [(w, m) for w, m in e.facets if dot(w, diag) == m]
-    assert active, "diagonal ray must exit through some facet"
+    if not active:
+        raise InvariantError("diagonal ray must exit through some facet")
     gens = tuple(p for p in e.points
                  if all(dot(w, p) == m for w, m in active))
     rec = frozenset(i for i in range(e.n)
@@ -175,12 +176,15 @@ def diagonal_face(e: NewtonPolyhedron,
     compact = not rec
     c = _interior_polar(e, gens, rec)
     iota = sum(c, Fraction(0))
-    assert iota * t0 == 1, "normalized polar must invert the hitting parameter"
+    if iota * t0 != 1:
+        raise InvariantError("normalized polar must invert the hitting parameter")
 
     face = Face(polar=c, offset=Fraction(1), generators=gens, recession=rec,
                 dim=dim, compact=compact)
     if spec is not None and compact:
-        count = _count_face_points(spec, c)
+        # weights beyond {0,1} count with multiplicity, matching the pole
+        # order of the associated local series
+        count = sum(spec.g(v) for v in face_points(spec, c))
         exact = True
     else:
         count = len(gens)
@@ -193,57 +197,11 @@ def diagonal_face(e: NewtonPolyhedron,
                         face_point_count=count, compact=compact, count_exact=exact)
 
 
-def _count_face_points(spec: UniformMultiplicativeSpec, c) -> int:
-    """Total weight of lattice points v with <c, v> = 1 (c strictly positive).
-
-    Weights beyond {0,1} count with multiplicity, matching the pole order
-    of the associated local series.
-    """
-    n = spec.arity
-    found = 0
-
-    def rec(prefix, remaining):
-        nonlocal found
-        i = len(prefix)
-        if i == n:
-            if remaining == 0:
-                found += spec.g(prefix)
-            return
-        ci = c[i]
-        k = 0
-        while True:
-            contrib = ci * k
-            if contrib > remaining:
-                break
-            rec(prefix + (k,), remaining - contrib)
-            k += 1
-
-    rec((), Fraction(1))
-    return found
-
-
 def face_points(spec: UniformMultiplicativeSpec, c):
-    """The supported lattice points on the compact diagonal face."""
-    n = spec.arity
-    out = []
-
-    def rec(prefix, remaining):
-        i = len(prefix)
-        if i == n:
-            if remaining == 0 and spec.g(prefix):
-                out.append(prefix)
-            return
-        ci = c[i]
-        k = 0
-        while True:
-            contrib = ci * k
-            if contrib > remaining:
-                break
-            rec(prefix + (k,), remaining - contrib)
-            k += 1
-
-    rec((), Fraction(1))
-    return sorted(out)
+    """The supported lattice points v with <c, v> = 1 (c strictly positive)."""
+    scale = polar_scale(c)
+    return sorted(v for v, _, _, expo in spec.support(c, max_expo=scale)
+                  if expo == scale)
 
 
 def iota_lp(e: NewtonPolyhedron):

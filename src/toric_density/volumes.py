@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hull import polytope_volume, upward_hull
-from .model import GeneralizedPolynomial
+from .model import GeneralizedPolynomial, InvariantError
 from .quadrature import ConstantValue, check_tail_convergence, integrate_cube
 from .vectors import dot, frac, fracvec, rank, vsub
 
@@ -86,7 +86,8 @@ def newton_at_infinity(p: GeneralizedPolynomial) -> SargosData:
             t = frac(m) / s
             u0 = t if u0 is None else max(u0, t)
     tmax = -u0
-    assert tmax > 0, "positive support must meet the diagonal at positive height"
+    if tmax <= 0:
+        raise InvariantError("positive support must meet the diagonal at positive height")
     sigma0 = 1 / tmax
 
     diag = tuple(u0 for _ in range(n))
@@ -115,7 +116,8 @@ def newton_at_infinity(p: GeneralizedPolynomial) -> SargosData:
             transverse.append(i)
         if len(transverse) == rho0:
             break
-    assert len(transverse) == rho0, "axes must complement the face directions"
+    if len(transverse) != rho0:
+        raise InvariantError("axes must complement the face directions")
     middle = [i for i in range(n) if i not in transverse and i not in recession]
     permutation = tuple(transverse + middle + recession)
 

@@ -1,11 +1,27 @@
 import inspect
 import json
 import math
+import pathlib
 
 import pytest
 
-from toric_density import cli
+from toric_density import cli, counting
 from toric_density.counting import zeta_partial
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
+# report name -> the command whose stdout it holds
+GOLDEN_COMMANDS = {
+    "analyze_matrix_1_1_-2": ["analyze", "--matrix", "1,1,-2"],
+    "analyze_hypersurface_1_1_1": ["analyze", "--hypersurface", "1,1,1"],
+    "analyze_matrix_1_2_-3": ["analyze", "--matrix", "1,2,-3"],
+    "euler_hypersurface_1_1": ["constants", "--euler", "--hypersurface", "1,1",
+                               "--prime-cutoff", "200", "--euler-tol", "1e-6"],
+    "euler_hypersurface_1_1_1": ["constants", "--euler", "--hypersurface", "1,1,1",
+                                 "--prime-cutoff", "100", "--euler-tol", "1e-4"],
+    "euler_matrix_1_2_-3_full": ["constants", "--euler", "--matrix", "1,2,-3",
+                                 "--prime-cutoff", "50", "--euler-tol", "1e-6",
+                                 "--full-factors"],
+}
 
 
 def run_cli(args, capsys):
@@ -133,6 +149,31 @@ class TestZeta:
                                               "--s", "2.5"])
         default = inspect.signature(zeta_partial).parameters["term_budget"].default
         assert args.budget == default
+
+
+class TestGoldenReports:
+    """Design changes must reproduce these reports byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+    def test_report_bytes(self, capsys, name):
+        code, out = run_cli(GOLDEN_COMMANDS[name], capsys)
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+    def test_every_file_has_a_command(self):
+        assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(GOLDEN_COMMANDS)
+
+
+class TestInternalErrors:
+    def test_invariant_error_exits_1_without_traceback(self, capsys, monkeypatch):
+        real = counting.face_points
+        monkeypatch.setattr(counting, "face_points", lambda spec, c: real(spec, c)[1:])
+        code = cli.main(["constants", "--hypersurface", "1,1", "--polynomial",
+                         "X1^2+X2^2+X3^2", "--prime-cutoff", "100"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CHECK_FAILED == 1
+        assert captured.err.startswith("internal error: face points carry weight")
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestProblemFiles:

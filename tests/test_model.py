@@ -4,12 +4,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from toric_density.counting import count_points
 from toric_density.model import (DependentRows, GeneralizedPolynomial,
                                  NonZeroRowSum, NotElliptic,
                                  ellipticity_witness, free_weight,
                                  hypersurface_problem, hypersurface_weight,
                                  restrict_to_hypersurface, sign_count,
                                  toric_weight, validate_toric_matrix)
+from toric_density.polyparse import parse_polynomial
 
 
 def brute_sign_count(rows, width):
@@ -157,6 +159,36 @@ class TestEllipticityWitness:
             cuts = sorted(rng.random() for _ in range(2))
             x = (cuts[0], cuts[1] - cuts[0], 1 - cuts[1])
             assert p.eval_float(x) >= kappa - 1e-12
+
+
+    # kappa must not move by one bit: counting boxes and zeta coverage use it
+    @pytest.mark.parametrize("text,kappa", [
+        ("X1^2+X2^2", "0.46923828124953076"),
+        ("X1+X2", "0.9687499999990312"),
+        ("2*X1^3+X2^3+3*X3^3+X1*X2*X3", "0.19539260864238273"),
+        ("X1^2+X2^2+X3^2", "0.302978515624697"),
+        ("X1^2+2*X2^2+X3^2+X1*X3", "0.4956054687495044"),
+        ("X1^4+X2^4+X3^4+X1^2*X2^2", "0.03987413644786662"),
+    ])
+    def test_pinned_values(self, text, kappa):
+        assert repr(ellipticity_witness(parse_polynomial(text))) == kappa
+
+    def test_pinned_fractional_exponents(self):
+        p = restrict_to_hypersurface(parse_polynomial("X1^2+X2^2+X3^2"), (1, 2))
+        assert repr(ellipticity_witness(p)) == "0.684136577962676"
+
+    def test_meshed_once_per_polynomial(self, monkeypatch):
+        meshes = []
+        real = GeneralizedPolynomial.top_part
+        monkeypatch.setattr(GeneralizedPolynomial, "top_part",
+                            lambda self: meshes.append(self) or real(self))
+        ellipticity_witness.cache_clear()
+        problem = validate_toric_matrix([(1, 1, -2)])
+        # equal polynomials parsed apart share the one mesh
+        counts = [count_points(problem, parse_polynomial("X1^2+X2^2+X3^2"), t,
+                               "polynomial").count for t in (20, 40, 80)]
+        assert len(meshes) == 1
+        assert counts == sorted(counts) and counts[0] > 0
 
 
 class TestWeights:
