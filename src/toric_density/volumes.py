@@ -9,6 +9,11 @@ facets (at infinity) meeting the diagonal, and the unit vectors outside the
 transverse block, and I integrates P restricted to the diagonal face, raised
 to the power -sigma0, ones in the transverse slots, over the positive
 orthant in the face directions and over [1, oo) in the recession directions.
+A compact face of dimension one or two takes the log-coordinate trapezoid
+rule of `quadrature.integrate_log_orthant`: its convergence is decided
+exactly, from the facets of the face exponents, and its error bar certifies
+the cut-off mass and estimates the step error. Larger faces and faces with
+recession directions go to `quadrature.integrate_cube`.
 
 The volume constant A0(I; u; b) is the Sargos constant of an auxiliary
 polynomial built by repeating each point of I according to its multiplicity
@@ -18,13 +23,15 @@ A0(T; P) first pushes the type T through the exponent matrix of P.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hull import polytope_volume, upward_hull
+from .hull import polytope_facets, polytope_volume, upward_hull
 from .model import GeneralizedPolynomial, InvariantError
-from .quadrature import ConstantValue, check_tail_convergence, integrate_cube
+from .quadrature import (ConstantValue, DivergentIntegral, check_tail_convergence,
+                         integrate_cube, integrate_log_orthant)
 from .vectors import dot, frac, fracvec, rank, vsub
 
 
@@ -66,12 +73,14 @@ class SargosData:
     compact_face: bool
 
 
+@functools.lru_cache(maxsize=128)
 def newton_at_infinity(p: GeneralizedPolynomial) -> SargosData:
     """Locate the diagonal face of the polyhedron at infinity of P.
 
     Everything is exact: the hull of the support minus the positive orthant
     is the mirror image of an upward-closed hull, so the same machinery
-    applies after negation.
+    applies after negation. Cached per polynomial: the hull is the costly
+    part, and `constants --sargos-only` asks for it twice.
     """
     if not p.depends_on_all_variables():
         raise MissingVariable("polynomial must depend on every variable")
@@ -142,10 +151,53 @@ def newton_at_infinity(p: GeneralizedPolynomial) -> SargosData:
                       compact_face=not recession)
 
 
+def log_decay_rate(exps, sigma0: Fraction) -> float:
+    """Decay rate of the log-coordinate integrand of (sum_e c_e x^e)^(-sigma0).
+
+    That is sigma0 times the distance from (1, ..., 1) / sigma0 to the
+    nearest facet of conv(exps), found exactly. The integral over the
+    orthant converges only if that point is strictly inside.
+    """
+    k = len(exps[0])
+    point = tuple(1 / sigma0 for _ in range(k))
+    if k == 1:
+        facets = [((1,), min(e[0] for e in exps)), ((-1,), -max(e[0] for e in exps))]
+    else:
+        facets = polytope_facets(exps, k)
+    gaps = [(dot(w, point) - m, w) for w, m in facets]
+    if any(gap <= 0 for gap, _ in gaps):
+        raise DivergentIntegral(
+            f"(1,...,1)/sigma0 = {point} is not inside the face polytope")
+    return float(sigma0) * min(float(gap) / math.hypot(*w) for gap, w in gaps)
+
+
 def sargos_constant(p: GeneralizedPolynomial, tol: float = 1e-9,
                     seed: int = 0) -> ConstantValue:
     """n! Vol(Lambda) times the diagonal-face integral."""
     data = newton_at_infinity(p)
+    scale = float(math.factorial(data.n) * data.lambda_volume)
+    inner = data.m - data.rho0        # positive-orthant axes
+    compact = data.m == data.n
+    if compact and inner == 0:
+        const = sum(float(c) for c, _ in data.face_support)
+        return ConstantValue(value=scale * const ** (-float(data.sigma0)),
+                             abs_error=1e-15, method="closed-form")
+    if compact and inner <= 2:
+        perm = data.permutation
+        coeffs = [c for c, _ in data.face_support]
+        exps = [tuple(e[perm[data.rho0 + j]] for j in range(inner))
+                for _, e in data.face_support]
+        result = integrate_log_orthant(coeffs, exps, data.sigma0,
+                                       log_decay_rate(exps, data.sigma0), tol=tol)
+    else:
+        result = _cube_face_integral(data, tol, seed)
+    return ConstantValue(value=scale * result.value,
+                         abs_error=scale * result.abs_error,
+                         method=result.method)
+
+
+def _cube_face_integral(data: SargosData, tol: float, seed: int) -> ConstantValue:
+    """The face integral mapped onto the unit cube: u/(1-u) on face axes, 1/u on recession axes."""
     n = data.n
     sigma0 = float(data.sigma0)
     inner = data.m - data.rho0        # positive-orthant axes
@@ -185,19 +237,12 @@ def sargos_constant(p: GeneralizedPolynomial, tol: float = 1e-9,
             w /= u[inner + j] ** 2
         return w if math.isfinite(w) else 0.0
 
-    scale = float(math.factorial(n) * data.lambda_volume)
-    if dim == 0:
-        const = sum(float(c) for c, _ in data.face_support)
-        return ConstantValue(value=scale * const ** (-sigma0), abs_error=1e-15,
-                             method="closed-form")
     result = integrate_cube(integrand, dim, tol=tol, seed=seed)
     if result.abs_error > max(100 * tol, 1e-3 * abs(result.value)):
         tails = {j: 1.0 for j in range(inner)}
         tails.update({inner + j: 0.0 for j in range(outer)})
         check_tail_convergence(integrand, dim, tails)
-    return ConstantValue(value=scale * result.value,
-                         abs_error=scale * result.abs_error,
-                         method=result.method)
+    return result
 
 
 def build_repetition_polynomial(points, multiplicities, coefficients) -> GeneralizedPolynomial:

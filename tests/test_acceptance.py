@@ -4,9 +4,11 @@ Run with -s to see one PASS/FAIL line per criterion. Each test prints its
 verdict before asserting so a red run still shows the measured numbers.
 """
 
+import json
 import math
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -296,3 +298,24 @@ class TestCriterion9Differential:
         report("criterion-9b", ok,
                f"verify reports byte-identical across 1/4/8 threads "
                f"({len(outputs[0])} bytes)")
+
+
+class TestAim3VolumeErrorBar:
+    # (1,1,1) mixed volume constant of X1^2+..+X4^2, to eleven digits
+    VOLUME_111 = 0.0017090897522
+
+    def test_error_bar_at_default_tolerance(self, capsys):
+        args = ["constants", "--hypersurface", "1,1,1", "--polynomial",
+                "X1^2+X2^2+X3^2+X4^2", "--prime-cutoff", "100", "--euler-tol", "1e-3"]
+        t0 = time.monotonic()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(args)
+        elapsed = time.monotonic() - t0
+        vol = json.loads(capsys.readouterr().out)["volume_constant"]
+        err = abs(vol["value"] - self.VOLUME_111)
+        rel = vol["abs_error"] / vol["value"]
+        ok = code == 0 and err <= vol["abs_error"] and rel < 1e-6 and elapsed < 10
+        report("aim-3", ok,
+               f"A0 = {vol['value']!r} +- {vol['abs_error']:.1e} ({vol['method']}), "
+               f"off {self.VOLUME_111} by {err:.1e}, rel bar {rel:.1e}, {elapsed:.2f}s")

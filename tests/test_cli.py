@@ -21,6 +21,12 @@ GOLDEN_COMMANDS = {
     "euler_matrix_1_2_-3_full": ["constants", "--euler", "--matrix", "1,2,-3",
                                  "--prime-cutoff", "50", "--euler-tol", "1e-6",
                                  "--full-factors"],
+    "constants_hypersurface_1_1_1_squares": [
+        "constants", "--hypersurface", "1,1,1", "--polynomial", "X1^2+X2^2+X3^2+X4^2",
+        "--prime-cutoff", "100", "--euler-tol", "1e-3"],
+    "sargos_projective_torus_2_cubic": [
+        "constants", "--sargos-only", "--projective-torus", "2",
+        "--polynomial", "X1^3+X2^3+X3^3+X1*X2*X3"],
 }
 
 

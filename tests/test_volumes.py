@@ -4,15 +4,19 @@ from fractions import Fraction
 
 import pytest
 import scipy.integrate as si
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from toric_density import quadrature, volumes
+from toric_density.hull import polytope_facets
 from toric_density.model import GeneralizedPolynomial
 from toric_density.quadrature import (DivergentIntegral, check_tail_convergence,
-                                      integrate_cube)
+                                      integrate_cube, integrate_log_orthant)
 from toric_density.volumes import (MissingVariable, MixedTypeT,
-                                   build_repetition_polynomial, mahler_constant,
-                                   mixed_type_pushforward, mixed_volume_constant,
-                                   newton_at_infinity, sargos_constant,
-                                   volume_constant)
+                                   build_repetition_polynomial, log_decay_rate,
+                                   mahler_constant, mixed_type_pushforward,
+                                   mixed_volume_constant, newton_at_infinity,
+                                   sargos_constant, volume_constant)
 
 
 def poly(terms):
@@ -68,6 +72,22 @@ class TestNewtonAtInfinity:
         assert not data.compact_face
         assert data.m == 1 and data.rho0 == 1
 
+    def test_hull_runs_once_per_polynomial(self, monkeypatch):
+        calls = []
+        real = volumes.upward_hull
+
+        def counted(points, n):
+            calls.append(n)
+            return real(points, n)
+
+        monkeypatch.setattr(volumes, "upward_hull", counted)
+        newton_at_infinity.cache_clear()
+        p = poly([(2, (3, 0, 0)), (1, (0, 3, 0)), (4, (0, 0, 3)), (2, (1, 1, 1))])
+        first = newton_at_infinity(p)
+        assert newton_at_infinity(p) is first
+        sargos_constant(p)
+        assert calls == [3]
+
 
 class TestSargosConstant:
     def test_circle(self):
@@ -105,6 +125,144 @@ class TestSargosConstant:
         a0 = sargos_constant(poly(base)).value
         a1 = sargos_constant(poly(scaled)).value
         assert abs(a1 - a0 / 3.0) < 1e-9
+
+
+# 2-d faces: the nested Gauss-Kronrod value and error bar of the rule the
+# log-coordinate trapezoid replaced, per polynomial
+GAUSS_KRONROD_2D = [
+    ([(2, (3, 0, 0)), (1, (0, 3, 0)), (4, (0, 0, 3)), (2, (1, 1, 1))],
+     0.317564333072374, 1.4745525316839662e-10),
+    ([("3/2", (2, 0, 0)), ("43/10", (0, 2, 0)), ("15/2", (0, 0, 2)), ("24/5", (1, 1, 0))],
+     0.0732361903327606, 2.406035707319473e-10),
+    ([("42/5", (2, 0, 0)), ("37/10", (0, 2, 0)), ("37/5", (0, 0, 2)), ("27/10", (1, 1, 0))],
+     0.0450658808322271, 2.01347171687837e-10),
+    ([("3/2", (2, 0, 0)), ("43/10", (0, 2, 0)), ("15/2", (0, 0, 2)), ("36/5", (1, 1, 0))],
+     0.0633025012168244, 2.0109000311517214e-10),
+    ([("71/10", (2, 0, 0)), ("11/2", (0, 2, 0)), ("42/5", (0, 0, 2)), ("37/10", (1, 1, 0))],
+     0.0367134332633629, 2.388247454623427e-10),
+    ([(10, (3, 0, 0)), ("87/10", (0, 3, 0)), ("14/5", (0, 0, 3)), ("49/10", (2, 1, 0))],
+     0.104549933103693, 1.4956014629053307e-10),
+]
+
+
+def face_terms(p):
+    """Coefficients and inner-slot exponents of the diagonal face, as sargos_constant takes them."""
+    data = newton_at_infinity(p)
+    inner = [data.permutation[i] for i in range(data.rho0, data.m)]
+    return ([c for c, _ in data.face_support],
+            [tuple(e[i] for i in inner) for _, e in data.face_support], data.sigma0)
+
+
+def diagonal_window(exps):
+    """The open interval of t > 0 with (t, ..., t) inside conv(exps), or None."""
+    if len(exps[0]) == 1:
+        lo, hi = min(e[0] for e in exps), max(e[0] for e in exps)
+    else:
+        lo, hi = Fraction(0), None
+        for w, m in polytope_facets(exps, 2):
+            slope = sum(w)
+            if slope > 0:
+                lo = max(lo, m / slope)
+            elif slope < 0:
+                hi = m / slope if hi is None else min(hi, m / slope)
+            elif m >= 0:
+                return None
+    return (lo, hi) if hi is not None and lo < hi else None
+
+
+class TestLogTrapezoid:
+    @pytest.mark.parametrize("terms, oracle", [
+        ([(1, (2, 0)), (1, (0, 2))], math.pi / 4),
+        ([(1, (1, 0)), (1, (0, 1))], 1.0),
+    ])
+    def test_closed_forms(self, terms, oracle):
+        cv = sargos_constant(poly(terms))
+        assert cv.method == "log-trapezoid-1d"
+        assert abs(cv.value - oracle) <= cv.abs_error
+
+    def test_lifted_kernel_oracle(self):
+        # half the integral of 1/(1 + x + x^2), which is 2 pi / (3 sqrt 3)
+        cv = volume_constant([(2, 0, 1), (0, 2, 1)], (1, 1), (1, 1, 1))
+        assert cv.method == "log-trapezoid-1d"
+        assert abs(cv.value - math.pi / (3 * math.sqrt(3))) <= cv.abs_error
+
+    @pytest.mark.parametrize("terms, parent, parent_err", GAUSS_KRONROD_2D)
+    def test_two_dimensional_faces_match_gauss_kronrod(self, terms, parent, parent_err):
+        cv = sargos_constant(poly(terms))
+        assert cv.method == "log-trapezoid-2d"
+        assert abs(cv.value - parent) <= parent_err + cv.abs_error
+
+    def test_error_bar_shrinks_with_tol(self):
+        p = poly(GAUSS_KRONROD_2D[0][0])
+        loose = sargos_constant(p, tol=1e-4)
+        tight = sargos_constant(p, tol=1e-9)
+        assert tight.abs_error < loose.abs_error
+        assert abs(loose.value - tight.value) <= loose.abs_error + tight.abs_error
+
+    @pytest.mark.parametrize("exps, sigma0", [
+        ([(0,), (2,)], Fraction(1, 2)),                  # 2 is an endpoint
+        ([(1,), (3,)], Fraction(2)),                     # 1/2 lies outside
+        ([(0, 0), (2, 0), (0, 2)], Fraction(1)),         # (1, 1) on x + y = 2
+        ([(0, 0), (4, 0), (0, 4), (1, 1)], Fraction(1, 2)),  # (2, 2) on x + y = 4
+    ])
+    def test_divergent_on_a_facet(self, exps, sigma0):
+        with pytest.raises(DivergentIntegral):
+            log_decay_rate(exps, sigma0)
+
+    def test_decay_rate_is_the_facet_distance(self):
+        # (1, 1) in the triangle (0,0), (4,0), (0,4): nearest facets are the axes
+        assert log_decay_rate([(0, 0), (4, 0), (0, 4)], Fraction(1)) == 1.0
+        # (1, 1) in the triangle (0,0), (3,0), (0,3): x + y = 3 is nearest
+        assert log_decay_rate([(0, 0), (3, 0), (0, 3)], Fraction(1)) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert log_decay_rate([(0,), (2,)], Fraction(2)) == 1.0
+
+    @pytest.mark.parametrize("coeffs", [(1, 0), (1, -2)])
+    def test_non_positive_coefficient(self, coeffs):
+        with pytest.raises(ValueError, match="coefficients must be positive"):
+            integrate_log_orthant(coeffs, [(0,), (2,)], Fraction(1), 1.0)
+
+    @pytest.mark.parametrize("terms", [GAUSS_KRONROD_2D[0][0],
+                                       [(3, (2, 0)), (1, (0, 2)), (2, (1, 1))]])
+    def test_block_size_does_not_change_bytes(self, terms, monkeypatch):
+        coeffs, exps, sigma0 = face_terms(poly(terms))
+        rate = log_decay_rate(exps, sigma0)
+        runs = []
+        for size in (8192, 97):
+            monkeypatch.setattr(quadrature, "LOG_BLOCK", size)
+            runs.append(integrate_log_orthant(coeffs, exps, sigma0, rate, tol=1e-7))
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=10, deadline=None)
+    @given(k=st.sampled_from((1, 2)), data=st.data())
+    def test_against_nquad(self, k, data):
+        size = data.draw(st.integers(2, 4))
+        exps = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * k),
+                                  min_size=size, max_size=size, unique=True))
+        coeffs = data.draw(st.lists(st.fractions(Fraction(1, 10), 5, max_denominator=10),
+                                    min_size=size, max_size=size))
+        assume(k == 1 or len({(a[0] - exps[0][0]) * (b[1] - exps[0][1])
+                              - (a[1] - exps[0][1]) * (b[0] - exps[0][0])
+                              for a in exps for b in exps}) > 1)
+        window = diagonal_window(exps)
+        assume(window is not None)
+        sigma0 = 2 / (window[0] + window[1])
+        rate = log_decay_rate(exps, sigma0)
+        # QUADPACK misses the far tails of slowly decaying integrands
+        assume(rate >= 0.4)
+        got = integrate_log_orthant(coeffs, exps, sigma0, rate, tol=1e-10)
+
+        terms = [(math.log(c), e) for c, e in zip(coeffs, exps)]
+        s0 = float(sigma0)
+
+        def f(*s):
+            lin = [lc + sum(x * y for x, y in zip(e, s)) for lc, e in terms]
+            top = max(lin)
+            return math.exp(sum(s) - s0 * (top + math.log(sum(math.exp(v - top)
+                                                               for v in lin))))
+
+        opts = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 200}
+        want, want_err = si.nquad(f, [(-math.inf, math.inf)] * k, opts=[opts] * k)
+        assert abs(got.value - want) <= got.abs_error + want_err + 1e-12 * want
 
 
 class TestVolumeConstant:
