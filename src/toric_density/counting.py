@@ -5,8 +5,10 @@ Three enumerators produce the positive primitive solutions of the monomial
 relations:
 
 - the relation enumerator (`_enumerate_relations`) walks coordinate
-  prefixes and solves or vectorises the last coordinate; it serves any
-  problem;
+  prefixes; it serves any problem. When a relation uses the last
+  coordinate, the level above it runs as arrays: x_(w-1) over its range,
+  x_w solved from the relation by an exact integer root. Otherwise
+  the last coordinate is the array;
 - the coprime-pair grid (`_pair_grid`) scans coprime (w1, w2) under a
   monomial coordinate map; it serves the torus of P^1 and the two-variable
   hypersurfaces;
@@ -15,11 +17,13 @@ relations:
   on hypersurfaces with n >= 3.
 
 Two reductions consume their points: an exact count, with heights compared
-as scaled integers (`_height_mask`, in int64 or in Python ints when a bound
-shows int64 could overflow), and a zeta collector of float heights summed
-per s. Monomial relations are checked via cross-multiplied products,
-primitivity via running gcds. Fixed chunk partitions reduced in order keep
-every result independent of the thread count.
+as scaled integers (`_height_mask`), and a zeta collector of float heights
+summed per s. Array products run in int64 only when a bound (box to the
+exponent sum of a relation side, or the height limit) shows they fit, and
+otherwise on numpy object arrays of Python ints. Coprimality with a gcd g
+is a mask that strikes out the multiples of each prime of g
+(`_coprime_mask`), not Euclid per element. Fixed chunk partitions reduced
+in order keep every result independent of the thread count.
 """
 
 from __future__ import annotations
@@ -226,40 +230,52 @@ def count_points(problem: ToricProblem, poly: Optional[GeneralizedPolynomial],
                        elapsed=time.monotonic() - started)
 
 
-def _count_batch(values, last, keep) -> int:
-    return len(last) if keep is None else int(np.count_nonzero(keep))
+def _count_batch(prefix, penult, last) -> int:
+    return len(last)
 
 
-def _monomial_sides(pairs, values):
+def _monomial_sides(pairs, values, one=1):
     """Both sides of a monomial relation given by its (column, nonzero
-    exponent) pairs, evaluated at values."""
-    num = den = 1
+    exponent) pairs, evaluated at values (ints or arrays); each side starts
+    from one, which fixes the shape and dtype of array sides."""
+    num = den = one
     for j, a in pairs:
         if a > 0:
-            num *= values[j] ** a
+            num = num * values[j] ** a
         else:
-            den *= values[j] ** (-a)
+            den = den * values[j] ** (-a)
     return num, den
+
+
+def _coprime_mask(g: int, n: int):
+    """Mask of the v in [1, n] coprime to g: the multiples of every prime of
+    g struck out."""
+    if g < 1:
+        raise ValueError(f"coprimality needs g >= 1, got {g}")
+    keep = np.ones(n, dtype=bool)
+    for p in _factorize(g):
+        keep[p - 1::p] = False
+    return keep
 
 
 def _enumerate_relations(rows, w, box, hdata, threads, batch, start):
     """Positive primitive solutions in [1, box]^w, prefix by prefix.
 
-    The last coordinate is solved from the first row that uses it, or
-    vectorised when none does. Each batch of solutions goes to
-    batch(prefix, last coordinates, keep mask or None); the results are
-    summed from start() per chunk of first coordinates, then in chunk order.
+    When a relation uses the last column, x_w is solved from the first one
+    with the second-to-last coordinate as an array over its range, the
+    chunk's when w = 2 (`solve`); otherwise the last coordinate is the
+    array (`unsolved`). Each
+    batch of solutions goes to batch(first w - 2 coordinates, array of
+    x_(w-1), array of x_w); the results are summed from start() per chunk of
+    first coordinates, then in chunk order.
     """
     checks = {}  # relations by their last column, as (column, exponent) pairs
     for r in rows:
         pairs = tuple((j, a) for j, a in enumerate(r) if a)
         checks.setdefault(pairs[-1][0], []).append(pairs)
     solving = checks.get(w - 1, [])
-    if solving:  # x_w^e times the monomial `head` of the other columns
-        head, (_, e) = solving[0][:-1], solving[0][-1]
     terms, limit = hdata if hdata else (None, None)
     vec = np.arange(1, box + 1, dtype=np.int64)
-    empty = start()  # only ever added into fresh accumulators
 
     def prefix_ok(depth, values):
         for r in checks.get(depth - 1, []):
@@ -272,50 +288,80 @@ def _enumerate_relations(rows, w, box, hdata, threads, batch, start):
                 return False
         return True
 
-    def last_coordinates(values, g):
-        if not solving:
-            keep = np.gcd(vec, g) == 1
-            if hdata:
-                keep &= _height_mask(terms, limit, values + (box,),
-                                     lambda dtype: values + (vec.astype(dtype),))
-            return vec, keep
-        num, den = _monomial_sides(head, values)
-        if e > 0:
-            if den % num:
-                return None
-            m = _perfect_root(den // num, e)
-        else:
-            if num % den:
-                return None
-            m = _perfect_root(num // den, -e)
-        if m is None or not 1 <= m <= box or gcd(g, m) != 1:
-            return None
-        cand = values + (m,)
-        for r in solving[1:]:
-            num, den = _monomial_sides(r, cand)
-            if num != den:
-                return None
-        if hdata and _eval_terms_int(terms, cand) > limit:
-            return None
-        return (m,), None
+    def unsolved(values, g):
+        keep = _coprime_mask(g, box)
+        if hdata:
+            keep &= _height_mask(terms, limit, values + (box,),
+                                 lambda dtype: values + (vec.astype(dtype),))
+        last = keep.nonzero()[0] + 1  # vec[keep], without a masked gather
+        return batch(values[:-1], np.full(len(last), values[-1], dtype=np.int64), last)
 
-    def rec(depth, values, g):
-        if depth == w - 1:
-            found = last_coordinates(values, g)
-            return batch(values, *found) if found else empty
+    if solving:  # x_w^e times the monomial `head` of the other columns
+        head, (_, e) = solving[0][:-1], solving[0][-1]
+        k = abs(e)
+        used = checks.get(w - 2, []) + solving
+        side = max(sum(abs(a) for _, a in r if (a > 0) == sign)
+                   for r in used for sign in (True, False))
+        # every product below is at most box^side: int64 when that fits
+        dtype = np.int64 if box ** side < 2 ** 63 else object
+
+    def solve(values, g, xs):
+        """x_(w-1) over the int64 array xs after the prefix values with
+        running gcd g (0 for no prefix), x_w solved from `head`."""
+        def sides(r, *cols):
+            cols = tuple(c.astype(dtype) for c in cols)
+            return _monomial_sides(r, values + cols, np.ones(len(cols[0]), dtype))
+
+        for r in checks.get(w - 2, []):
+            num, den = sides(r, xs)
+            xs = xs[num == den]
+        if hdata:
+            xs = xs[_height_mask(terms, limit, values + (box, 1),
+                                 lambda dt: values + (xs.astype(dt), 1))]
+        num, den = sides(head, xs)
+        if e < 0:
+            num, den = den, num
+        ok = den % num == 0
+        xs, val = xs[ok], den[ok] // num[ok]
+        if k == 1:
+            ms = val
+        elif dtype is object:
+            ms = np.array([_iroot(v, k) for v in val.tolist()], dtype=object)
+        else:  # a float estimate, confirmed exactly below
+            ms = np.rint(val.astype(np.float64) ** (1.0 / k)).astype(np.int64)
+        ok = (ms >= 1) & (ms <= box)
+        xs, ms, val = xs[ok], ms[ok].astype(np.int64), val[ok]
+        if k > 1:
+            ok = ms.astype(dtype) ** k == val
+            xs, ms = xs[ok], ms[ok]
+        ok = np.gcd(np.gcd(xs, g), ms) == 1
+        xs, ms = xs[ok], ms[ok]
+        for r in solving[1:]:
+            num, den = sides(r, xs, ms)
+            ok = num == den
+            xs, ms = xs[ok], ms[ok]
+        if hdata:
+            ok = _height_mask(terms, limit, values + (box, box),
+                              lambda dt: values + (xs.astype(dt), ms.astype(dt)))
+            xs, ms = xs[ok], ms[ok]
+        return batch(values, xs, ms)
+
+    def rec(depth, values, g, lo, hi):
+        """Coordinate depth + 1 over [lo, hi) after the prefix values."""
+        if solving and depth == w - 2:
+            return solve(values, g, vec[lo - 1:hi - 1])
         total = start()
-        for m in range(1, box + 1):
+        for m in range(lo, hi):
             vals = values + (m,)
             if prefix_ok(depth + 1, vals):
-                total += rec(depth + 1, vals, gcd(g, m))
+                if depth + 1 == w - 1:
+                    total += unsolved(vals, gcd(g, m))
+                else:
+                    total += rec(depth + 1, vals, gcd(g, m), 1, box + 1)
         return total
 
     def chunk(lo):
-        total = start()
-        for m in range(lo, min(lo + CHUNK, box + 1)):
-            if prefix_ok(1, (m,)):
-                total += rec(1, (m,), m)
-        return total
+        return rec(0, (), 0, lo, min(lo + CHUNK, box + 1))
 
     return sum(_chunk_map(chunk, range(1, box + 1, CHUNK), threads), start())
 
@@ -348,7 +394,7 @@ def _pair_grid(w1max, w2max, reduce, threads):
 
     def chunk(lo):
         v1 = np.arange(lo, min(lo + GRID_ROWS - 1, w1max) + 1, dtype=np.int64)
-        return reduce(v1, v2, np.gcd(v1[:, None], v2[None, :]) == 1)
+        return reduce(v1, v2, np.stack([_coprime_mask(int(a), w2max) for a in v1]))
 
     return _chunk_map(chunk, range(1, w1max + 1, GRID_ROWS), threads)
 
@@ -606,10 +652,10 @@ def zeta_partial(problem_or_a, poly: GeneralizedPolynomial, s_values,
     out = []
     for s, partial in zip(s_list, sums):
         n_b = csign * n_cov
-        from scipy import integrate as _si
         if rho == 1:
             tail = n_b * h_cov ** (-s) * iota_f / (s - iota_f)
         else:
+            from scipy import integrate as _si
             delta = n_b / (h_cov ** iota_f * math.log(h_cov) ** (rho - 1))
             val, _ = _si.quad(lambda h: h ** (iota_f - s - 1)
                               * math.log(h) ** (rho - 1), h_cov, np.inf)
@@ -668,9 +714,8 @@ def _zeta_relations(problem, poly, s_list, term_budget, height_mode, threads):
         def height(p):
             return float(max(p))
 
-    def batch(values, last, keep):
-        return [height(values + (int(m),))
-                for m in (last if keep is None else last[keep])]
+    def batch(prefix, penult, last):
+        return [height(prefix + (x, y)) for x, y in zip(penult.tolist(), last.tolist())]
 
     heights = _enumerate_relations(problem.rows, w, box, None, threads, batch, list)
     kept = sorted(h for h in heights if h <= h_cov)

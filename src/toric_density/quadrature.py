@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import qmc
 
 
 class DimensionTooHigh(Exception):
@@ -56,11 +54,13 @@ def integrate_cube(f, dim: int, tol: float = 1e-9, seed: int = 0) -> ConstantVal
     if dim > QMC_MAX_DIM:
         raise DimensionTooHigh(f"integral dimension {dim} exceeds {QMC_MAX_DIM}")
     if dim <= ADAPTIVE_MAX_DIM:
+        from scipy import integrate
         opts = {"epsabs": tol / 4, "epsrel": 1e-11, "limit": 200}
         val, err = integrate.nquad(lambda *x: f(x), [(0.0, 1.0)] * dim,
                                    opts=[opts] * dim)
         return ConstantValue(value=float(val), abs_error=float(2 * err + 1e-15),
                              method=f"gauss-kronrod-{dim}d")
+    from scipy.stats import qmc
     means = []
     for r in range(QMC_REPLICATES):
         sampler = qmc.Sobol(d=dim, scramble=True, seed=seed + r)
@@ -82,6 +82,7 @@ def check_tail_convergence(f, dim: int, tail_ends, levels=(0.1, 0.01, 0.001)):
     """
     if not tail_ends:
         return
+    from scipy import integrate
     increments = []
     prev = None
     for margin in levels:

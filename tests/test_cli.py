@@ -1,7 +1,10 @@
 import inspect
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +30,20 @@ GOLDEN_COMMANDS = {
     "sargos_projective_torus_2_cubic": [
         "constants", "--sargos-only", "--projective-torus", "2",
         "--polynomial", "X1^3+X2^3+X3^3+X1*X2*X3"],
+    # counts and zeta sums: every enumerator and both reductions
+    "verify_projective_torus_1_sup_7000": [
+        "verify", "--projective-torus", "1", "--sup-norm", "--t", "7000",
+        "--threads", "2"],
+    "count_matrix_1_1_-2_sup_950": ["count", "--matrix", "1,1,-2", "--sup-norm",
+                                    "--t", "950"],
+    "count_matrix_1_1_-2_squares_520": ["count", "--matrix", "1,1,-2", "--polynomial",
+                                        "X1^2+X2^2+X3^2", "--t", "520"],
+    "zeta_hypersurface_1_1_squares": [
+        "zeta", "--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2",
+        "--budget", "1000000", "--s", "1.5,1.2"],
+    "zeta_matrix_1_1_-2_squares": [
+        "zeta", "--matrix", "1,1,-2", "--polynomial", "X1^2+X2^2+X3^2",
+        "--budget", "1000000", "--s", "1.5,1.2"],
 }
 
 
@@ -236,3 +253,25 @@ class TestDeterminism:
             assert code == 0
             results.append(json.loads(out)["results"][0]["count"])
         assert results[0] == results[1]
+
+
+class TestImportCost:
+    def test_scipy_loads_only_when_integrating(self):
+        # counts, sup-norm verification and rho = 1 zeta sums never integrate
+        script = """
+import contextlib, io, sys
+import toric_density.cli as cli
+assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'import'
+for argv in (["count", "--matrix", "1,1,-2", "--sup-norm", "--t", "50"],
+             ["verify", "--projective-torus", "1", "--sup-norm", "--t", "200"],
+             ["zeta", "--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2",
+              "--budget", "1000000", "--s", "1.5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], argv
+"""
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

@@ -4,7 +4,10 @@ from fractions import Fraction
 from math import gcd
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toric_density import counting
 from toric_density.counting import (BoxTooLarge, InvariantError, NonCompactFace,
@@ -332,3 +335,107 @@ class TestAsymptoticReport:
         prob = validate_toric_matrix([], width=2)
         with pytest.raises(ValueError):
             asymptotic_report([count_points(prob, None, 10, "sup")], 1.0, 2, 1)
+
+
+def squares(width):
+    return poly([(1, tuple(2 if j == i else 0 for j in range(width)))
+                 for i in range(width)])
+
+
+def zeta_brute(rows, width, height, box):
+    """Heights of the positive primitive solutions in [1, box]^width."""
+    out = []
+    for m in itertools.product(range(1, box + 1), repeat=width):
+        if math.gcd(*m) == 1 and all(
+                math.prod(x ** a for x, a in zip(m, r) if a > 0)
+                == math.prod(x ** -a for x, a in zip(m, r) if a < 0) for r in rows):
+            out.append(height(m))
+    return out
+
+
+@st.composite
+def small_matrices(draw):
+    """1-2 relation rows of width 2-4, entries in -3..3, zero row sums."""
+    width = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 2))):
+        head = draw(st.lists(st.integers(-3, 3), min_size=width - 1, max_size=width - 1))
+        assume(abs(sum(head)) <= 3)
+        rows.append(tuple(head) + (-sum(head),))
+    try:
+        return validate_toric_matrix(rows)
+    except ValueError:
+        assume(False)
+
+
+class TestKernels:
+    """The array kernels of the relation enumerator against plain loops."""
+
+    def test_coprime_mask_equals_euclid(self):
+        from toric_density.counting import _coprime_mask
+        for n in (1, 7, 210):
+            vec = np.arange(1, n + 1)
+            for g in range(1, 5001):
+                assert np.array_equal(_coprime_mask(g, n), np.gcd(vec, g) == 1), (g, n)
+
+    @pytest.mark.parametrize("g", [0, -1, -6])
+    def test_coprime_mask_needs_positive_g(self, g):
+        from toric_density.counting import _coprime_mask
+        with pytest.raises(ValueError):
+            _coprime_mask(g, 10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(prob=small_matrices(), t=st.integers(1, 12), mode=st.sampled_from(["sup", "squares"]))
+    def test_counts_equal_brute_force(self, prob, t, mode):
+        w, sign = prob.width, sign_count(prob).value
+        if mode == "sup":
+            got = count_points(prob, None, t, "sup").count
+            oracle = brute_count(prob.rows, w, t, lambda m: max(m) <= t, sign)
+        else:
+            got = count_points(prob, squares(w), t, "polynomial").count
+            oracle = brute_count(prob.rows, w, t, lambda m: sum(x * x for x in m) <= t * t,
+                                 sign)
+        assert got == oracle
+
+    @settings(max_examples=25, deadline=None)
+    @given(prob=small_matrices(), side=st.integers(2, 7),
+           mode=st.sampled_from(["sup", "squares"]))
+    def test_relation_zeta_equals_brute_force(self, prob, side, mode):
+        w, sign, sq = prob.width, sign_count(prob).value, squares(prob.width)
+        s_list = [3.5, 4.2]
+        samples = zeta_partial(prob, sq, s_list, Fraction(1), term_budget=side ** w,
+                               height_mode="sup" if mode == "sup" else "polynomial")
+        box = max(2, int((side ** w) ** (1.0 / w)))
+        height = ((lambda m: float(max(m))) if mode == "sup"
+                  else (lambda m: sq.eval_float(m) ** 0.5))
+        kept = sorted(h for h in zeta_brute(prob.rows, w, height, box)
+                      if h <= samples[0].covered_height)
+        for s, sample in zip(s_list, samples):
+            assert sample.partial == sign * sum(h ** (-s) for h in kept)
+            assert sample.covered_count == sign * len(kept)
+
+    @pytest.mark.parametrize("rows", [[(1, -1)], [(1, -1, 0, 0), (0, 0, 1, -1)]])
+    @pytest.mark.parametrize("t", [1, 5, 11])
+    def test_explicit_relations(self, rows, t):
+        prob = validate_toric_matrix(rows)
+        w, sign = prob.width, sign_count(prob).value
+        assert count_points(prob, None, t, "sup").count == brute_count(
+            rows, w, t, lambda m: max(m) <= t, sign)
+        got = count_points(prob, squares(w), t, "polynomial").count
+        assert got == brute_count(rows, w, t, lambda m: sum(x * x for x in m) <= t * t, sign)
+        sample = zeta_partial(prob, None, 2.5, Fraction(1), term_budget=(t + 1) ** w,
+                              height_mode="sup")
+        box = max(2, int(((t + 1) ** w) ** (1.0 / w)))
+        kept = sorted(zeta_brute(rows, w, lambda m: float(max(m)), box))
+        assert sample.partial == sign * sum(h ** -2.5 for h in kept)
+        assert sample.covered_count == sign * len(kept)
+
+    @pytest.mark.parametrize("row", [(21, -21, 1, -1), (1, -1, 21, -21)])
+    def test_solved_products_beyond_int64(self, row):
+        # the solutions (u, u, v, v) make the head side u^21 pass 2^63 once
+        # u >= 9, so the solve runs on Python ints; (1, -1, 21, -21) also
+        # takes the 21st root of the solved coordinate
+        prob = validate_toric_matrix([row])
+        got = count_points(prob, None, 12, "sup").count
+        sign = sign_count(prob).value
+        assert got == brute_count([row], 4, 12, lambda m: max(m) <= 12, sign) == 364
