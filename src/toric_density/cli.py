@@ -378,7 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=None,
                        help="generator enumeration cap")
         p.add_argument("--quad-tol", type=float, default=1e-9)
-        p.add_argument("--euler-tol", type=float, default=1e-10)
+        p.add_argument("--euler-tol", type=float, default=1e-10,
+                       help="accepted for compatibility: matrix and "
+                            "hypersurface Euler factors are exact; only custom "
+                            "weights of the library API truncate to it")
         p.add_argument("--prime-cutoff", type=int, default=100_000)
         p.add_argument("--precision", type=int, default=160,
                        help="working precision in bits")

@@ -1,16 +1,24 @@
 """Euler products of uniform multiplicative weights at the normalized polar vector.
 
-Per prime the local series sum_v g(v) p^(-<v,c>) is truncated with a
-certified geometric-polynomial tail bound; the regularized factors
-(1 - 1/p)^K * L_p tend to 1 like p^(-(1+eps)), and the product over primes
-beyond the cutoff is corrected through the prime zeta function applied to
-the exponent expansion of log[(1 - x)^K W(x)]. The product runs in one
-thread, prime after prime, and every prime reads the one WeightProfile
-built from the support walk of the weight.
+For matrix, hypersurface and free weights every local factor is exact. The
+support is a union of coordinate faces of saturated affine monoids whose
+Hilbert bases lie among the support generators, so by Hilbert--Serre
+W(x) = sum_v g(v) x^(D<c,v>) = N(x)/Q(x) with Q = prod_h (1 - x^(D<c,h>))
+over the generators h and deg N <= deg Q (Miller--Sturmfels, Combinatorial
+Commutative Algebra, ch. 12). N comes from a short support walk times Q, and
+the local factor at p is N(x_p)/Q(x_p) with x_p = p^(-1/D). Custom weights
+keep a truncated walk with a certified geometric-polynomial tail bound.
+
+The regularized factors (1 - 1/p)^K W(x_p) tend to 1 like p^(-(1+eps)), and
+the product over primes beyond the cutoff is corrected through the prime zeta
+function applied to the exponent expansion of log[(1 - x)^K W(x)]. One pass
+over the primes, in one thread and in fixed-point integers, evaluates every
+factor and the partial prime sums that correction needs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,9 +26,10 @@ from typing import Optional
 
 import mpmath as mp
 
-from .generators import LatticePointSet
+from .generators import LatticePointSet, generators_with_check
 # NonPositivePolar is raised by the support walk and importable from here
-from .model import NonPositivePolar, UniformMultiplicativeSpec, polar_scale  # noqa: F401
+from .model import (InvariantError, NonPositivePolar,  # noqa: F401
+                    UniformMultiplicativeSpec, polar_scale)
 from .vectors import fracvec
 
 DEFAULT_CUTOFF = 100_000
@@ -30,6 +39,10 @@ MAX_LEVEL = 100_000             # required_level gives up beyond this |v|
 # log partial sums are taken per block of primes, then added up: the block
 # size fixes the rounding of every reported value
 PRIME_BLOCK = 1024
+# weights whose local series is N/Q in closed form; others are walked
+EXACT_KINDS = ("toric", "hypersurface", "free")
+# extra fixed-point bits beyond the precision and the cancellation in N
+GUARD_BITS = 32
 
 
 def primes_up_to(n: int):
@@ -65,6 +78,79 @@ class EulerReport:
         return float(self.value)
 
 
+@dataclass(frozen=True)
+class RationalWeight:
+    """W(x) = N(x) / prod_d (1 - x^d), exactly, in x = p^(-1/D), D = scale.
+
+    numerator holds the nonzero (exponent, integer coefficient) terms of N,
+    denominator one exponent d = D<c,h> per support generator h.
+    """
+
+    scale: int
+    numerator: tuple
+    denominator: tuple
+
+    def series(self, top: int) -> list:
+        """The power series coefficients of N/Q up to x^top."""
+        out = [0] * (top + 1)
+        for e, a in self.numerator:
+            if e <= top:
+                out[e] += a
+        for d in self.denominator:
+            for k in range(d, top + 1):
+                out[k] += out[k - d]
+        return out
+
+    def truncation(self, p: int):
+        """(numerator terms, denominator exponents, tail bound) at p: exact."""
+        return self.numerator, self.denominator, 0.0
+
+
+@functools.lru_cache(maxsize=32)
+def _generator_points(spec: UniformMultiplicativeSpec) -> tuple:
+    return generators_with_check(spec).points
+
+
+def rational_weight(spec: UniformMultiplicativeSpec, c,
+                    generators: Optional[LatticePointSet] = None) -> RationalWeight:
+    """The exact N/Q of a matrix, hypersurface or free weight at polar vector c.
+
+    Q comes from the unit vectors (free) or from the support generators,
+    computed when none are given. N is the support walk to
+    2 deg Q + D times Q; its coefficients past deg Q must vanish. A zero
+    window of length L past deg Q makes W Q a polynomial of degree <= deg Q
+    even if generators whose degrees add up to at most L were missing, so
+    the closed form is then exact anyway; a nonzero one raises.
+    """
+    if spec.kind not in EXACT_KINDS:
+        raise ValueError(f"no closed form for a {spec.kind} weight")
+    scale = polar_scale(c)
+    steps = [int(x * scale) for x in fracvec(c)]
+    if spec.kind == "free":
+        points = [tuple(int(i == j) for j in range(spec.arity)) for i in range(spec.arity)]
+    elif generators is not None:
+        points = generators.points
+    else:
+        points = _generator_points(spec)
+    denominator = tuple(sorted(sum(s * x for s, x in zip(steps, h)) for h in points))
+    deg_q = sum(denominator)
+    top = 2 * deg_q + scale
+    coeffs = [0] * (top + 1)
+    for _, w, _, e in spec.support(c, max_expo=top):
+        coeffs[e] += w
+    for d in denominator:
+        for k in range(top, d - 1, -1):
+            coeffs[k] -= coeffs[k - d]
+    extra = [k for k in range(deg_q + 1, top + 1) if coeffs[k]]
+    if extra:
+        raise InvariantError(
+            f"W Q has a term x^{extra[0]} beyond deg Q = {deg_q}: the support "
+            f"generators miss a factor of the denominator")
+    return RationalWeight(scale=scale,
+                          numerator=tuple((e, a) for e, a in enumerate(coeffs[:deg_q + 1]) if a),
+                          denominator=denominator)
+
+
 def _tail_bound(spec: UniformMultiplicativeSpec, min_c: float, p: int,
                 level: int) -> float:
     """Upper bound for the weight series beyond |v| = level at prime p:
@@ -87,10 +173,10 @@ def _first_level(spec: UniformMultiplicativeSpec, min_c: float, p: int,
 class WeightProfile:
     """Support weight keyed by (|v| level, D<c,v>), D = polar_scale(c).
 
-    The level drives the certified truncation: per prime only levels up to
-    N(p) are summed and the remainder is bounded by
-    C sum_(k>N) (1+k)^(M+n-1) p^(-k min c). Exponents stay integers in units
-    of 1/D until they are evaluated.
+    The box walk of custom weights. The level drives the certified
+    truncation: per prime only levels up to N(p) are summed and the
+    remainder is bounded by C sum_(k>N) (1+k)^(M+n-1) p^(-k min c).
+    Exponents stay integers in units of 1/D until they are evaluated.
     """
 
     def __init__(self, spec: UniformMultiplicativeSpec, c, max_level: int):
@@ -113,25 +199,18 @@ class WeightProfile:
         level = _first_level(self.spec, self.min_c, p, tol, self.max_level)
         return self.max_level if level is None else level
 
-    def local_sum(self, p: int, level: int):
-        """sum g(v) p^(-<v,c>) over |v| <= level, exact exponents, mpf value."""
-        total = mp.mpf(0)
-        pm = mp.mpf(p)
-        for (lvl, expo), w in self.entries:
-            if lvl > level:
-                break  # entries are sorted by level
-            total += w * mp.power(pm, mp.mpf(-expo) / self.scale) \
-                if expo != 0 else mp.mpf(w)
-        return total
+    def truncation(self, p: int, tol: float):
+        """(terms with |v| <= level, no denominator, tail bound) at p."""
+        level = self.level_for(p, tol)
+        terms = [(expo, w) for (lvl, expo), w in self.entries if lvl <= level]
+        return terms, (), self.tail_bound(p, level)
 
-    def exponent_weights(self, depth: Fraction) -> dict:
-        """Total weight per polar exponent, up to the expansion depth."""
-        out: dict = {}
-        top = depth * self.scale
-        for (lvl, expo), w in self.entries:
-            if 0 < expo <= top:
-                key = Fraction(expo, self.scale)
-                out[key] = out.get(key, 0) + w
+    def series(self, top: int) -> list:
+        """Total weight per D<c,v> up to top, over the whole profile."""
+        out = [0] * (top + 1)
+        for (_, expo), w in self.entries:
+            if expo <= top:
+                out[expo] += w
         return out
 
 
@@ -144,16 +223,97 @@ def required_level(spec: UniformMultiplicativeSpec, c, tol: float) -> int:
     return level
 
 
+def _series_source(spec: UniformMultiplicativeSpec, c, tol: float,
+                   generators: Optional[LatticePointSet],
+                   profile: Optional[WeightProfile] = None):
+    """The local series of spec at c and its per-prime truncation(p)."""
+    if spec.kind in EXACT_KINDS:
+        form = rational_weight(spec, c, generators)
+        return form, form.truncation
+    if profile is None:
+        profile = WeightProfile(spec, c, required_level(spec, c, tol))
+    return profile, lambda p: profile.truncation(p, tol)
+
+
+def _layout(scale: int, truncation, precision: int):
+    """(bits, top, step, ops) of the fixed-point evaluation at any prime.
+
+    They are read from the terms at p = 2, the most any prime keeps: the
+    top exponent, the gcd of D and every exponent, and the operations per
+    factor. bits adds the guard and the worst cancellation in N, at p = 2,
+    where N(x) >= Q(x) because W(x) >= W(0) = 1.
+    """
+    terms, den, _ = truncation(2)
+    exps = [e for e, _ in terms] + list(den)
+    top = max(exps + [1])
+    mass = sum(abs(a) for _, a in terms) * 2 * (top + 1)
+    inv_q = -sum(math.log2(1 - 2.0 ** (-d / scale)) for d in den)
+    bits = precision + GUARD_BITS + math.ceil(math.log2(mass) + inv_q)
+    return bits, top, math.gcd(scale, *exps), len(terms) + len(den) + 4
+
+
+def _x_fixed(p: int, scale: int, bits: int) -> int:
+    """floor(2^bits p^(-1/scale)), exactly, by integer Newton steps from above."""
+    if scale == 1:
+        return (1 << bits) // p
+    target = (1 << (bits * scale)) // p
+    head = int(math.ldexp(p ** (-1.0 / scale), 60))
+    x = (head + (head >> 30) + 1) << max(bits - 60, 0) >> max(60 - bits, 0)
+    while True:
+        y = ((scale - 1) * x + target // x ** (scale - 1)) // scale
+        if y >= x:
+            return x
+        x = y
+
+
+def _powers(p: int, scale: int, step: int, top: int, bits: int) -> list:
+    """x_p^j scaled by 2^bits at the multiples j of step up to top, 0 elsewhere.
+
+    step divides scale, so x_p^step = p^(-step/scale) is one exact root;
+    every further power is one truncated product.
+    """
+    y = _x_fixed(p, scale // step, bits)
+    out = [0] * (top + 1)
+    out[0] = power = 1 << bits
+    for j in range(step, top + 1, step):
+        power = out[j] = power * y >> bits
+    return out
+
+
+def _ratio(terms, den, powers, bits: int, p: int, k_reg: int):
+    """(1 - 1/p)^k_reg N(x)/Q(x) as (m, s), m of about `bits` bits, value
+    m 2^-s, with N(x) 2^-bits as the second result."""
+    num = sum(a * powers[e] for e, a in terms)
+    one = powers[0]
+    q = math.prod(one - powers[d] for d in den)
+    upper = num * (p - 1) ** k_reg << (bits * len(den))
+    lower = q * p ** k_reg << bits
+    shift = bits + lower.bit_length() - upper.bit_length()
+    m = (upper << shift) // lower if shift >= 0 else upper // (lower << -shift)
+    return m, shift, num
+
+
+def _mpf(m: int, shift: int):
+    """m 2^-shift rounded to the working precision."""
+    return mp.ldexp(mp.mpf(m), -shift)
+
+
 def local_factor(spec: UniformMultiplicativeSpec, c, p: int, tol: float = 1e-12,
                  precision: int = DEFAULT_PRECISION,
-                 profile: Optional[WeightProfile] = None) -> LocalFactor:
-    """The local series at prime p with a certified truncation bound."""
+                 profile: Optional[WeightProfile] = None,
+                 generators: Optional[LatticePointSet] = None) -> LocalFactor:
+    """The local series sum_v g(v) p^(-<v,c>) at prime p.
+
+    Exact for matrix, hypersurface and free weights (tail_bound 0.0); a
+    custom weight is walked to the level certified below tol.
+    """
     with mp.workprec(precision):
-        if profile is None:
-            profile = WeightProfile(spec, c, required_level(spec, c, tol))
-        level = profile.level_for(p, tol)
-        value = profile.local_sum(p, level)
-        return LocalFactor(p=p, value=value, tail_bound=profile.tail_bound(p, level))
+        source, truncation = _series_source(spec, c, tol, generators, profile)
+        bits, top, step, _ = _layout(source.scale, truncation, precision)
+        terms, den, tail = truncation(p)
+        powers = _powers(p, source.scale, step, top, bits)
+        m, shift, _ = _ratio(terms, den, powers, bits, p, 0)
+        return LocalFactor(p=p, value=_mpf(m, shift), tail_bound=tail)
 
 
 def epsilon_gap(generators: LatticePointSet, c) -> Fraction:
@@ -214,45 +374,58 @@ def euler_constant(spec: UniformMultiplicativeSpec, c, k_reg: int,
                    keep_factors: bool = False) -> EulerReport:
     """Regularized product over primes with a prime-zeta tail correction.
 
-    The reported error combines the per-prime truncation budget, the
-    correction remainder beyond the expansion depth, and a rounding envelope.
-    With keep_factors, every regularized local factor is kept in the same
-    pass over the primes.
+    The reported error combines the correction remainder beyond the
+    expansion depth, a rounding envelope scaled to the operations per
+    factor, and, for custom weights only, the per-prime truncation budget
+    tol/(4 #primes). With keep_factors, every regularized local factor is
+    kept in the same pass over the primes.
     """
     plist = primes_up_to(cutoff)
     nprimes = len(plist)
     tol_pp = tol / (4 * max(nprimes, 1))
 
     with mp.workprec(precision):
-        profile = WeightProfile(spec, c, required_level(spec, c, tol_pp))
+        source, truncation = _series_source(spec, c, tol_pp, generators)
+        scale = source.scale
         gap = epsilon_gap(generators, c) if generators is not None else Fraction(1)
+        weights = {Fraction(j, scale): w for j, w in
+                   enumerate(source.series(int(EXPANSION_DEPTH * scale))) if j and w}
+        series = _log_factor_expansion(weights, k_reg, EXPANSION_DEPTH)
+        # the prime zeta correction reads sum_(p <= cutoff) x_p^j, j = D e
+        zeta_powers = sorted(int(e * scale) for e in series)
+        bits, top, step, ops = _layout(scale, truncation, precision)
+        top = max([top] + zeta_powers)
+        step = math.gcd(step, *zeta_powers)
 
         log_total = mp.mpf(0)
         tail_sum = 0.0
+        partial = dict.fromkeys(zeta_powers, 0)
         factors = [] if keep_factors else None
         for start in range(0, nprimes, PRIME_BLOCK):
-            block_log = mp.mpf(0)
-            block_tails = 0.0
+            block, block_shift = 1, 0      # the block product is block 2^-block_shift
             for p in plist[start:start + PRIME_BLOCK]:
-                level = profile.level_for(p, tol_pp)
-                local = profile.local_sum(p, level)
-                reg = (1 - mp.mpf(1) / p) ** k_reg * local
-                block_log += mp.log(reg)
-                bound = profile.tail_bound(p, level)
-                block_tails += bound / float(local)
+                powers = _powers(p, scale, step, top, bits)
+                for j in zeta_powers:
+                    partial[j] += powers[j]
+                terms, den, tail = truncation(p)
+                m, shift, num = _ratio(terms, den, powers, bits, p, k_reg)
+                if tail:
+                    tail_sum += tail / (num / (1 << bits))
                 if factors is not None:
-                    factors.append(LocalFactor(p=p, value=reg, tail_bound=bound))
-            log_total += block_log
-            tail_sum += block_tails
+                    factors.append(LocalFactor(p=p, value=_mpf(m, shift),
+                                               tail_bound=tail))
+                block *= m
+                block_shift += shift
+                excess = block.bit_length() - bits
+                if excess > 0:
+                    block >>= excess
+                    block_shift -= excess
+            log_total += mp.log(_mpf(block, block_shift))
 
-        weights = profile.exponent_weights(EXPANSION_DEPTH)
-        series = _log_factor_expansion(weights, k_reg, EXPANSION_DEPTH)
         correction = mp.mpf(0)
         for e, coef in sorted(series.items()):
             x = mp.mpf(e.numerator) / e.denominator
-            tail_pz = mp.primezeta(x)
-            for p in plist:
-                tail_pz -= mp.power(p, -x)
+            tail_pz = mp.primezeta(x) - _mpf(partial[int(e * scale)], bits)
             correction += (mp.mpf(coef.numerator) / coef.denominator) * tail_pz
         log_total += correction
 
@@ -261,7 +434,7 @@ def euler_constant(spec: UniformMultiplicativeSpec, c, k_reg: int,
         depth_f = float(EXPANSION_DEPTH)
         mass = 1.0 + float(sum(abs(w) for w in weights.values())) + k_reg
         remainder = (mass ** 2) * cutoff ** (1.0 - depth_f) / (depth_f - 1.0)
-        rounding = nprimes * (k_reg + 4) * math.ldexp(1.0, -precision + 4)
+        rounding = nprimes * ops * math.ldexp(1.0, -precision + 4)
         err = float(value) * (tail_sum + remainder + rounding) + remainder
 
         return EulerReport(value=value, cutoff=cutoff, K=k_reg, epsilon_gap=gap,

@@ -319,3 +319,35 @@ class TestAim3VolumeErrorBar:
         report("aim-3", ok,
                f"A0 = {vol['value']!r} +- {vol['abs_error']:.1e} ({vol['method']}), "
                f"off {self.VOLUME_111} by {err:.1e}, rel bar {rel:.1e}, {elapsed:.2f}s")
+
+
+class TestAim3Rho2Anchor:
+    """The Segre quadric x1 x2 = x3 x4 under X1^2+..+X4^2: iota 2, rho 2.
+
+    x = (ac, bd, ad, bc) turns the height into (a^2+b^2)(c^2+d^2), a product
+    of two P^1 heights, and summing the P^1 count pi T^2/(2 zeta(2)) over
+    the other factor gives N(t) ~ 18/pi^2 t^2 log t. The volume constant is
+    pi^2/16 and the Euler factor is prod_p (1 - 1/p^2)^2 = 1/zeta(2)^2.
+    """
+
+    def test_closed_forms(self, capsys):
+        args = ["constants", "--matrix", "1,1,-1,-1", "--polynomial",
+                "X1^2+X2^2+X3^2+X4^2", "--prime-cutoff", "2000"]
+        t0 = time.monotonic()
+        code = cli.main(args)
+        elapsed = time.monotonic() - t0
+        out = json.loads(capsys.readouterr().out)
+        with mp.workprec(200):
+            lead_err = abs(out["leading_constant"] - 18 / mp.pi ** 2)
+            euler_err = abs(mp.mpf(out["euler"]["value_str"]) - 1 / mp.zeta(2) ** 2)
+            vol_err = abs(out["volume_constant"]["value"] - mp.pi ** 2 / 16)
+        ok = (code == 0 and out["rho"] == 2 and out["iota"] == 2
+              and lead_err <= out["leading_constant"] * out["rel_error"]
+              and euler_err <= out["euler"]["error_bound"]
+              and vol_err <= out["volume_constant"]["abs_error"]
+              and elapsed < 10)
+        report("aim-3 rho=2", ok,
+               f"C = {out['leading_constant']!r} off 18/pi^2 by {float(lead_err):.1e} "
+               f"(rel bar {out['rel_error']:.1e}), Euler off 1/zeta(2)^2 by "
+               f"{float(euler_err):.1e} (bound {out['euler']['error_bound']:.1e}), "
+               f"A0 off pi^2/16 by {float(vol_err):.1e}, {elapsed:.2f}s")

@@ -1,14 +1,19 @@
+import functools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toric_density.euler import (NonPositivePolar, epsilon_gap, euler_constant,
-                                 local_factor, primes_up_to)
+from toric_density.euler import (NonPositivePolar, WeightProfile, epsilon_gap,
+                                 euler_constant, local_factor, primes_up_to,
+                                 rational_weight, required_level)
 from toric_density.generators import generators_with_check
-from toric_density.model import (UniformMultiplicativeSpec, free_weight,
-                                 hypersurface_weight, toric_weight,
+from toric_density.model import (InvariantError, UniformMultiplicativeSpec,
+                                 free_weight, hypersurface_weight, toric_weight,
                                  validate_toric_matrix)
 from toric_density.polyhedron import build_polyhedron, diagonal_face, polar_vectors
 
@@ -146,7 +151,129 @@ class TestEulerConstant:
             assert abs(rep.value - values[0].value) <= \
                 rep.error_bound + values[0].error_bound + 1e-12
 
+    def test_custom_weight_walks_to_the_anchor(self):
+        # n | |v| with no vanishing condition: W = (1 + 7x + x^2)/(1 - x)^3 in
+        # x = 1/p, so K = 10 regularizes it to (1 - 1/p)^7 (1 + 7/p + 1/p^2),
+        # the (1,1,1) factor; a custom weight takes the truncated box walk
+        n = 3
+        spec = UniformMultiplicativeSpec(
+            arity=n, g=lambda nu: 1 if sum(nu) % n == 0 else 0,
+            kind="custom", default_cap=4 * n)
+        rep = euler_constant(spec, (Fraction(1, n),) * n, 10, cutoff=500, tol=1e-8)
+        anchor = mp.mpf("0.00131764115485317810981735")
+        assert abs(rep.value - anchor) <= rep.error_bound
+
     def test_inconsistent_k_rejected(self):
         spec = free_weight(2)
         with pytest.raises(ValueError):
             euler_constant(spec, (1, 1), 5, cutoff=1000)
+
+
+@functools.cache
+def diagonal(kind, entries):
+    """(spec, generators, diagonal face) of a matrix row or hypersurface."""
+    spec = (toric_weight(validate_toric_matrix([entries])) if kind == "matrix"
+            else hypersurface_weight(entries))
+    gens = generators_with_check(spec)
+    return spec, gens, diagonal_face(build_polyhedron(gens.points), spec)
+
+
+def poly_power(base: dict, k: int) -> dict:
+    out = {0: 1}
+    for _ in range(k):
+        nxt: dict = {}
+        for e, a in out.items():
+            for f, b in base.items():
+                nxt[e + f] = nxt.get(e + f, 0) + a * b
+        out = {e: a for e, a in nxt.items() if a}
+    return out
+
+
+def walked_factors(spec, c, primes, tol):
+    """The box walk of WeightProfile at each p: [(value, tail bound)]."""
+    profile = WeightProfile(spec, c, required_level(spec, c, tol))
+    out = []
+    for p in primes:
+        level = profile.level_for(p, tol)
+        with mp.workprec(200):
+            value = sum(w * mp.power(p, -mp.mpf(e) / profile.scale)
+                        for (lvl, e), w in profile.entries if lvl <= level)
+        out.append((value, profile.tail_bound(p, level)))
+    return out
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("kind, entries, numerator", [
+        ("matrix", (1, 1, -2), {0: 1, 6: -1}),
+        ("matrix", (1, 2, -3), {0: 1, 30: -1}),
+        ("matrix", (1, 1, -1, -1), poly_power({0: 1, 4: -1}, 2)),
+        ("hypersurface", (1, 1, 1), {0: 1, 6: -27, 9: 105, 12: -189, 15: 189,
+                                     18: -105, 21: 27, 27: -1}),
+        ("matrix", (1, 1, -2, 0), poly_power({0: 1, 6: -1}, 2)),
+    ])
+    def test_numerators(self, kind, entries, numerator):
+        spec, gens, df = diagonal(kind, entries)
+        form = rational_weight(spec, df.c, gens)
+        assert dict(form.numerator) == numerator
+
+    def test_111_is_the_anchor_factor(self):
+        # N/Q = (1 - x^3)^-2 (1 + 7 x^3 + x^6): (1 - 1/p)^7 (1 + 7/p + 1/p^2)
+        spec, gens, df = diagonal("hypersurface", (1, 1, 1))
+        for p in (2, 3, 5):
+            lf = local_factor(spec, df.c, p, generators=gens)
+            with mp.workprec(200):
+                want = (1 + mp.mpf(7) / p + mp.mpf(1) / p ** 2) / (1 - mp.mpf(1) / p) ** 2
+            assert lf.tail_bound == 0.0
+            assert abs(lf.value - want) < 1e-40
+
+    @pytest.mark.parametrize("kind, entries", [("matrix", (1, 1, -2)),
+                                               ("hypersurface", (1, 1, 1)),
+                                               ("matrix", (1, 2, -3))])
+    def test_against_the_box_walk(self, kind, entries):
+        spec, gens, df = diagonal(kind, entries)
+        primes = (2, 3, 5)
+        for p, (walked, tail) in zip(primes, walked_factors(spec, df.c, primes, 1e-8)):
+            exact = local_factor(spec, df.c, p, generators=gens)
+            assert walked <= exact.value <= walked + tail + 1e-40
+
+    @settings(max_examples=15, deadline=None)
+    # three-variable generators take seconds once an exponent passes 2
+    @given(a=st.lists(st.integers(1, 4), min_size=2, max_size=2)
+           | st.lists(st.integers(1, 2), min_size=3, max_size=3),
+           quarters=st.lists(st.integers(2, 5), min_size=3, max_size=3),
+           p=st.sampled_from((2, 3, 5)))
+    def test_hypersurfaces_against_the_box_walk(self, a, quarters, p):
+        spec = hypersurface_weight(a)
+        c = [Fraction(q, 4) for q in quarters[:len(a)]]
+        [(walked, tail)] = walked_factors(spec, c, (p,), 1e-8)
+        exact = local_factor(spec, c, p)
+        assert walked <= exact.value <= walked + tail + 1e-40
+
+    def test_dropped_generator_raises(self):
+        # (3,0) and (0,3) at c = (1/2, 1/3) have degrees 9 and 6 in x = p^(-1/6):
+        # W = 1 + x^9/(1 - x^9) + x^6/(1 - x^6) needs both factors
+        spec = hypersurface_weight((1, 2))
+        gens = generators_with_check(spec)
+        c = (Fraction(1, 2), Fraction(1, 3))
+        assert sorted(gens.points) == [(0, 3), (3, 0)]
+        rational_weight(spec, c, gens)
+        for h in gens.points:
+            short = replace(gens, points=tuple(x for x in gens.points if x != h))
+            with pytest.raises(InvariantError):
+                rational_weight(spec, c, short)
+
+    def test_redundant_generator_leaves_the_form_exact(self):
+        # at the diagonal c both generators of (1,1,-2) have degree 3, and
+        # W = (1 - x^6)/(1 - x^3)^2 = (1 + x^3)/(1 - x^3) needs one factor
+        spec, gens, df = diagonal("matrix", (1, 1, -2))
+        short = replace(gens, points=gens.points[:1])
+        assert dict(rational_weight(spec, df.c, short).numerator) == {0: 1, 3: 1}
+        full = local_factor(spec, df.c, 7, generators=gens)
+        assert abs(local_factor(spec, df.c, 7, generators=short).value - full.value) < 1e-40
+
+    def test_arity_four_product(self):
+        spec, gens, df = diagonal("matrix", (1, 1, -2, 0))
+        rep = euler_constant(spec, df.c, df.face_point_count, cutoff=100,
+                             generators=gens)
+        with mp.workprec(200):
+            assert abs(rep.value - 1 / mp.zeta(2) ** 2) <= rep.error_bound
