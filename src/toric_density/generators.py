@@ -6,6 +6,10 @@ the hull conv(S*) + R_+^n. By Dickson's lemma the componentwise-minimal
 subset is finite, but no effective bound is available in general, so
 completeness is certified heuristically: enumerate up to a cap, then double
 the cap and compare the resulting hull vertex sets.
+
+The enumeration walks |v| = 1, 2, ..., cap one coordinate prefix at a time
+and skips every subtree whose completions all dominate an accepted
+generator; see `_enumerate_minimal`.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Optional
 
 from .hull import upward_hull
 from .model import UniformMultiplicativeSpec
+from .vectors import dot
 
 
 class CapTooSmall(ValueError):
@@ -42,35 +47,35 @@ def _enumerate_minimal(spec: UniformMultiplicativeSpec, cap: int):
     """Graded scan of |v| <= cap keeping the g-supported antichain.
 
     Grading makes the filter one-directional: a point can only dominate
-    earlier accepted points, never be dominated by later ones. Subtrees whose
-    every completion dominates an accepted generator are pruned.
+    earlier accepted points, never be dominated by later ones. The head of a
+    generator is its prefix up to its last nonzero coordinate, and heads[j]
+    holds the heads of length j. A prefix that dominates a head has only
+    dominating completions, so its subtree is dead. Its parent was alive, so
+    only heads of its own length can kill it, and deadness is monotone in
+    its last coordinate: one pass over heads[k + 1] gives the first dead
+    child of a prefix of length k, and the scan of its children stops there.
     """
     n = spec.arity
     accepted: list[tuple] = []
-
-    def dominated(nu):
-        for g in accepted:
-            if all(a >= b for a, b in zip(nu, g)):
-                return True
-        return False
-
-    def subtree_dead(prefix):
-        k = len(prefix)
-        for g in accepted:
-            if all(a >= b for a, b in zip(prefix, g)) and all(x == 0 for x in g[k:]):
-                return True
-        return False
+    heads: list[list[tuple]] = [[] for _ in range(n + 1)]
 
     def rec(prefix, rest):
-        if len(prefix) == n - 1:
+        k = len(prefix)
+        # prefix + (x,) is dead from the first x reaching h[k] of a head h
+        # of length k + 1 that prefix dominates
+        stop = rest + 1
+        for h in heads[k + 1]:
+            if h[k] < stop and all(a >= b for a, b in zip(prefix, h)):
+                stop = h[k]
+        if k == n - 1:
             nu = prefix + (rest,)
-            if not dominated(nu) and spec.g(nu):
+            if rest < stop and spec.g(nu):
                 accepted.append(nu)
+                last = max(i for i, x in enumerate(nu) if x)
+                heads[last + 1].append(nu[:last + 1])
             return
-        for k in range(rest + 1):
-            nxt = prefix + (k,)
-            if not subtree_dead(nxt):
-                rec(nxt, rest - k)
+        for x in range(stop):
+            rec(prefix + (x,), rest - x)
 
     for total in range(1, cap + 1):
         rec((), total)
@@ -96,15 +101,13 @@ def membership(spec: UniformMultiplicativeSpec, nu) -> int:
     return spec.weight(nu)
 
 
-def _compact_face_flags(points, n):
-    """Points lying on at least one compact face of the hull.
+def _compact_face_flags(points, facets, n):
+    """Points lying on at least one compact face of the hull with these facets.
 
     The smallest face containing a point is cut out by its tight facets;
     it is compact exactly when no coordinate direction is orthogonal to all
     of them. Points interior to the hull lie on no face and are excluded.
     """
-    from .vectors import dot
-    facets, _ = upward_hull(points, n)
     members = set()
     for p in points:
         tight = [w for w, m in facets if dot(w, p) == m]
@@ -123,9 +126,9 @@ def stabilization_check(spec: UniformMultiplicativeSpec, current: LatticePointSe
     """
     doubled = minimal_generators(spec, 2 * current.cap)
     _, v1 = upward_hull(current.points, spec.arity)
-    _, v2 = upward_hull(doubled.points, spec.arity)
+    facets, v2 = upward_hull(doubled.points, spec.arity)
     return replace(doubled, stabilized=(v1 == v2),
-                   compact_face_members=_compact_face_flags(doubled.points,
+                   compact_face_members=_compact_face_flags(doubled.points, facets,
                                                             spec.arity))
 
 

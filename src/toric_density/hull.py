@@ -1,16 +1,23 @@
 """Exact convex geometry via the double description method.
 
-Everything here is rational arithmetic; no floats. The central object is the
-upward-closed hull conv(points) + R_+^n, described by facets (w, m) meaning
-<w, x> >= m holds on the hull and with equality on the facet.
+No floats: the double description runs in Python integers. Every ray is
+kept primitive, lineality is eliminated by integer combinations, and each
+ray carries the set of processed constraints tight at it, so that two rays
+are tested for adjacency combinatorially (Fukuda-Prodon, "Double
+description method revisited", 1996): no other ray's tight set contains
+their common one. The central object is the upward-closed hull
+conv(points) + R_+^n, described by facets (w, m) meaning <w, x> >= m holds
+on the hull and with equality on the facet; offsets are Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm
+from operator import mul
 
 from .model import InvariantError
-from .vectors import dot, frac, fracvec, is_zero, primitive, rank, vsub
+from .vectors import fracvec, is_zero, primitive, rank
 
 
 class DimensionOverflow(Exception):
@@ -27,6 +34,10 @@ def _dedup(vectors):
     return out
 
 
+def _idot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
 def dual_rays(gens, dim):
     """Extreme rays of the cone {z : <g, z> >= 0 for every g in gens}.
 
@@ -34,61 +45,74 @@ def dual_rays(gens, dim):
     still contains a line (the primal cone is not full dimensional).
     """
     gens = _dedup([primitive(g) for g in gens if not is_zero(g)])
-    lineality = [tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)]
+    lineality = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    # rays[i] with tight[i], the bitmask of processed gens vanishing on it
     rays: list[tuple] = []
-    processed: list[tuple] = []
+    tight: list[int] = []
 
-    for g in gens:
-        vals_l = [dot(g, l) for l in lineality]
+    for j, g in enumerate(gens):
+        bit = 1 << j
+        vals_l = [_idot(g, l) for l in lineality]
         hit = next((i for i, v in enumerate(vals_l) if v != 0), None)
         if hit is not None:
+            # g cuts the lineality space: project everything onto g = 0
+            # along lstar, which becomes a ray tight at every earlier gen
             lstar = lineality[hit]
             vstar = vals_l[hit]
             if vstar < 0:
                 lstar = tuple(-x for x in lstar)
                 vstar = -vstar
-            new_lin = []
-            for i, l in enumerate(lineality):
-                if i == hit:
-                    continue
-                new_lin.append(tuple(a - (vals_l[i] / vstar) * b for a, b in zip(l, lstar)))
-            new_rays = []
-            for r in rays:
-                v = dot(g, r)
-                rr = tuple(a - (v / vstar) * b for a, b in zip(r, lstar))
-                if not is_zero(rr):
-                    new_rays.append(primitive(rr))
-            new_rays.append(primitive(lstar))
-            lineality = new_lin
-            rays = _dedup(new_rays)
+            lineality = [primitive(tuple(vstar * a - v * b for a, b in zip(l, lstar)))
+                         for i, (l, v) in enumerate(zip(lineality, vals_l)) if i != hit]
+            new = {}
+            for r, t in zip(rays, tight):
+                v = _idot(g, r)
+                rr = tuple(vstar * a - v * b for a, b in zip(r, lstar))
+                new.setdefault(primitive(rr), t | bit)
+            new.setdefault(primitive(lstar), bit - 1)
         else:
-            vals = [dot(g, r) for r in rays]
+            vals = [_idot(g, r) for r in rays]
             if all(v >= 0 for v in vals):
-                processed.append(g)
+                tight = [t | bit if v == 0 else t for t, v in zip(tight, vals)]
                 continue
             plus = [i for i, v in enumerate(vals) if v > 0]
-            zero = [i for i, v in enumerate(vals) if v == 0]
             minus = [i for i, v in enumerate(vals) if v < 0]
-            tight = [frozenset(j for j, h in enumerate(processed) if dot(h, rays[i]) == 0)
-                     for i in range(len(rays))]
-            dim_eff = dim - len(lineality)
-            keep = [rays[i] for i in plus + zero]
+            new = {rays[i]: tight[i] for i in plus}
+            new.update((rays[i], tight[i] | bit) for i, v in enumerate(vals) if v == 0)
+            # adjacent rays have >= dim_eff - 2 common tight gens, and no
+            # third ray is tight at all of them
+            need = dim - len(lineality) - 2
             for ip in plus:
                 for im in minus:
                     common = tight[ip] & tight[im]
-                    # adjacency: tight normals at both span a (dim_eff - 2)-space
-                    if rank([processed[j] for j in common]) != dim_eff - 2:
+                    if common.bit_count() < need:
+                        continue
+                    if any(t & common == common for k, t in enumerate(tight)
+                           if k != ip and k != im):
                         continue
                     comb = tuple(vals[ip] * a - vals[im] * b
                                  for a, b in zip(rays[im], rays[ip]))
-                    if not is_zero(comb):
-                        keep.append(primitive(comb))
-            rays = _dedup(keep)
-        processed.append(g)
+                    new.setdefault(primitive(comb), common | bit)
+        rays = list(new)
+        tight = list(new.values())
 
     if lineality:
         raise ValueError("dual cone contains a line (degenerate input)")
     return rays
+
+
+def _integer_facets(gens, n):
+    """Sorted integer facets (w, m), w != 0, of the cone over gens in R^(n+1).
+
+    Each dual ray (w, w0) gives <w, x> >= m = -w0 on the points x with
+    (x, 1) among the gens.
+    """
+    return sorted((ray[:n], -ray[n]) for ray in dual_rays(gens, n + 1)
+                  if not is_zero(ray[:n]))
+
+
+def _as_fractions(facets):
+    return [(tuple(map(Fraction, w)), Fraction(m)) for w, m in facets]
 
 
 def upward_hull(points, n, dim_cap=10):
@@ -102,43 +126,31 @@ def upward_hull(points, n, dim_cap=10):
     pts = _dedup([fracvec(p) for p in points])
     if not pts:
         raise ValueError("empty point set")
-    gens = [p + (Fraction(1),) for p in pts]
-    gens += [tuple(Fraction(1 if i == j else 0) for j in range(n)) + (Fraction(0),)
-             for i in range(n)]
-    facets = []
-    for ray in dual_rays(gens, n + 1):
-        w, w0 = ray[:n], ray[n]
-        if is_zero(w):
-            continue  # the t >= 0 inequality of the homogenization
-        if any(x < 0 for x in w):
-            raise InvariantError("facet normals of an upward hull are nonnegative")
-        facets.append((tuple(map(frac, w)), -frac(w0)))
-    facets.sort()
+    # each point p enters as the integer vector s (p, 1), s > 0; the unit
+    # rays (e_i, 0) make the hull upward closed, and the zero normal they
+    # leave is the t >= 0 inequality of the homogenization
+    lifted = [primitive(p + (1,)) for p in pts]
+    units = [tuple(1 if i == j else 0 for j in range(n)) + (0,) for i in range(n)]
+    facets = _integer_facets(lifted + units, n)
+    if any(x < 0 for w, _ in facets for x in w):
+        raise InvariantError("facet normals of an upward hull are nonnegative")
     vertices = []
-    for p in pts:
-        tightnormals = [w for w, m in facets if dot(w, p) == m]
+    for p, sp in zip(pts, lifted):
+        tightnormals = [w for w, m in facets if _idot(w, sp) == m * sp[n]]
         if rank(tightnormals) == n:
             vertices.append(p)
     vertices.sort()
-    return facets, vertices
+    return _as_fractions(facets), vertices
 
 
 def polytope_facets(points, n):
     """Facets (w, m) of the bounded hull conv(points), assumed full dimensional."""
     pts = _dedup([fracvec(p) for p in points])
-    gens = [p + (Fraction(1),) for p in pts]
-    facets = []
-    for ray in dual_rays(gens, n + 1):
-        w, w0 = ray[:n], ray[n]
-        if is_zero(w):
-            continue
-        facets.append((tuple(map(frac, w)), -frac(w0)))
-    facets.sort()
-    return facets
+    return _as_fractions(_integer_facets([p + (1,) for p in pts], n))
 
 
 def _triangulate_map(proj, idx, n):
-    """Triangulate the full-dimensional hull of n-coordinate points.
+    """Triangulate the full-dimensional hull of n-coordinate integer points.
 
     Coordinates are carried in a dict keyed by original index so that the
     recursion (apex over opposite facets, facets projected one coordinate
@@ -153,14 +165,14 @@ def _triangulate_map(proj, idx, n):
     if len(idx) == n + 1:
         return [tuple(idx)]
     local = [pts[i] for i in idx]
-    facets = polytope_facets(local, n)
+    facets = _integer_facets([p + (1,) for p in local], n)
     apex_local = min(range(len(idx)), key=lambda k: local[k])
     apex = idx[apex_local]
     out = []
     for w, m in facets:
-        if dot(w, local[apex_local]) == m:
+        if _idot(w, local[apex_local]) == m:
             continue
-        face_idx = [idx[k] for k in range(len(idx)) if dot(w, local[k]) == m]
+        face_idx = [idx[k] for k in range(len(idx)) if _idot(w, local[k]) == m]
         drop = next(j for j in range(n) if w[j] != 0)
         sub = _triangulate_map({i: tuple(x for j, x in enumerate(pts[i]) if j != drop)
                                 for i in face_idx}, face_idx, n - 1)
@@ -169,42 +181,45 @@ def _triangulate_map(proj, idx, n):
     return out
 
 
-def _det(mat):
+def _det(mat) -> int:
+    """Determinant of a square integer matrix (Bareiss elimination)."""
     mat = [list(r) for r in mat]
     n = len(mat)
-    det = Fraction(1)
-    for c in range(n):
+    sign, prev = 1, 1
+    for c in range(n - 1):
         piv = next((i for i in range(c, n) if mat[i][c] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != c:
             mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = mat[c][c]
+            sign = -sign
+        top = mat[c]
         for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] / inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return det
+            row = mat[i]
+            mat[i] = [0] * (c + 1) + [(row[j] * top[c] - row[c] * top[j]) // prev
+                                      for j in range(c + 1, n)]
+        prev = top[c]
+    return sign * mat[n - 1][n - 1]
 
 
 def polytope_volume(points) -> Fraction:
-    """Exact Lebesgue volume of conv(points); 0 for lower-dimensional hulls."""
+    """Exact Lebesgue volume of conv(points); 0 for lower-dimensional hulls.
+
+    The points are scaled by the common denominator L of their coordinates,
+    the integer simplices summed, and the total divided once by n! L^n.
+    """
     pts = _dedup([fracvec(p) for p in points])
     if not pts:
         return Fraction(0)
     n = len(pts[0])
-    base = pts[0]
-    if rank([vsub(p, base) for p in pts[1:]]) < n:
+    den = lcm(*(x.denominator for p in pts for x in p))
+    ipts = [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
+    base = ipts[0]
+    if rank([tuple(a - b for a, b in zip(p, base)) for p in ipts[1:]]) < n:
         return Fraction(0)
-    simplices = _triangulate_map({i: p for i, p in enumerate(pts)}, list(range(len(pts))), n)
-    total = Fraction(0)
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
+    simplices = _triangulate_map(dict(enumerate(ipts)), list(range(len(ipts))), n)
+    total = 0
     for s in simplices:
-        p0 = pts[s[0]]
-        mat = [vsub(pts[i], p0) for i in s[1:]]
-        total += abs(_det(mat))
-    return total / fact
+        p0 = ipts[s[0]]
+        total += abs(_det([tuple(a - b for a, b in zip(ipts[i], p0)) for i in s[1:]]))
+    return Fraction(total, factorial(n) * den ** n)

@@ -1,9 +1,9 @@
-"""Small exact linear-algebra helpers over `fractions.Fraction`."""
+"""Small exact linear-algebra helpers for rational vectors (Fractions or ints)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
@@ -32,23 +32,23 @@ def is_zero(v) -> bool:
 
 
 def rank(rows) -> int:
-    """Rank of a list of rational vectors (Gaussian elimination, exact)."""
-    mat = [list(map(frac, r)) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
+    """Rank of a list of rational vectors (exact, fraction-free elimination).
+
+    Each row is scaled to a primitive integer vector first, and each
+    eliminated row again, so the entries stay small integers.
+    """
+    mat = [primitive(r) for r in rows]
     r = 0
-    for col in range(ncols):
+    for col in range(len(mat[0]) if mat else 0):
         piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        top = mat[r]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][col]
+            if f != 0:
+                mat[i] = primitive([top[col] * a - f * b for a, b in zip(mat[i], top)])
         r += 1
         if r == len(mat):
             break
@@ -57,17 +57,12 @@ def rank(rows) -> int:
 
 def primitive(v) -> tuple:
     """Scale a rational vector to a primitive integer vector (direction kept)."""
-    v = fracvec(v)
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    if not all(type(x) is int for x in v):
+        v = fracvec(v)
+        den = lcm(*(x.denominator for x in v))
+        v = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
 def format_frac(x: Fraction):

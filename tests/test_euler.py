@@ -237,9 +237,7 @@ class TestClosedForm:
             assert walked <= exact.value <= walked + tail + 1e-40
 
     @settings(max_examples=15, deadline=None)
-    # three-variable generators take seconds once an exponent passes 2
-    @given(a=st.lists(st.integers(1, 4), min_size=2, max_size=2)
-           | st.lists(st.integers(1, 2), min_size=3, max_size=3),
+    @given(a=st.lists(st.integers(1, 4), min_size=2, max_size=3),
            quarters=st.lists(st.integers(2, 5), min_size=3, max_size=3),
            p=st.sampled_from((2, 3, 5)))
     def test_hypersurfaces_against_the_box_walk(self, a, quarters, p):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_density.generators import (CapTooSmall, generators_with_check,
                                       membership, minimal_generators,
@@ -56,6 +58,28 @@ class TestMinimalGenerators:
     def test_cap_too_small(self):
         with pytest.raises(CapTooSmall):
             minimal_generators(hypersurface_weight((3, 5)), cap=4)
+
+
+class TestPrunedScan:
+    """The scan skips dead subtrees; the oracle looks at every point."""
+
+    @pytest.mark.parametrize("row", [(1, 1, -1, -1), (1, 1, -2, 0)])
+    @pytest.mark.parametrize("cap", [3, 6, 10])
+    def test_arity_four_matrices(self, row, cap):
+        spec = toric_weight(validate_toric_matrix([row]))
+        assert list(minimal_generators(spec, cap).points) == brute_minimal(spec, cap)
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+           cap=st.integers(1, 14))
+    def test_three_variable_hypersurfaces(self, a, cap):
+        spec = hypersurface_weight(a)
+        want = brute_minimal(spec, cap)
+        try:
+            got = list(minimal_generators(spec, cap).points)
+        except CapTooSmall:
+            got = []
+        assert got == want
 
 
 class TestInvariants:

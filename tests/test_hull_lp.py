@@ -1,11 +1,64 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toric_density.hull import polytope_volume, upward_hull
+from toric_density.hull import dual_rays, polytope_volume, upward_hull
 from toric_density.lp import Infeasible, Unbounded, solve_lp
-from toric_density.vectors import dot
+from toric_density.model import GeneralizedPolynomial
+from toric_density.vectors import dot, primitive, rank
+from toric_density.volumes import newton_at_infinity
+
+
+def leibniz_det(rows):
+    """Determinant as a sum over permutations: slow, but shares no code."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        term = -1 if inversions % 2 else 1
+        for row, col in zip(rows, perm):
+            term *= row[col]
+        total += term
+    return total
+
+
+def rays_oracle(gens, dim):
+    """Extreme rays of {z : <g, z> >= 0}, one (dim - 1)-subset of gens at a time.
+
+    A subset of rank dim - 1 has a 1-d kernel, spanned by its generalized
+    cross product (signed maximal minors, zero exactly when the rank is
+    lower). Either sign of it that satisfies every inequality is a ray.
+    """
+    gens = sorted({g for g in gens if any(g)})
+    rays = set()
+    for sub in itertools.combinations(gens, dim - 1):
+        z = tuple((-1) ** i * leibniz_det([r[:i] + r[i + 1:] for r in sub])
+                  for i in range(dim))
+        if not any(z):
+            continue
+        for sign in (1, -1):
+            cand = tuple(sign * x for x in z)
+            if all(dot(g, cand) >= 0 for g in gens):
+                rays.add(primitive(cand))
+    return rays
+
+
+@st.composite
+def cone_inputs(draw):
+    """(gens, dim): a bare integer cone, an upward hull or a bounded polytope."""
+    dim = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(("cone", "upward", "polytope")))
+    if kind == "cone":
+        gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=7))
+        return gens, dim
+    pts = draw(st.lists(st.tuples(*[st.integers(0, 5)] * (dim - 1)), min_size=1, max_size=6))
+    gens = [p + (1,) for p in pts]
+    if kind == "upward":
+        gens += [tuple(int(i == j) for j in range(dim)) for i in range(dim - 1)]
+    return gens, dim
 
 
 class TestUpwardHull:
@@ -47,6 +100,36 @@ class TestUpwardHull:
         facets, _ = upward_hull([(3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0)], 3)
         for w, _ in facets:
             assert all(x >= 0 for x in w)
+
+
+class TestDualRays:
+    @settings(max_examples=150, deadline=None)
+    @given(case=cone_inputs())
+    def test_against_the_subset_oracle(self, case):
+        gens, dim = case
+        if rank([g for g in gens if any(g)]) < dim:
+            with pytest.raises(ValueError):
+                dual_rays(gens, dim)
+            return
+        rays = dual_rays(gens, dim)
+        assert len(set(rays)) == len(rays)
+        assert set(rays) == rays_oracle(gens, dim)
+
+    def test_a_line_raises(self):
+        with pytest.raises(ValueError):
+            dual_rays([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3)
+        with pytest.raises(ValueError):
+            dual_rays([(1, 2), (-1, -2)], 2)
+
+    def test_the_111_auxiliary_support(self):
+        # the 9-variable repetition polynomial of the (1,1,1) volume constant:
+        # a 10-dimensional double description of 4 points and 9 unit rays
+        cols = [(0, 0, 0, 0, 2, 2, 4, 4, 6), (0, 2, 4, 6, 0, 4, 0, 2, 0), (2,) * 9,
+                (6, 4, 2, 0, 4, 0, 2, 0, 0)]
+        data = newton_at_infinity(GeneralizedPolynomial.from_terms([(1, e) for e in cols]))
+        assert data.rho0 == 7
+        assert len(data.lambdas) == 21
+        assert data.lambda_volume == Fraction(1, 1672151040)
 
 
 class TestVolume:
