@@ -1,29 +1,30 @@
 """Ground truth and assembly: exact point counts, height zeta partial sums,
 and the full predicted leading constant.
 
-Three enumerators produce the positive primitive solutions of the monomial
-relations:
+The innermost unit of counting is a 2-D array block; Python loops only
+over the coordinates before it. Three enumerators produce the positive
+primitive solutions of the monomial relations:
 
-- the relation enumerator (`_enumerate_relations`) walks coordinate
-  prefixes; it serves any problem. When a relation uses the last
-  coordinate, the level above it runs as arrays: x_(w-1) over its range,
-  x_w solved from the relation by an exact integer root. Otherwise
-  the last coordinate is the array;
+- the relation enumerator (`_enumerate_relations`) serves any problem. Its
+  blocks are x_(w-1) by x_w, or x_(w-2) by x_(w-1) when a relation uses the
+  last coordinate: x_w is then solved per cell by an exact integer root;
 - the coprime-pair grid (`_pair_grid`) scans coprime (w1, w2) under a
   monomial coordinate map; it serves the torus of P^1 and the two-variable
   hypersurfaces;
-- prefix solving (`_count_prefix_solve`) walks x_1..x_(n-1) of a
-  hypersurface and solves x_n through prime valuations; it serves counts
-  on hypersurfaces with n >= 3.
+- the valuation solve (`_count_prefix_solve`) serves counts on
+  hypersurfaces with n >= 3: x_(n-1) is an array, and x_n runs over
+  base * j^step, where base is the least value that makes every prime's
+  valuation of the product a multiple of q.
 
 Two reductions consume their points: an exact count, with heights compared
 as scaled integers (`_height_mask`), and a zeta collector of float heights
 summed per s. Array products run in int64 only when a bound (box to the
 exponent sum of a relation side, or the height limit) shows they fit, and
-otherwise on numpy object arrays of Python ints. Coprimality with a gcd g
-is a mask that strikes out the multiples of each prime of g
-(`_coprime_mask`), not Euclid per element. Fixed chunk partitions reduced
-in order keep every result independent of the thread count.
+otherwise on numpy object arrays of Python ints. Coprimality of a block
+with a gcd g is one kernel (`_coprime_block`): each prime p of g, or every
+prime when there is no g, strikes out the columns divisible by p in the
+rows divisible by p. Fixed chunk partitions reduced in order keep every
+result independent of the thread count.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ ZETA_BUDGET = 100_000_000  # zeta_partial's default number of terms
 # zeta float sums also depend on GRID_ROWS, the pair-grid rows per chunk.
 CHUNK = 2048
 GRID_ROWS = 256
+# cells per block of the relation enumerator, which bound its memory: a
+# block of int64 products holds this many, a block of sup-norm coprimality,
+# one byte per cell, eight times as many
+BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -230,8 +235,8 @@ def count_points(problem: ToricProblem, poly: Optional[GeneralizedPolynomial],
                        elapsed=time.monotonic() - started)
 
 
-def _count_batch(prefix, penult, last) -> int:
-    return len(last)
+def _count_batch(prefix, coords, keep) -> int:
+    return int(np.count_nonzero(keep))
 
 
 def _monomial_sides(pairs, values, one=1):
@@ -247,35 +252,104 @@ def _monomial_sides(pairs, values, one=1):
     return num, den
 
 
-def _coprime_mask(g: int, n: int):
-    """Mask of the v in [1, n] coprime to g: the multiples of every prime of
-    g struck out."""
-    if g < 1:
-        raise ValueError(f"coprimality needs g >= 1, got {g}")
-    keep = np.ones(n, dtype=bool)
-    for p in _factorize(g):
-        keep[p - 1::p] = False
+def _factorize(m: int) -> dict:
+    out = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def _smallest_prime_factors(n: int):
+    """spf[m] for 0 <= m <= n: the least prime factor of m, with spf[0] = 0
+    and spf[1] = 1."""
+    spf = np.zeros(n + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == 0:
+            tail = spf[p * p::p]
+            tail[tail == 0] = p
+    idx = np.arange(n + 1, dtype=np.int64)
+    spf[spf == 0] = idx[spf == 0]
+    return spf
+
+
+@functools.lru_cache(maxsize=8)
+def _primes_upto(n: int):
+    """The primes <= n as a read-only int64 array (cached)."""
+    spf = _smallest_prime_factors(n)
+    primes = np.flatnonzero(spf == np.arange(n + 1))[2:]
+    primes.flags.writeable = False
+    return primes
+
+
+def _coprime_block(g: int, lo: int, nrows: int, ncols: int):
+    """Mask of the cells (lo + i, j + 1), 0 <= i < nrows, 0 <= j < ncols,
+    with gcd(g, lo + i, j + 1) = 1; g = 0 means no third number.
+
+    Every prime p of g (every prime <= ncols for g = 0) strikes out the
+    columns divisible by p in the rows divisible by p; a prime that divides
+    no row costs one vectorized remainder, not a strike.
+    """
+    if g < 0:
+        raise ValueError(f"coprimality needs g >= 0, got {g}")
+    keep = np.ones((nrows, ncols), dtype=bool)
+    primes = np.fromiter(_factorize(g), dtype=np.int64) if g else _primes_upto(ncols)
+    first = -lo % primes  # the first row divisible by each prime
+    hit = first < nrows
+    for p, i in zip(primes[hit].tolist(), first[hit].tolist()):
+        keep[i::p, p - 1::p] = False
     return keep
 
 
 def _enumerate_relations(rows, w, box, hdata, threads, batch, start):
-    """Positive primitive solutions in [1, box]^w, prefix by prefix.
+    """Positive primitive solutions in [1, box]^w, in 2-D blocks.
 
-    When a relation uses the last column, x_w is solved from the first one
-    with the second-to-last coordinate as an array over its range, the
-    chunk's when w = 2 (`solve`); otherwise the last coordinate is the
-    array (`unsolved`). Each
-    batch of solutions goes to batch(first w - 2 coordinates, array of
-    x_(w-1), array of x_w); the results are summed from start() per chunk of
-    first coordinates, then in chunk order.
+    The block's columns are x_w, or x_(w-1) when a relation uses the last
+    column: x_w is then solved per cell from the first such relation by an
+    exact integer root. Its rows are the coordinate before the columns, in
+    runs of about BLOCK_CELLS cells (none when w = 2 and x_2 is solved: the
+    block is one row of x_1). Python loops only over the coordinates before
+    the rows, the prefix. Relations that end at a prefix coordinate are
+    checked per prefix, those that end at the row coordinate filter the
+    rows, the rest run on the block; so does the height floor. Each block's
+    solutions go to batch(prefix, coords, keep): keep masks the cells and
+    coords, one array per coordinate after the prefix, broadcast to its
+    shape. The results are summed from start() per chunk of x_1 values,
+    then in chunk order.
     """
     checks = {}  # relations by their last column, as (column, exponent) pairs
     for r in rows:
         pairs = tuple((j, a) for j, a in enumerate(r) if a)
         checks.setdefault(pairs[-1][0], []).append(pairs)
     solving = checks.get(w - 1, [])
+    col = w - 2 if solving else w - 1  # the block's column coordinate
+    row = col - 1                      # its row coordinate; -1 for none
     terms, limit = hdata if hdata else (None, None)
     vec = np.arange(1, box + 1, dtype=np.int64)
+    run = max(1, BLOCK_CELLS * (1 if solving or hdata else 8) // box)  # rows
+    arrayed = [r for c in range(max(row, 0), w) for r in checks.get(c, [])]
+    side = max((sum(abs(a) for _, a in r if (a > 0) == sign)
+                for r in arrayed for sign in (True, False)), default=0)
+    # every relation product on arrays is at most box^side: int64 when that fits
+    dtype = np.int64 if box ** side < 2 ** 63 else object
+
+    def cast(prefix, arrays, dt):
+        return prefix + tuple(x.astype(dt) for x in arrays)
+
+    def sides(r, prefix, arrays):
+        """Both sides of relation r, each in the least shape its arrays
+        broadcast to."""
+        one = np.ones((1,) * arrays[0].ndim, dtype)
+        return _monomial_sides(r, cast(prefix, arrays, dtype), one)
+
+    def holds(r, prefix, arrays):
+        num, den = sides(r, prefix, arrays)
+        return num == den
 
     def prefix_ok(depth, values):
         for r in checks.get(depth - 1, []):
@@ -288,76 +362,105 @@ def _enumerate_relations(rows, w, box, hdata, threads, batch, start):
                 return False
         return True
 
-    def unsolved(values, g):
-        keep = _coprime_mask(g, box)
+    def row_ok(prefix, rv):
+        """Mask of the row values rv that pass the relations ending at the
+        row coordinate and the height floor."""
+        ok = np.ones(len(rv), dtype=bool)
+        for r in checks.get(row, []):
+            ok &= holds(r, prefix, (rv,))
         if hdata:
-            keep &= _height_mask(terms, limit, values + (box,),
-                                 lambda dtype: values + (vec.astype(dtype),))
-        last = keep.nonzero()[0] + 1  # vec[keep], without a masked gather
-        return batch(values[:-1], np.full(len(last), values[-1], dtype=np.int64), last)
+            ones = (1,) * (w - row - 1)
+            ok &= _height_mask(terms, limit, prefix + (box,) + ones,
+                               lambda dt: cast(prefix, (rv,), dt) + ones)
+        return ok
+
+    def unsolved(prefix, g, lo, hi):
+        """The block of rows [lo, hi) by x_w."""
+        keep = _coprime_block(g, lo, hi - lo, box)
+        rv = vec[lo - 1:hi - 1]
+        ok = row_ok(prefix, rv)
+        if not ok.all():
+            keep, rv = keep[ok], rv[ok]
+        blk = (rv[:, None], vec[None, :])
+        if hdata:
+            keep &= _height_mask(terms, limit, prefix + (box, box),
+                                 lambda dt: cast(prefix, blk, dt))
+        return batch(prefix, blk, keep)
 
     if solving:  # x_w^e times the monomial `head` of the other columns
         head, (_, e) = solving[0][:-1], solving[0][-1]
         k = abs(e)
-        used = checks.get(w - 2, []) + solving
-        side = max(sum(abs(a) for _, a in r if (a > 0) == sign)
-                   for r in used for sign in (True, False))
-        # every product below is at most box^side: int64 when that fits
-        dtype = np.int64 if box ** side < 2 ** 63 else object
 
-    def solve(values, g, xs):
-        """x_(w-1) over the int64 array xs after the prefix values with
-        running gcd g (0 for no prefix), x_w solved from `head`."""
-        def sides(r, *cols):
-            cols = tuple(c.astype(dtype) for c in cols)
-            return _monomial_sides(r, values + cols, np.ones(len(cols[0]), dtype))
-
-        for r in checks.get(w - 2, []):
-            num, den = sides(r, xs)
-            xs = xs[num == den]
-        if hdata:
-            xs = xs[_height_mask(terms, limit, values + (box, 1),
-                                 lambda dt: values + (xs.astype(dt), 1))]
-        num, den = sides(head, xs)
+    def solve(prefix, g, rv, cv):
+        """The block of row values rv by column values cv (rv None: one row,
+        no row coordinate) with x_w solved from `head`; g is the prefix's
+        gcd (0 for none). The cells that pass are gathered by flat index."""
+        blk = (cv[None, :],) if rv is None else (rv[:, None], cv[None, :])
+        shape = (len(blk[0]), len(cv))
+        num, den = sides(head, prefix, blk)
         if e < 0:
             num, den = den, num
-        ok = den % num == 0
-        xs, val = xs[ok], den[ok] // num[ok]
+        ok = np.broadcast_to(den, shape) % num == 0
+        for r in checks.get(col, []):
+            ok &= holds(r, prefix, blk)
+        if hdata:
+            ok &= _height_mask(terms, limit, prefix + (box,) * len(blk) + (1,),
+                               lambda dt: cast(prefix, blk, dt) + (1,))
+        flat = np.flatnonzero(ok)
+        ri = flat // shape[1]
+        ci = flat - ri * shape[1]
+
+        def pick(x):  # x at the cells, from its broadcast shape
+            if x.shape == shape:
+                return x.ravel().take(flat)
+            if x.shape[1] == 1:
+                return np.broadcast_to(x[:, 0], shape[:1]).take(ri)
+            return x[0].take(ci)
+
+        val = pick(den) // pick(num)
         if k == 1:
             ms = val
         elif dtype is object:
             ms = np.array([_iroot(v, k) for v in val.tolist()], dtype=object)
         else:  # a float estimate, confirmed exactly below
             ms = np.rint(val.astype(np.float64) ** (1.0 / k)).astype(np.int64)
-        ok = (ms >= 1) & (ms <= box)
-        xs, ms, val = xs[ok], ms[ok].astype(np.int64), val[ok]
-        if k > 1:
-            ok = ms.astype(dtype) ** k == val
-            xs, ms = xs[ok], ms[ok]
-        ok = np.gcd(np.gcd(xs, g), ms) == 1
-        xs, ms = xs[ok], ms[ok]
+        fit = (ms >= 1) & (ms <= box)
+        if k > 1:  # k <= side, so a clipped root's k-th power fits the dtype
+            fit &= np.where(fit, ms, 1).astype(dtype) ** k == val
+        cells = [cv.take(ci[fit]), ms[fit].astype(np.int64)]
+        if rv is not None:
+            cells.insert(0, rv.take(ri[fit]))
+        keep = functools.reduce(np.gcd, cells, g) == 1
         for r in solving[1:]:
-            num, den = sides(r, xs, ms)
-            ok = num == den
-            xs, ms = xs[ok], ms[ok]
+            keep &= holds(r, prefix, cells)
         if hdata:
-            ok = _height_mask(terms, limit, values + (box, box),
-                              lambda dt: values + (xs.astype(dt), ms.astype(dt)))
-            xs, ms = xs[ok], ms[ok]
-        return batch(values, xs, ms)
+            keep &= _height_mask(terms, limit, prefix + (box,) * len(cells),
+                                 lambda dt: cast(prefix, cells, dt))
+        return batch(prefix, tuple(cells), keep)
+
+    def blocks(prefix, g, lo, hi):
+        """The rows [lo, hi) after the prefix, a run at a time."""
+        if row < 0:
+            return solve(prefix, g, None, vec[lo - 1:hi - 1])
+        total = start()
+        for a in range(lo, hi, run):
+            b = min(a + run, hi)
+            if solving:
+                rv = vec[a - 1:b - 1]
+                total += solve(prefix, g, rv[row_ok(prefix, rv)], vec)
+            else:
+                total += unsolved(prefix, g, a, b)
+        return total
 
     def rec(depth, values, g, lo, hi):
         """Coordinate depth + 1 over [lo, hi) after the prefix values."""
-        if solving and depth == w - 2:
-            return solve(values, g, vec[lo - 1:hi - 1])
+        if depth == max(row, 0):
+            return blocks(values, g, lo, hi)
         total = start()
         for m in range(lo, hi):
             vals = values + (m,)
             if prefix_ok(depth + 1, vals):
-                if depth + 1 == w - 1:
-                    total += unsolved(vals, gcd(g, m))
-                else:
-                    total += rec(depth + 1, vals, gcd(g, m), 1, box + 1)
+                total += rec(depth + 1, vals, gcd(g, m), 1, box + 1)
         return total
 
     def chunk(lo):
@@ -394,7 +497,7 @@ def _pair_grid(w1max, w2max, reduce, threads):
 
     def chunk(lo):
         v1 = np.arange(lo, min(lo + GRID_ROWS - 1, w1max) + 1, dtype=np.int64)
-        return reduce(v1, v2, np.stack([_coprime_mask(int(a), w2max) for a in v1]))
+        return reduce(v1, v2, _coprime_block(0, lo, len(v1), w2max))
 
     return _chunk_map(chunk, range(1, w1max + 1, GRID_ROWS), threads)
 
@@ -437,21 +540,17 @@ def _count_two_var(a, box, hdata, threads) -> int:
     return sum(_pair_grid(w1max, w2max, reduce, threads))
 
 
-def _factorize(m: int) -> dict:
-    out = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
 def _count_prefix_solve(a, box, hdata, budget) -> int:
-    """General n: enumerate m_1..m_(n-1), solve valuations for m_n."""
+    """x_1^a1 ... x_n^an = x_(n+1)^q for n >= 3, solved through valuations.
+
+    Python walks m_1..m_(n-2) and m_(n-1) is an array. The product is a
+    q-th power iff m_n = base * j^step for a j >= 1, where base is the
+    least m_n that makes every prime's valuation a multiple of q. The base
+    of each m_(n-1) on its own comes once from a smallest-prime-factor
+    sieve; a prefix corrects it at the prefix's primes. Bases saturate at
+    box + 1, which stands for no solution. The root is checked exactly on
+    arrays, in int64 while (box + 1)^q fits and on Python ints otherwise.
+    """
     n = len(a)
     q = sum(a)
     g_last = gcd(a[-1], q)
@@ -460,47 +559,94 @@ def _count_prefix_solve(a, box, hdata, budget) -> int:
     terms, limit = hdata if hdata else (None, None)
     if box ** (n - 1) > budget:
         raise BoxTooLarge(f"prefix box {box}^{n - 1} exceeds budget")
-    total = 0
+    cap = box + 1
+    if cap * cap >= 2 ** 63:  # saturated products of two bases must fit
+        raise BoxTooLarge(f"box {box} is beyond the int64 valuation solve")
+    dtype = np.int64 if cap ** q < 2 ** 63 else object
+    vec = np.arange(1, box + 1, dtype=np.int64)
+    jpow = np.array([j ** step for j in range(1, _iroot(box, step) + 1)], dtype=np.int64)
+
+    def least_exponent(v):
+        """The least e >= 0 with v + a_n e = 0 mod q per valuation v, or -1
+        where there is none."""
+        r = -v % q
+        return np.where(r % g_last == 0, r // g_last * inv % step, -1)
+
+    def power(p, e):
+        """min(p^e, cap) elementwise, and cap where e = -1."""
+        out = np.ones(np.shape(e), dtype=np.int64)
+        for i in range(step - 1):
+            out = np.where(i < e, np.minimum(out * p, cap), out)
+        return np.where(e < 0, cap, out)
+
+    # own[m - 1]: the base of m_(n-1) = m alone, from the smallest prime
+    # factors: each pass divides out one prime of every m
+    spf = _smallest_prime_factors(box)
+    own = np.ones(box, dtype=np.int64)
+    rest = vec
+    while (rest > 1).any():
+        p = spf[rest]
+        v = np.zeros(box, dtype=np.int64)
+        while (d := (rest % p == 0) & (p > 1)).any():
+            rest = np.where(d, rest // p, rest)
+            v += d
+        own = np.minimum(own * power(p, least_exponent(a[-2] * v)), cap)
+
+    def last_two(values, g, rval, rfac):
+        """Solutions after the prefix values with gcd g, product rval and
+        valuations rfac."""
+        rest, base = vec, np.ones(box, dtype=np.int64)
+        for p, vpre in rfac.items():
+            if vpre % q:  # else `own` already has p's exponent
+                v = np.zeros(box, dtype=np.int64)  # v_p(m)
+                pk = p
+                while pk <= box:
+                    v[pk - 1::pk] += 1
+                    pk *= p
+                rest = rest // p ** v
+                base = np.minimum(base * power(p, least_exponent(vpre + a[-2] * v)), cap)
+        base = np.minimum(base * own[rest - 1], cap)
+        if hdata:
+            base[~_height_mask(terms, limit, values + (box, 1, 1),
+                               lambda dt: values + (vec.astype(dt), 1, 1))] = cap
+        reps = np.searchsorted(jpow, box // base, side="right")  # the j per m
+        mi = np.repeat(vec, reps)
+        j = np.arange(len(mi)) - np.repeat(np.cumsum(reps) - reps, reps)
+        mn = np.repeat(base, reps) * jpow[j]
+        ok = np.gcd(np.gcd(mi, g), mn) == 1
+        mi, mn = mi[ok], mn[ok]
+        prod = rval * mi.astype(dtype) ** a[-2] * mn.astype(dtype) ** a[-1]
+        if dtype is object:
+            y = np.array([_iroot(x, q) for x in prod.tolist()], dtype=object)
+        else:  # a float estimate, confirmed exactly below
+            y = np.rint(prod.astype(np.float64) ** (1.0 / q)).astype(np.int64)
+        bad = (y ** q != prod).nonzero()[0]
+        if len(bad):
+            raise InvariantError(f"valuation solve gave {mn[bad[0]]}, but the "
+                                 f"product is no {q}-th power")
+        if hdata is None:
+            return len(mi)
+        y = y.astype(np.int64)
+        return int(np.count_nonzero(_height_mask(
+            terms, limit, values + (box,) * 3,
+            lambda dt: values + (mi.astype(dt), mn.astype(dt), y.astype(dt)))))
 
     def rec(idx, values, g, rval, rfac):
-        nonlocal total
-        if idx == n - 1:
-            base = 1
-            for p, v in rfac.items():
-                r = (-v) % q
-                if r % g_last:
-                    return
-                base *= p ** ((r // g_last * inv) % step)
-                if base > box:
-                    return
-            j = 1
-            while True:
-                mn = base * j ** step
-                if mn > box:
-                    break
-                if gcd(g, mn) == 1:
-                    y = _perfect_root(rval * mn ** a[-1], q)
-                    if y is None:
-                        raise InvariantError(
-                            f"valuation solve gave {mn}, but the product is no {q}-th power")
-                    point = values + (mn, y)
-                    if hdata is None or _eval_terms_int(terms, point) <= limit:
-                        total += 1
-                j += 1
-            return
+        if idx == n - 2:
+            return last_two(values, g, rval, rfac)
+        total = 0
         for m in range(1, box + 1):
             if hdata is not None:
-                floor_pt = values + (m,) + (1,) * (n + 1 - idx - 1)
+                floor_pt = values + (m,) + (1,) * (n - idx)
                 if _eval_terms_int(terms, floor_pt) > limit:
                     break
-            fac = _factorize(m)
             nf = dict(rfac)
-            for p, v in fac.items():
+            for p, v in _factorize(m).items():
                 nf[p] = nf.get(p, 0) + a[idx] * v
-            rec(idx + 1, values + (m,), gcd(g, m), rval * m ** a[idx], nf)
+            total += rec(idx + 1, values + (m,), gcd(g, m), rval * m ** a[idx], nf)
+        return total
 
-    rec(0, (), 0, 1, {})
-    return total
+    return rec(0, (), 0, 1, {})
 
 
 @dataclass(frozen=True)
@@ -714,8 +860,9 @@ def _zeta_relations(problem, poly, s_list, term_budget, height_mode, threads):
         def height(p):
             return float(max(p))
 
-    def batch(prefix, penult, last):
-        return [height(prefix + (x, y)) for x, y in zip(penult.tolist(), last.tolist())]
+    def batch(prefix, coords, keep):
+        cols = [np.broadcast_to(x, keep.shape)[keep].tolist() for x in coords]
+        return [height(prefix + p) for p in zip(*cols)]
 
     heights = _enumerate_relations(problem.rows, w, box, None, threads, batch, list)
     kept = sorted(h for h in heights if h <= h_cov)

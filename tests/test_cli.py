@@ -38,6 +38,12 @@ GOLDEN_COMMANDS = {
                                     "--t", "950"],
     "count_matrix_1_1_-2_squares_520": ["count", "--matrix", "1,1,-2", "--polynomial",
                                         "X1^2+X2^2+X3^2", "--t", "520"],
+    "verify_projective_torus_2_sup_316": ["verify", "--projective-torus", "2",
+                                          "--sup-norm", "--t", "316"],
+    "count_hypersurface_1_1_1_sup_600": ["count", "--hypersurface", "1,1,1",
+                                         "--sup-norm", "--t", "600"],
+    "count_matrix_1_1_-1_-1_sup_120": ["count", "--matrix", "1,1,-1,-1", "--sup-norm",
+                                       "--t", "120"],
     "zeta_hypersurface_1_1_squares": [
         "zeta", "--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2",
         "--budget", "1000000", "--s", "1.5,1.2"],
@@ -241,6 +247,17 @@ class TestDeterminism:
         for threads in ("1", "2"):
             code, out = run_cli(["zeta", *problem, "--budget", "1000000",
                                  "--threads", threads], capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--projective-torus", "2", "--sup-norm", "--t", "200"),
+        ("count", "--hypersurface", "1,1,1", "--sup-norm", "--t", "300")])
+    def test_block_paths_thread_flag(self, capsys, argv):
+        outputs = []
+        for threads in ("1", "2"):
+            code, out = run_cli([*argv, "--threads", threads], capsys)
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]

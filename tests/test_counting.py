@@ -6,7 +6,7 @@ from math import gcd
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toric_density import counting
@@ -93,7 +93,9 @@ class TestDifferential:
              ((3, 2), 60, "sup"), ((1, 4), 40, "sup"), ((4, 1), 40, "sup"),
              ((3, 3), 40, "polynomial"), ((2, 4), 50, "sup"), ((1, 1, 1), 15, "sup"),
              ((1, 1, 2), 15, "sup"), ((1, 2, 1), 15, "sup"), ((2, 1, 1), 15, "sup"),
-             ((1, 2, 2), 12, "sup"), ((2, 2, 2), 12, "sup"), ((1, 1, 3), 12, "sup")]
+             ((1, 2, 2), 12, "sup"), ((2, 2, 2), 12, "sup"), ((1, 1, 3), 12, "sup"),
+             ((1, 1, 1), 15, "polynomial"), ((1, 1, 2), 15, "polynomial"),
+             ((2, 2, 2), 12, "polynomial")]
 
     @pytest.mark.parametrize("a,t,mode", CASES)
     def test_fast_equals_generic(self, a, t, mode):
@@ -105,6 +107,31 @@ class TestDifferential:
         fast = count_points_hypersurface(a, height, t, mode)
         slow = count_points(hypersurface_problem(a), height, t, mode)
         assert fast.count == slow.count
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=st.tuples(*[st.integers(1, 4)] * 3), t=st.integers(1, 20),
+           mode=st.sampled_from(["sup", "squares"]))
+    @example(a=(1, 1, 2), t=20, mode="sup")
+    @example(a=(2, 1, 3), t=20, mode="squares")
+    @example(a=(2, 2, 4), t=19, mode="sup")
+    def test_valuation_solve_equals_generic(self, a, t, mode):
+        # exponents such as (1, 1, 2), (2, 1, 3) or (1, 3, 4) have
+        # gcd(a_n, q) > 1: the solved valuations then need a residue check
+        height = squares(4) if mode == "squares" else None
+        mode = "polynomial" if height else "sup"
+        fast = count_points_hypersurface(a, height, t, mode)
+        slow = count_points(hypersurface_problem(a), height, t, mode)
+        assert fast.count == slow.count
+
+    @pytest.mark.parametrize("a", [(1, 1, 20), (1, 1, 23)])
+    def test_valuation_solve_beyond_int64(self, a):
+        # (box + 1)^q passes 2^63, so the roots are checked on Python ints;
+        # for (1, 1, 23) the primitive point (4, 9, 6, 6) has 6^25 > 2^63
+        t = 12
+        got = count_points_hypersurface(a, None, t, "sup").count
+        sign = sign_count(hypersurface_problem(a)).value
+        assert got == brute_count(hypersurface_problem(a).rows, 4, t,
+                                  lambda m: max(m) <= t, sign)
 
 
 class TestInvariants:
@@ -158,6 +185,12 @@ class TestInvariants:
         assert count_points_hypersurface((1, 20), None, t, "sup").count == oracle_sup == sup
         got = count_points_hypersurface((1, 20), SQUARES, t, "polynomial").count
         assert got == oracle_squares == squares
+
+    def test_valuation_solve_invariant_raises(self, monkeypatch):
+        # without the prefix's primes the solved x_3 misses the cube
+        monkeypatch.setattr(counting, "_factorize", lambda m: {})
+        with pytest.raises(InvariantError, match="no 3-th power"):
+            count_points_hypersurface((1, 1, 1), None, 10, "sup")
 
     def test_face_point_invariant_raises(self, monkeypatch):
         real = counting.face_points
@@ -372,17 +405,29 @@ class TestKernels:
     """The array kernels of the relation enumerator against plain loops."""
 
     def test_coprime_mask_equals_euclid(self):
-        from toric_density.counting import _coprime_mask
+        # row 0 is divisible by every prime: its mask is coprimality to g
+        from toric_density.counting import _coprime_block
         for n in (1, 7, 210):
             vec = np.arange(1, n + 1)
             for g in range(1, 5001):
-                assert np.array_equal(_coprime_mask(g, n), np.gcd(vec, g) == 1), (g, n)
+                assert np.array_equal(_coprime_block(g, 0, 1, n)[0], np.gcd(vec, g) == 1), (g, n)
 
-    @pytest.mark.parametrize("g", [0, -1, -6])
-    def test_coprime_mask_needs_positive_g(self, g):
-        from toric_density.counting import _coprime_mask
+    @pytest.mark.parametrize("g", [-1, -6])
+    def test_coprime_block_rejects_negative_g(self, g):
+        from toric_density.counting import _coprime_block
         with pytest.raises(ValueError):
-            _coprime_mask(g, 10)
+            _coprime_block(g, 1, 2, 10)
+
+    @pytest.mark.parametrize("lo,nrows,ncols", [
+        (1, 1, 1), (1, 40, 40), (1, 3, 97), (37, 25, 60), (1000, 7, 300),
+        (999, 64, 13), (0, 5, 30)])
+    def test_coprime_block_equals_gcd(self, lo, nrows, ncols):
+        from toric_density.counting import _coprime_block
+        rows = np.arange(lo, lo + nrows)[:, None]
+        cols = np.arange(1, ncols + 1)[None, :]
+        for g in range(0, 2001):
+            got = _coprime_block(g, lo, nrows, ncols)
+            assert np.array_equal(got, np.gcd(np.gcd(rows, cols), g) == 1), (g, lo)
 
     @settings(max_examples=40, deadline=None)
     @given(prob=small_matrices(), t=st.integers(1, 12), mode=st.sampled_from(["sup", "squares"]))
