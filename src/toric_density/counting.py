@@ -18,12 +18,14 @@ primitive solutions of the monomial relations:
 
 Two reductions consume their points: an exact count, with heights compared
 as scaled integers (`_height_mask`), and a zeta collector of float heights
-summed per s. Array products run in int64 only when a bound (box to the
-exponent sum of a relation side, or the height limit) shows they fit, and
-otherwise on numpy object arrays of Python ints. Coprimality of a block
-with a gcd g is one kernel (`_coprime_block`): each prime p of g, or every
-prime when there is no g, strikes out the columns divisible by p in the
-rows divisible by p. Fixed chunk partitions reduced in order keep every
+summed per s. On the pair grid the zeta collector evaluates, per chunk, only
+the columns that the covered height ball reaches at the chunk's first row,
+in blocks of BLOCK_ROWS rows (`_zeta_pair_grid`). Array products run in
+int64 only when a bound (box to the exponent sum of a relation side, or the
+height limit) shows they fit, and otherwise on numpy object arrays of
+Python ints. Coprimality of a block with a gcd g is one kernel
+(`_coprime_block`): each prime p of g, or every prime when there is no g,
+strikes out the columns divisible by p in the rows divisible by p. Fixed chunk partitions reduced in order keep every
 result independent of the thread count.
 """
 
@@ -67,6 +69,9 @@ ZETA_BUDGET = 100_000_000  # zeta_partial's default number of terms
 # zeta float sums also depend on GRID_ROWS, the pair-grid rows per chunk.
 CHUNK = 2048
 GRID_ROWS = 256
+# rows per block of a pair-grid chunk: a block's float heights over 10^4
+# columns, 1.3 MB, stay in a core's L2 cache
+BLOCK_ROWS = 16
 # cells per block of the relation enumerator, which bound its memory: a
 # block of int64 products holds this many, a block of sup-norm coprimality,
 # one byte per cell, eight times as many
@@ -172,15 +177,23 @@ def _height_mask(terms, limit, peaks, coords):
 
 
 def _float_heights(poly: GeneralizedPolynomial, coords):
-    """P(coords)^(1/d) in float64 over broadcast coordinate arrays."""
-    total = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in coords)))
+    """P(coords)^(1/d) in float64 over broadcast coordinate arrays.
+
+    The total starts from the first term, and a coefficient 1 is not
+    multiplied in: 0.0 + t == t and 1.0 * t == t, so the bits are those of
+    a zero total plus every coefficient times its powers.
+    """
+    shape = np.broadcast_shapes(*(np.shape(x) for x in coords))
+    total = None
     for c, e in poly.monomials:
-        term = float(c)
+        term = None if c == 1 else float(c)
         for x, ek in zip(coords, e):
             if ek:
-                term = term * x ** float(ek)
-        total += term
-    return total ** (1.0 / float(poly.degree))
+                power = x ** float(ek)
+                term = power if term is None else term * power
+        term = 1.0 if term is None else term
+        total = term if total is None else total + term
+    return np.broadcast_to(total, shape) ** (1.0 / float(poly.degree))
 
 
 def _chunk_map(fn, starts, threads):
@@ -490,14 +503,25 @@ def _pair_coords(v1, v2, powers):
     return coords
 
 
-def _pair_grid(w1max, w2max, reduce, threads):
-    """reduce(v1, v2, coprime mask) over the rows of [1, w1max] x [1, w2max]
-    in fixed chunks of GRID_ROWS; the results come back in chunk order."""
+def _pair_grid(w1max, w2max, reduce, threads, width=None, finish=sum):
+    """finish([reduce(v1, v2, coprime mask) per block]) for each fixed chunk
+    of GRID_ROWS rows of [1, w1max] x [1, w2max], in chunk order.
+
+    A chunk runs top to bottom in blocks of BLOCK_ROWS rows. width(lo), when
+    given, is the number of leading columns that the chunk starting at row
+    lo needs; a chunk that needs none has no blocks.
+    """
     v2 = np.arange(1, w2max + 1, dtype=np.int64)
 
     def chunk(lo):
-        v1 = np.arange(lo, min(lo + GRID_ROWS - 1, w1max) + 1, dtype=np.int64)
-        return reduce(v1, v2, _coprime_block(0, lo, len(v1), w2max))
+        hi = min(lo + GRID_ROWS - 1, w1max)
+        ncols = w2max if width is None else width(lo)
+        parts = []
+        if ncols:
+            for top in range(lo, hi + 1, BLOCK_ROWS):
+                v1 = np.arange(top, min(top + BLOCK_ROWS - 1, hi) + 1, dtype=np.int64)
+                parts.append(reduce(v1, v2[:ncols], _coprime_block(0, top, len(v1), ncols)))
+        return finish(parts)
 
     return _chunk_map(chunk, range(1, w1max + 1, GRID_ROWS), threads)
 
@@ -812,10 +836,21 @@ def zeta_partial(problem_or_a, poly: GeneralizedPolynomial, s_values,
 
 
 def _zeta_pair_grid(powers, poly, s_list, term_budget, height_mode, threads):
-    """Float heights over the coprime grid w1, w2 <= sqrt(term_budget).
+    """Float heights over the coprime grid w1, w2 <= sqrt(term_budget),
+    summed over the covered ball only.
 
     The ball of height h lies in the grid while every coordinate w_i^(q_i)
     <= h / kappa^(1/d) (sup norm: kappa = 1) keeps w_i <= wmax.
+
+    The column bound is exact. The coefficients are positive and the
+    exponents of the coordinates w1^a w2^b are >= 0, so the height never
+    decreases along a row or a column; neighbouring cells differ by far
+    more than float rounding, so the float heights do not decrease either.
+    A chunk therefore needs only the columns whose height at its first row
+    is at most h_cov: right of them no cell of any of its rows passes. The
+    kept heights of its blocks, joined in row order, are the array that a
+    mask over the full rows would select, so each chunk's sums, and their
+    sum in chunk order, have the bits of a sweep of the whole grid.
     """
     wmax = int(math.sqrt(term_budget))
     edge = min((wmax + 1) ** powers[0][0], (wmax + 1) ** powers[1][1])
@@ -823,20 +858,27 @@ def _zeta_pair_grid(powers, poly, s_list, term_budget, height_mode, threads):
                 if height_mode == "polynomial" else (1.0, 1.0))
     h_cov = kappa ** (1 / d) * edge * (1 - 1e-9)
 
-    def reduce(v1, v2, cop):
+    def heights(v1, v2):
         coords = _pair_coords(v1.astype(np.float64), v2.astype(np.float64), powers)
         if height_mode == "polynomial":
-            hval = _float_heights(poly, coords)
-        else:
-            hval = functools.reduce(np.maximum, coords)
-        mask = cop & (hval <= h_cov)
-        hsel = hval[mask]
-        return ([float(np.sum(hsel ** (-s))) for s in s_list],
-                int(np.count_nonzero(mask)))
+            return _float_heights(poly, coords)
+        return functools.reduce(np.maximum, coords)
+
+    def width(lo):
+        first = heights(np.array([lo]), np.arange(1, wmax + 1))
+        return int(np.count_nonzero(first <= h_cov))
+
+    def reduce(v1, v2, cop):
+        hval = heights(v1, v2)
+        return hval[cop & (hval <= h_cov)]
+
+    def finish(parts):
+        hsel = np.concatenate(parts) if parts else np.empty(0)
+        return [float(np.sum(hsel ** (-s))) for s in s_list], len(hsel)
 
     sums = [0.0 for _ in s_list]
     n_cov = 0
-    for part, cnt in _pair_grid(wmax, wmax, reduce, threads):
+    for part, cnt in _pair_grid(wmax, wmax, reduce, threads, width, finish):
         for i, v in enumerate(part):
             sums[i] += v
         n_cov += cnt

@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Optional
 
+import numpy as np
+
 from .vectors import frac, fracvec, rank
 
 
@@ -307,7 +309,10 @@ def ellipticity_witness(p: GeneralizedPolynomial) -> float:
     lower corner bounds the cell from below, so the reported kappa is a true
     lower bound (not the minimum itself). P(m) >= kappa * |m|_1^d follows for
     homogeneous P. The mesh runs on integer indices k, evaluated at k/64 and
-    k/128, which are exact doubles. The polynomial is frozen, so each one is
+    k/128, which are exact doubles. Each power x^e is read from a table of
+    the Python floats (k/denom) ** e, k = 0..denom, and the products and sums
+    run in numpy in eval_float's order, so every mesh value has the bits of
+    eval_float at that point. The polynomial is frozen, so each one is
     meshed once per process.
     """
     top = p.top_part()
@@ -319,34 +324,57 @@ def ellipticity_witness(p: GeneralizedPolynomial) -> float:
             raise NotElliptic(f"top part vanishes at coordinate axis {i + 1}")
 
     steps = ELLIPTICITY_MESH
-    corners = []  # index vectors of lower cell corners meeting the simplex slab
-
-    def rec(prefix, total):
-        if len(prefix) == n - 1:
-            for k in range(max(0, steps - n - total), steps - total + 1):
-                corners.append(prefix + (k,))
-            return
-        for k in range(steps - total + 1):
-            rec(prefix + (k,), total + k)
-
-    rec((), 0)
-    vals = [(top.eval_float([k / steps for k in v]), v) for v in corners]
-    kappa1 = min(v for v, _ in vals)
+    corners = _slab_corners(n, steps)
+    vals = _mesh_values(top, corners, steps)
+    kappa1 = vals.min()
     cutoff = kappa1 * 1.5 + 1e-12
-    best = min((v for v, _ in vals if v > cutoff), default=float("inf"))
+    coarse = vals[vals > cutoff]
+    best = coarse.min() if len(coarse) else float("inf")
+    # the corners within the cutoff refine into their 2^n children at 1/128
+    # that stay inside the simplex
     fine = 2 * steps
-    for val, corner in vals:
-        if val > cutoff:
-            continue
-        for offs in itertools.product((0, 1), repeat=n):
-            v = [2 * a + b for a, b in zip(corner, offs)]
-            if sum(v) > fine:
-                continue
-            best = min(best, top.eval_float([k / fine for k in v]))
-    kappa = best * (1 - 1e-12)
+    low = 2 * corners[vals <= cutoff]
+    offsets = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int32)
+    inside = low.sum(axis=1)[:, None] + offsets.sum(axis=1)[None, :] <= fine
+    children = (low[:, None, :] + offsets[None, :, :])[inside]
+    if len(children):
+        best = min(best, _mesh_values(top, children, fine).min())
+    kappa = float(best) * (1 - 1e-12)
     if kappa <= 0:
         raise NotElliptic("certified minimum not positive")
     return kappa
+
+
+def _slab_corners(n: int, steps: int):
+    """Index vectors of the lower cell corners meeting the simplex slab, one
+    int32 row each: the first n - 1 indices sum to at most steps, and the
+    last brings the sum into [steps - n, steps]."""
+    corners = np.zeros((1, 0), dtype=np.int32)
+    total = np.zeros(1, dtype=np.int32)
+    for i in range(n):
+        lo = np.maximum(0, steps - n - total) if i == n - 1 else 0 * total
+        counts = steps - total - lo + 1
+        parent = np.repeat(np.arange(len(total)), counts)
+        # k runs from lo to steps - total under each parent
+        k = (np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+             + lo[parent]).astype(np.int32)
+        corners = np.column_stack([corners[parent], k])
+        total = total[parent] + k
+    return corners
+
+
+def _mesh_values(top: GeneralizedPolynomial, index, denom: int):
+    """top.eval_float at each row of index / denom, with eval_float's bits."""
+    table = {}
+    total = np.zeros(len(index))
+    for c, powers in top._float_terms:
+        term = c
+        for i, ei in powers:
+            if ei not in table:
+                table[ei] = np.array([(k / denom) ** ei for k in range(denom + 1)])
+            term = term * table[ei][index[:, i]]
+        total += term
+    return total
 
 
 def toric_weight(problem: ToricProblem) -> UniformMultiplicativeSpec:

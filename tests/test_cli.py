@@ -47,6 +47,13 @@ GOLDEN_COMMANDS = {
     "zeta_hypersurface_1_1_squares": [
         "zeta", "--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2",
         "--budget", "1000000", "--s", "1.5,1.2"],
+    # the P^1 pair grid at side 1500; unequal powers and a mixed monomial
+    "zeta_projective_torus_1_squares": [
+        "zeta", "--projective-torus", "1", "--polynomial", "X1^2+X2^2",
+        "--budget", "2250000", "--s", "2.5,2.2"],
+    "zeta_hypersurface_1_2_mixed": [
+        "zeta", "--hypersurface", "1,2", "--polynomial", "X1^2+2*X2^2+X3^2+X1*X3",
+        "--budget", "1000000", "--s", "1.5,1.2"],
     "zeta_matrix_1_1_-2_squares": [
         "zeta", "--matrix", "1,1,-2", "--polynomial", "X1^2+X2^2+X3^2",
         "--budget", "1000000", "--s", "1.5,1.2"],

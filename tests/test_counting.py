@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -15,8 +16,9 @@ from toric_density.counting import (BoxTooLarge, InvariantError, NonCompactFace,
                                     count_points_hypersurface, manin_constant,
                                     predicted_density, sup_norm_prediction,
                                     zeta_partial)
-from toric_density.model import (GeneralizedPolynomial, hypersurface_problem,
-                                 sign_count, validate_toric_matrix)
+from toric_density.model import (GeneralizedPolynomial, ellipticity_witness,
+                                 hypersurface_problem, sign_count, validate_toric_matrix)
+from toric_density.polyparse import parse_polynomial
 
 
 def poly(terms):
@@ -484,3 +486,70 @@ class TestKernels:
         got = count_points(prob, None, 12, "sup").count
         sign = sign_count(prob).value
         assert got == brute_count([row], 4, 12, lambda m: max(m) <= 12, sign) == 364
+
+
+def full_width_heights(poly, coords):
+    """Float heights from a zero total, every coefficient multiplied in."""
+    total = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in coords)))
+    for c, e in poly.monomials:
+        term = float(c)
+        for x, ek in zip(coords, e):
+            if ek:
+                term = term * x ** float(ek)
+        total += term
+    return total ** (1.0 / float(poly.degree))
+
+
+def full_width_zeta(powers, poly, s_list, term_budget, height_mode, threads):
+    """The pair-grid zeta sums with every cell of every GRID_ROWS chunk
+    evaluated and masked: the oracle of _zeta_pair_grid's bits."""
+    wmax = int(math.sqrt(term_budget))
+    edge = min((wmax + 1) ** powers[0][0], (wmax + 1) ** powers[1][1])
+    kappa, d = ((ellipticity_witness(poly), float(poly.degree))
+                if height_mode == "polynomial" else (1.0, 1.0))
+    h_cov = kappa ** (1 / d) * edge * (1 - 1e-9)
+    v2 = np.arange(1, wmax + 1, dtype=np.int64)
+
+    def chunk(lo):
+        v1 = np.arange(lo, min(lo + counting.GRID_ROWS - 1, wmax) + 1, dtype=np.int64)
+        cop = counting._coprime_block(0, lo, len(v1), wmax)
+        coords = counting._pair_coords(v1.astype(np.float64), v2.astype(np.float64), powers)
+        if height_mode == "polynomial":
+            hval = full_width_heights(poly, coords)
+        else:
+            hval = functools.reduce(np.maximum, coords)
+        mask = cop & (hval <= h_cov)
+        hsel = hval[mask]
+        return [float(np.sum(hsel ** (-s))) for s in s_list], int(np.count_nonzero(mask))
+
+    sums = [0.0 for _ in s_list]
+    n_cov = 0
+    starts = range(1, wmax + 1, counting.GRID_ROWS)
+    for part, cnt in counting._chunk_map(chunk, starts, threads):
+        for i, v in enumerate(part):
+            sums[i] += v
+        n_cov += cnt
+    return sums, h_cov, n_cov
+
+
+GRID_CASES = [pytest.param(((1, 0), (0, 1)), "X1^2+X2^2", mode, id=f"P1-{mode}")
+              for mode in ("polynomial", "sup")]
+GRID_CASES += [pytest.param(counting._two_var_powers(a), text, mode, id=f"{a}-{text}-{mode}")
+               for a in [(1, 1), (1, 2), (2, 3)]
+               for text, mode in [("X1^2+X2^2+X3^2", "polynomial"),
+                                  ("X1^2+2*X2^2+X3^2+X1*X3", "polynomial"),
+                                  ("X1^2+X2^2+X3^2", "sup")]]
+
+
+class TestZetaGridBits:
+    """_zeta_pair_grid against the full-width grid, bit for bit."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("powers,text,mode", GRID_CASES)
+    def test_equals_full_width(self, powers, text, mode, threads):
+        p = parse_polynomial(text)
+        s_list = [2.5, 1.7, 1.2]
+        # side 1337 is a multiple neither of GRID_ROWS nor of BLOCK_ROWS
+        for budget in (1337 ** 2, 37 ** 2):
+            assert counting._zeta_pair_grid(powers, p, s_list, budget, mode, threads) == \
+                full_width_zeta(powers, p, s_list, budget, mode, threads)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -169,6 +170,7 @@ class TestEllipticityWitness:
         ("X1^2+X2^2+X3^2", "0.302978515624697"),
         ("X1^2+2*X2^2+X3^2+X1*X3", "0.4956054687495044"),
         ("X1^4+X2^4+X3^4+X1^2*X2^2", "0.03987413644786662"),
+        ("X1^2+X2^2+X3^2+X4^2", "0.2197265624997803"),
     ])
     def test_pinned_values(self, text, kappa):
         assert repr(ellipticity_witness(parse_polynomial(text))) == kappa
@@ -189,6 +191,97 @@ class TestEllipticityWitness:
                                "polynomial").count for t in (20, 40, 80)]
         assert len(meshes) == 1
         assert counts == sorted(counts) and counts[0] > 0
+
+
+def scalar_witness(p):
+    """The witness mesh with one eval_float call per point: the oracle of
+    ellipticity_witness's bits."""
+    top = p.top_part()
+    n = p.nvars
+    for i in range(n):
+        axis = tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+        if top.eval_float(axis) == 0.0:
+            raise NotElliptic(f"top part vanishes at coordinate axis {i + 1}")
+
+    steps = 64
+    corners = []
+
+    def rec(prefix, total):
+        if len(prefix) == n - 1:
+            for k in range(max(0, steps - n - total), steps - total + 1):
+                corners.append(prefix + (k,))
+            return
+        for k in range(steps - total + 1):
+            rec(prefix + (k,), total + k)
+
+    rec((), 0)
+    vals = [(top.eval_float([k / steps for k in v]), v) for v in corners]
+    kappa1 = min(v for v, _ in vals)
+    cutoff = kappa1 * 1.5 + 1e-12
+    best = min((v for v, _ in vals if v > cutoff), default=float("inf"))
+    fine = 2 * steps
+    for val, corner in vals:
+        if val > cutoff:
+            continue
+        for offs in itertools.product((0, 1), repeat=n):
+            v = [2 * a + b for a, b in zip(corner, offs)]
+            if sum(v) > fine:
+                continue
+            best = min(best, top.eval_float([k / fine for k in v]))
+    kappa = best * (1 - 1e-12)
+    if kappa <= 0:
+        raise NotElliptic("certified minimum not positive")
+    return kappa
+
+
+@st.composite
+def mesh_polynomials(draw, nvars):
+    """Pure powers of one degree d <= 6 in every variable (one may be
+    missing), plus mixed monomials of degree <= d; coefficients p/q."""
+    n = draw(nvars)
+    d = draw(st.integers(1, 6))
+    coeff = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+    missing = draw(st.sampled_from([None] * 3 + list(range(n))))
+    terms = [(draw(coeff), tuple(d if j == i else 0 for j in range(n)))
+             for i in range(n) if i != missing]
+    for _ in range(draw(st.integers(0, 3))):
+        left, exps = d, []
+        for _ in range(n):
+            exps.append(draw(st.integers(0, left)))
+            left -= exps[-1]
+        if any(exps):
+            terms.append((draw(coeff), tuple(exps)))
+    return GeneralizedPolynomial.from_terms(terms, n)
+
+
+def witness_or_error(witness, p):
+    try:
+        return repr(witness(p))
+    except NotElliptic:
+        return "NotElliptic"
+
+
+class TestWitnessBits:
+    """The table-driven mesh against the scalar one, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=mesh_polynomials(st.integers(2, 3)))
+    def test_integer_exponents(self, p):
+        assert witness_or_error(ellipticity_witness, p) == witness_or_error(scalar_witness, p)
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=mesh_polynomials(st.integers(3, 4)),
+           a=st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    def test_rational_exponents(self, p, a):
+        r = restrict_to_hypersurface(p, a[:p.nvars - 1])
+        assert witness_or_error(ellipticity_witness, r) == witness_or_error(scalar_witness, r)
+
+    def test_four_variables(self):
+        # one example: the scalar mesh takes about 5 s on four variables
+        p = GeneralizedPolynomial.from_terms([
+            (Fraction(3, 2), (3, 0, 0, 0)), (1, (0, 3, 0, 0)), (Fraction(5, 7), (0, 0, 3, 0)),
+            (2, (0, 0, 0, 3)), (Fraction(1, 4), (1, 1, 0, 1)), (Fraction(1, 3), (0, 2, 0, 0))])
+        assert repr(ellipticity_witness(p)) == repr(scalar_witness(p))
 
 
 class TestWeights:
