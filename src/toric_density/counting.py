@@ -20,18 +20,22 @@ Two reductions consume their points: an exact count, with heights compared
 as scaled integers (`_height_mask`), and a zeta collector of float heights
 summed per s. On the pair grid the zeta collector evaluates, per chunk, only
 the columns that the covered height ball reaches at the chunk's first row,
-in blocks of BLOCK_ROWS rows (`_zeta_pair_grid`). Array products run in
+and, when the height is swap-symmetric, only the cells with w2 > w1
+(`_zeta_pair_grid`). It reduces each block of BLOCK_ROWS rows to one sum
+per s and adds the block sums exactly with math.fsum. Array products run in
 int64 only when a bound (box to the exponent sum of a relation side, or the
 height limit) shows they fit, and otherwise on numpy object arrays of
 Python ints. Coprimality of a block with a gcd g is one kernel
 (`_coprime_block`): each prime p of g, or every prime when there is no g,
-strikes out the columns divisible by p in the rows divisible by p. Fixed chunk partitions reduced in order keep every
-result independent of the thread count.
+strikes out the columns divisible by p in the rows divisible by p. Fixed
+partitions, reduced in order or exactly, keep every result independent of
+the thread count.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import time
@@ -65,12 +69,14 @@ class NonCompactFace(Exception):
 
 DEFAULT_BUDGET = 10_000_000_000
 ZETA_BUDGET = 100_000_000  # zeta_partial's default number of terms
-# Fixed partitions keep reductions independent of the thread count. The
-# zeta float sums also depend on GRID_ROWS, the pair-grid rows per chunk.
+# Fixed partitions keep reductions independent of the thread count.
+# GRID_ROWS, the pair-grid rows per chunk (a multiple of BLOCK_ROWS), sets
+# the work of one thread task and how often the column bound is taken.
 CHUNK = 2048
 GRID_ROWS = 256
 # rows per block of a pair-grid chunk: a block's float heights over 10^4
-# columns, 1.3 MB, stay in a core's L2 cache
+# columns, 1.3 MB, stay in a core's L2 cache. The zeta float sums are exact
+# sums of one float sum per block, so their bits depend on BLOCK_ROWS.
 BLOCK_ROWS = 16
 # cells per block of the relation enumerator, which bound its memory: a
 # block of int64 products holds this many, a block of sup-norm coprimality,
@@ -300,22 +306,23 @@ def _primes_upto(n: int):
     return primes
 
 
-def _coprime_block(g: int, lo: int, nrows: int, ncols: int):
-    """Mask of the cells (lo + i, j + 1), 0 <= i < nrows, 0 <= j < ncols,
-    with gcd(g, lo + i, j + 1) = 1; g = 0 means no third number.
+def _coprime_block(g: int, lo: int, nrows: int, ncols: int, col: int = 1):
+    """Mask of the cells (lo + i, col + j), 0 <= i < nrows, 0 <= j < ncols,
+    with gcd(g, lo + i, col + j) = 1; g = 0 means no third number.
 
-    Every prime p of g (every prime <= ncols for g = 0) strikes out the
-    columns divisible by p in the rows divisible by p; a prime that divides
-    no row costs one vectorized remainder, not a strike.
+    Every prime p of g (every prime <= col + ncols - 1 for g = 0) strikes
+    out the columns divisible by p in the rows divisible by p; a prime that
+    divides no row costs one vectorized remainder, not a strike.
     """
     if g < 0:
         raise ValueError(f"coprimality needs g >= 0, got {g}")
     keep = np.ones((nrows, ncols), dtype=bool)
-    primes = np.fromiter(_factorize(g), dtype=np.int64) if g else _primes_upto(ncols)
+    primes = (np.fromiter(_factorize(g), dtype=np.int64) if g
+              else _primes_upto(col + ncols - 1))
     first = -lo % primes  # the first row divisible by each prime
     hit = first < nrows
     for p, i in zip(primes[hit].tolist(), first[hit].tolist()):
-        keep[i::p, p - 1::p] = False
+        keep[i::p, -col % p::p] = False
     return keep
 
 
@@ -503,13 +510,16 @@ def _pair_coords(v1, v2, powers):
     return coords
 
 
-def _pair_grid(w1max, w2max, reduce, threads, width=None, finish=sum):
-    """finish([reduce(v1, v2, coprime mask) per block]) for each fixed chunk
-    of GRID_ROWS rows of [1, w1max] x [1, w2max], in chunk order.
+def _pair_grid(w1max, w2max, reduce, threads, width=None, upper=False):
+    """[reduce(v1, v2, coprime mask) per block] over [1, w1max] x [1, w2max],
+    in row order.
 
-    A chunk runs top to bottom in blocks of BLOCK_ROWS rows. width(lo), when
-    given, is the number of leading columns that the chunk starting at row
-    lo needs; a chunk that needs none has no blocks.
+    The rows go in fixed chunks of GRID_ROWS, one task each, and a chunk
+    runs top to bottom in blocks of BLOCK_ROWS rows. width(lo), when given,
+    is the number of leading columns that the chunk starting at row lo
+    needs. With upper, a block holds only the cells with w2 > w1: its
+    columns start right of its first row, and its mask drops the cells
+    on or left of the diagonal. A chunk that needs no column has no blocks.
     """
     v2 = np.arange(1, w2max + 1, dtype=np.int64)
 
@@ -517,13 +527,20 @@ def _pair_grid(w1max, w2max, reduce, threads, width=None, finish=sum):
         hi = min(lo + GRID_ROWS - 1, w1max)
         ncols = w2max if width is None else width(lo)
         parts = []
-        if ncols:
-            for top in range(lo, hi + 1, BLOCK_ROWS):
-                v1 = np.arange(top, min(top + BLOCK_ROWS - 1, hi) + 1, dtype=np.int64)
-                parts.append(reduce(v1, v2[:ncols], _coprime_block(0, top, len(v1), ncols)))
-        return finish(parts)
+        for top in range(lo, hi + 1, BLOCK_ROWS):
+            col = top + 1 if upper else 1
+            if col > ncols:
+                break
+            v1 = np.arange(top, min(top + BLOCK_ROWS - 1, hi) + 1, dtype=np.int64)
+            cols = v2[col - 1:ncols]
+            keep = _coprime_block(0, top, len(v1), len(cols), col)
+            if upper:  # only the first len(v1) columns reach the diagonal
+                keep[:, :len(v1)] &= v1[:, None] < cols[None, :len(v1)]
+            parts.append(reduce(v1, cols, keep))
+        return parts
 
-    return _chunk_map(chunk, range(1, w1max + 1, GRID_ROWS), threads)
+    chunks = _chunk_map(chunk, range(1, w1max + 1, GRID_ROWS), threads)
+    return [part for parts in chunks for part in parts]
 
 
 def count_points_hypersurface(a, poly: Optional[GeneralizedPolynomial], t,
@@ -825,14 +842,44 @@ def zeta_partial(problem_or_a, poly: GeneralizedPolynomial, s_values,
         if rho == 1:
             tail = n_b * h_cov ** (-s) * iota_f / (s - iota_f)
         else:
-            from scipy import integrate as _si
             delta = n_b / (h_cov ** iota_f * math.log(h_cov) ** (rho - 1))
-            val, _ = _si.quad(lambda h: h ** (iota_f - s - 1)
-                              * math.log(h) ** (rho - 1), h_cov, np.inf)
-            tail = delta * s * val - n_b * h_cov ** (-s)
+            tail = delta * s * _log_power_tail(s - iota_f, rho, h_cov) \
+                - n_b * h_cov ** (-s)
         out.append(ZetaSample(s=s, partial=csign * partial, tail_estimate=tail,
                               covered_height=h_cov, covered_count=n_b))
     return out[0] if single else out
+
+
+def _log_power_tail(lam: float, rho: int, h: float) -> float:
+    """The integral of u^(-lam-1) (log u)^(rho-1) over u >= h, for lam > 0
+    and h > 1, in closed form: Gamma(rho, x) / lam^rho with x = lam log h,
+    where Gamma(rho, x) = (rho-1)! e^(-x) sum_(k<rho) x^k / k! for integer
+    rho."""
+    x = lam * math.log(h)
+    series = math.fsum(x ** k / math.factorial(k) for k in range(rho))
+    return math.factorial(rho - 1) * math.exp(-x) * series / lam ** rho
+
+
+def _swap_symmetric(powers, poly, height_mode) -> bool:
+    """Whether the height of (w1, w2) on the pair grid equals that of
+    (w2, w1), exactly: some permutation pi of the coordinates takes each
+    power (a, b) to the swapped (b, a) at powers[pi(i)] and, for a
+    polynomial height, maps the polynomial's monomials onto themselves."""
+    n = len(powers)
+    for pi in itertools.permutations(range(n)):
+        if any(powers[pi[i]] != (b, a) for i, (a, b) in enumerate(powers)):
+            continue
+        if height_mode != "polynomial":
+            return True
+        moved = set()
+        for c, e in poly.monomials:
+            image = [None] * n
+            for i in range(n):
+                image[pi[i]] = e[i]
+            moved.add((c, tuple(image)))
+        if moved == set(poly.monomials):
+            return True
+    return False
 
 
 def _zeta_pair_grid(powers, poly, s_list, term_budget, height_mode, threads):
@@ -847,16 +894,22 @@ def _zeta_pair_grid(powers, poly, s_list, term_budget, height_mode, threads):
     decreases along a row or a column; neighbouring cells differ by far
     more than float rounding, so the float heights do not decrease either.
     A chunk therefore needs only the columns whose height at its first row
-    is at most h_cov: right of them no cell of any of its rows passes. The
-    kept heights of its blocks, joined in row order, are the array that a
-    mask over the full rows would select, so each chunk's sums, and their
-    sum in chunk order, have the bits of a sweep of the whole grid.
+    is at most h_cov: right of them no cell of any of its rows passes.
+
+    When the height is swap-symmetric (`_swap_symmetric`), only the cells
+    with w2 > w1 are scanned; they count twice, and (1, 1), the one coprime
+    cell on the diagonal, once. Each block of BLOCK_ROWS rows is reduced in
+    place to np.sum(h ** -s) per s over its kept cells in row order, and
+    the sums are the math.fsum of the weighted block sums. The fsum is
+    exact, so no sum depends on the order of the blocks or on the thread
+    count; the blocks' cells, and so the sums' bits, depend on BLOCK_ROWS.
     """
     wmax = int(math.sqrt(term_budget))
     edge = min((wmax + 1) ** powers[0][0], (wmax + 1) ** powers[1][1])
     kappa, d = ((ellipticity_witness(poly), float(poly.degree))
                 if height_mode == "polynomial" else (1.0, 1.0))
     h_cov = kappa ** (1 / d) * edge * (1 - 1e-9)
+    symmetric = _swap_symmetric(powers, poly, height_mode)
 
     def heights(v1, v2):
         coords = _pair_coords(v1.astype(np.float64), v2.astype(np.float64), powers)
@@ -870,18 +923,18 @@ def _zeta_pair_grid(powers, poly, s_list, term_budget, height_mode, threads):
 
     def reduce(v1, v2, cop):
         hval = heights(v1, v2)
-        return hval[cop & (hval <= h_cov)]
-
-    def finish(parts):
-        hsel = np.concatenate(parts) if parts else np.empty(0)
+        hsel = hval[cop & (hval <= h_cov)]
         return [float(np.sum(hsel ** (-s))) for s in s_list], len(hsel)
 
-    sums = [0.0 for _ in s_list]
-    n_cov = 0
-    for part, cnt in _pair_grid(wmax, wmax, reduce, threads, width, finish):
-        for i, v in enumerate(part):
-            sums[i] += v
-        n_cov += cnt
+    weight = 2 if symmetric else 1
+    blocks = [(weight, part) for part in
+              _pair_grid(wmax, wmax, reduce, threads, width, upper=symmetric)]
+    if symmetric:
+        one = np.ones(1, dtype=np.int64)
+        blocks.append((1, reduce(one, one, np.ones((1, 1), dtype=bool))))
+    sums = [math.fsum(k * block[i] for k, (block, _) in blocks)
+            for i in range(len(s_list))]
+    n_cov = sum(k * cnt for k, (_, cnt) in blocks)
     return sums, h_cov, n_cov
 
 

@@ -248,15 +248,16 @@ class TestDeterminism:
     @pytest.mark.parametrize("problem", [
         ("--hypersurface", "1,2", "--polynomial", "X1^2+X2^2+X3^2", "--s", "1.5,1.2"),
         ("--projective-torus", "1", "--polynomial", "X1^2+X2^2", "--s", "2.5,2.2"),
-        ("--matrix", "1,1,-2", "--polynomial", "X1^2+X2^2+X3^2", "--s", "1.5,1.2")])
+        ("--matrix", "1,1,-2", "--polynomial", "X1^2+X2^2+X3^2", "--s", "1.5,1.2"),
+        ("--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2", "--s", "1.5,1.2")])
     def test_zeta_thread_flag(self, capsys, problem):
         outputs = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "3"):
             code, out = run_cli(["zeta", *problem, "--budget", "1000000",
                                  "--threads", threads], capsys)
             assert code == 0
             outputs.append(out)
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--projective-torus", "2", "--sup-norm", "--t", "200"),
@@ -281,7 +282,7 @@ class TestDeterminism:
 
 class TestImportCost:
     def test_scipy_loads_only_when_integrating(self):
-        # counts, sup-norm verification and rho = 1 zeta sums never integrate
+        # counts, sup-norm verification and zeta sums never integrate
         script = """
 import contextlib, io, sys
 import toric_density.cli as cli
@@ -289,7 +290,9 @@ assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'import'
 for argv in (["count", "--matrix", "1,1,-2", "--sup-norm", "--t", "50"],
              ["verify", "--projective-torus", "1", "--sup-norm", "--t", "200"],
              ["zeta", "--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2",
-              "--budget", "1000000", "--s", "1.5"]):
+              "--budget", "1000000", "--s", "1.5"],
+             ["zeta", "--hypersurface", "1,1,1", "--polynomial", "X1^2+X2^2+X3^2+X4^2",
+              "--budget", "1000000", "--s", "1.3"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
     assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], argv

@@ -344,6 +344,24 @@ class TestZeta:
             assert sample.partial == sign * sum(h ** (-s) for h in kept)
             assert sample.covered_count == sign * len(kept)
 
+    @pytest.mark.parametrize("rho", [2, 7])
+    @pytest.mark.parametrize("lam,h", [(0.1, 3.1e4), (0.3, 57.0), (1.5, 2.0)])
+    def test_log_power_tail_equals_gammainc(self, rho, lam, h):
+        # the integral of u^(-lam-1) (log u)^(rho-1) over u >= h
+        want = mp.gammainc(rho, lam * mp.log(h)) / mp.mpf(lam) ** rho
+        assert counting._log_power_tail(lam, rho, h) == pytest.approx(float(want), rel=1e-13)
+
+    def test_tail_beyond_rho_one(self):
+        # (1,1,1) has rho 7; the tail is delta s Gamma(7, x) / (s - 1)^7 - N H^-s
+        squares4 = parse_polynomial("X1^2+X2^2+X3^2+X4^2")
+        for sample in zeta_partial((1, 1, 1), squares4, [1.3, 1.1], Fraction(1), 7,
+                                   term_budget=10 ** 4):
+            h, n_b, lam = sample.covered_height, sample.covered_count, sample.s - 1
+            delta = n_b / (h * mp.log(h) ** 6)
+            want = (delta * sample.s * mp.gammainc(7, lam * mp.log(h)) / mp.mpf(lam) ** 7
+                    - n_b * mp.mpf(h) ** -sample.s)
+            assert sample.tail_estimate == pytest.approx(float(want), rel=1e-12)
+
     def test_requires_s_beyond_abscissa(self):
         with pytest.raises(ValueError):
             zeta_partial((1, 1), SQUARES, 0.9, Fraction(1))
@@ -431,6 +449,16 @@ class TestKernels:
             got = _coprime_block(g, lo, nrows, ncols)
             assert np.array_equal(got, np.gcd(np.gcd(rows, cols), g) == 1), (g, lo)
 
+    @pytest.mark.parametrize("lo,nrows,col,ncols", [
+        (1, 16, 2, 40), (17, 16, 18, 300), (37, 5, 38, 1), (999, 13, 1000, 61)])
+    def test_coprime_block_column_offset(self, lo, nrows, col, ncols):
+        from toric_density.counting import _coprime_block
+        rows = np.arange(lo, lo + nrows)[:, None]
+        cols = np.arange(col, col + ncols)[None, :]
+        for g in range(0, 300):
+            got = _coprime_block(g, lo, nrows, ncols, col)
+            assert np.array_equal(got, np.gcd(np.gcd(rows, cols), g) == 1), (g, lo)
+
     @settings(max_examples=40, deadline=None)
     @given(prob=small_matrices(), t=st.integers(1, 12), mode=st.sampled_from(["sup", "squares"]))
     def test_counts_equal_brute_force(self, prob, t, mode):
@@ -500,56 +528,96 @@ def full_width_heights(poly, coords):
     return total ** (1.0 / float(poly.degree))
 
 
-def full_width_zeta(powers, poly, s_list, term_budget, height_mode, threads):
-    """The pair-grid zeta sums with every cell of every GRID_ROWS chunk
-    evaluated and masked: the oracle of _zeta_pair_grid's bits."""
+def grid_setup(powers, poly, term_budget, height_mode):
+    """(wmax, h_cov, heights(v1, v2)) of the pair grid, as _zeta_pair_grid
+    defines them."""
     wmax = int(math.sqrt(term_budget))
     edge = min((wmax + 1) ** powers[0][0], (wmax + 1) ** powers[1][1])
     kappa, d = ((ellipticity_witness(poly), float(poly.degree))
                 if height_mode == "polynomial" else (1.0, 1.0))
     h_cov = kappa ** (1 / d) * edge * (1 - 1e-9)
-    v2 = np.arange(1, wmax + 1, dtype=np.int64)
 
-    def chunk(lo):
-        v1 = np.arange(lo, min(lo + counting.GRID_ROWS - 1, wmax) + 1, dtype=np.int64)
-        cop = counting._coprime_block(0, lo, len(v1), wmax)
+    def heights(v1, v2):
         coords = counting._pair_coords(v1.astype(np.float64), v2.astype(np.float64), powers)
         if height_mode == "polynomial":
-            hval = full_width_heights(poly, coords)
-        else:
-            hval = functools.reduce(np.maximum, coords)
-        mask = cop & (hval <= h_cov)
-        hsel = hval[mask]
-        return [float(np.sum(hsel ** (-s))) for s in s_list], int(np.count_nonzero(mask))
-
-    sums = [0.0 for _ in s_list]
-    n_cov = 0
-    starts = range(1, wmax + 1, counting.GRID_ROWS)
-    for part, cnt in counting._chunk_map(chunk, starts, threads):
-        for i, v in enumerate(part):
-            sums[i] += v
-        n_cov += cnt
-    return sums, h_cov, n_cov
+            return full_width_heights(poly, coords)
+        return functools.reduce(np.maximum, coords)
+    return wmax, h_cov, heights
 
 
-GRID_CASES = [pytest.param(((1, 0), (0, 1)), "X1^2+X2^2", mode, id=f"P1-{mode}")
+def full_width_zeta(powers, poly, s_list, term_budget, height_mode, symmetric):
+    """The pair-grid zeta sums with every cell of every BLOCK_ROWS block
+    evaluated at full width and masked: the oracle of _zeta_pair_grid's
+    bits. On a swap-symmetric height the block sums over w2 > w1 count
+    twice and the (1, 1) cell once; the sums are the fsum of all of them."""
+    wmax, h_cov, heights = grid_setup(powers, poly, term_budget, height_mode)
+    v2 = np.arange(1, wmax + 1, dtype=np.int64)
+    parts = []  # (weight, mask, heights) per block
+    for top in range(1, wmax + 1, counting.BLOCK_ROWS):
+        v1 = np.arange(top, min(top + counting.BLOCK_ROWS - 1, wmax) + 1, dtype=np.int64)
+        hval = heights(v1, v2)
+        mask = counting._coprime_block(0, top, len(v1), wmax) & (hval <= h_cov)
+        if not symmetric:
+            parts.append((1, mask, hval))
+            continue
+        parts.append((2, mask & (v1[:, None] < v2[None, :]), hval))
+        if top == 1:
+            diag = np.zeros_like(mask)
+            diag[0, 0] = mask[0, 0]
+            parts.append((1, diag, hval))
+    sums = [math.fsum(k * float(np.sum(hval[mask] ** (-s))) for k, mask, hval in parts)
+            for s in s_list]
+    return sums, h_cov, sum(k * int(np.count_nonzero(mask)) for k, mask, _ in parts)
+
+
+def full_grid_fsum(powers, poly, s_list, term_budget, height_mode):
+    """math.fsum of h^-s over every coprime cell of the whole grid in the
+    covered ball, no symmetry used, and the number of those cells."""
+    wmax, h_cov, heights = grid_setup(powers, poly, term_budget, height_mode)
+    v = np.arange(1, wmax + 1, dtype=np.int64)
+    hval = np.broadcast_to(heights(v, v), (wmax, wmax))
+    hsel = hval[(np.gcd(v[:, None], v[None, :]) == 1) & (hval <= h_cov)]
+    return [math.fsum((hsel ** (-s)).tolist()) for s in s_list], len(hsel)
+
+
+# (powers, height, mode, whether the height is swap-symmetric); the
+# coefficient 2 breaks the swap, and so do the powers of (1, 2) and (2, 3)
+GRID_CASES = [pytest.param(((1, 0), (0, 1)), "X1^2+X2^2", mode, True, id=f"P1-{mode}")
               for mode in ("polynomial", "sup")]
-GRID_CASES += [pytest.param(counting._two_var_powers(a), text, mode, id=f"{a}-{text}-{mode}")
+GRID_CASES += [pytest.param(counting._two_var_powers(a), text, mode,
+                            a == (1, 1) and "2*" not in text, id=f"{a}-{text}-{mode}")
                for a in [(1, 1), (1, 2), (2, 3)]
                for text, mode in [("X1^2+X2^2+X3^2", "polynomial"),
                                   ("X1^2+2*X2^2+X3^2+X1*X3", "polynomial"),
-                                  ("X1^2+X2^2+X3^2", "sup")]]
+                                  ("X1^2+X2^2+X3^2", "sup"),
+                                  ("X1^2+2*X2^2+X3^2", "polynomial")]]
 
 
 class TestZetaGridBits:
-    """_zeta_pair_grid against the full-width grid, bit for bit."""
+    """_zeta_pair_grid against the full-width grid, bit for bit, and against
+    a plain fsum over the whole grid."""
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("powers,text,mode", GRID_CASES)
-    def test_equals_full_width(self, powers, text, mode, threads):
+    @pytest.mark.parametrize("powers,text,mode,symmetric", GRID_CASES)
+    def test_equals_full_width(self, powers, text, mode, symmetric, threads):
         p = parse_polynomial(text)
         s_list = [2.5, 1.7, 1.2]
         # side 1337 is a multiple neither of GRID_ROWS nor of BLOCK_ROWS
         for budget in (1337 ** 2, 37 ** 2):
             assert counting._zeta_pair_grid(powers, p, s_list, budget, mode, threads) == \
-                full_width_zeta(powers, p, s_list, budget, mode, threads)
+                full_width_zeta(powers, p, s_list, budget, mode, symmetric)
+
+    @pytest.mark.parametrize("powers,text,mode,symmetric", GRID_CASES)
+    def test_half_grid_taken(self, powers, text, mode, symmetric):
+        assert counting._swap_symmetric(powers, parse_polynomial(text), mode) is symmetric
+
+    @pytest.mark.parametrize("powers,text,mode,symmetric", GRID_CASES)
+    def test_equals_whole_grid_fsum(self, powers, text, mode, symmetric):
+        p = parse_polynomial(text)
+        s_list = [2.5, 1.7, 1.2]
+        for budget in (1337 ** 2, 37 ** 2):
+            sums, _, n_cov = counting._zeta_pair_grid(powers, p, s_list, budget, mode, 2)
+            exact, n_exact = full_grid_fsum(powers, p, s_list, budget, mode)
+            assert n_cov == n_exact
+            for got, want in zip(sums, exact):
+                assert abs(got - want) <= 1e-13 * want
