@@ -18,18 +18,18 @@ primitive solutions of the monomial relations:
 
 Two reductions consume their points: an exact count, with heights compared
 as scaled integers (`_height_mask`), and a zeta collector of float heights
-summed per s. On the pair grid the zeta collector evaluates, per chunk, only
-the columns that the covered height ball reaches at the chunk's first row,
-and, when the height is swap-symmetric, only the cells with w2 > w1
-(`_zeta_pair_grid`). It reduces each block of BLOCK_ROWS rows to one sum
-per s and adds the block sums exactly with math.fsum. Array products run in
-int64 only when a bound (box to the exponent sum of a relation side, or the
-height limit) shows they fit, and otherwise on numpy object arrays of
-Python ints. Coprimality of a block with a gcd g is one kernel
-(`_coprime_block`): each prime p of g, or every prime when there is no g,
-strikes out the columns divisible by p in the rows divisible by p. Fixed
-partitions, reduced in order or exactly, keep every result independent of
-the thread count.
+summed per s (`_ZetaCollector`): it reduces each block of the relation
+enumerator or the pair grid to one sum per s over its cells in the covered
+height ball, and adds the block sums exactly with math.fsum. The pair grid
+feeds it, per chunk, only the columns that the covered ball reaches at the
+chunk's first row and, when the height is swap-symmetric, only the cells
+with w2 > w1 (`_zeta_pair_grid`). Array products run in int64 only when
+a bound (box to the exponent sum of a relation side, or the height limit)
+shows they fit, and otherwise on numpy object arrays of Python ints.
+Coprimality of a block with a gcd g is one kernel (`_coprime_block`):
+each prime p of g, or every prime when there is no g, strikes out the
+columns divisible by p in the rows divisible by p. Fixed partitions,
+reduced in order or exactly, keep every result independent of threads.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ GRID_ROWS = 256
 # columns, 1.3 MB, stay in a core's L2 cache. The zeta float sums are exact
 # sums of one float sum per block, so their bits depend on BLOCK_ROWS.
 BLOCK_ROWS = 16
-# cells per block of the relation enumerator, which bound its memory: a
-# block of int64 products holds this many, a block of sup-norm coprimality,
-# one byte per cell, eight times as many
+# cells per block of the relation enumerator, which bound its memory and set
+# the bits of its zeta sums: a block of int64 products holds this many, one
+# with neither a height mask nor a solved coordinate eight times as many
 BLOCK_CELLS = 1 << 15
 
 
@@ -134,11 +134,6 @@ def _iroot(x: int, k: int) -> int:
     return r
 
 
-def _perfect_root(x: int, k: int) -> Optional[int]:
-    r = _iroot(x, k)
-    return r if r ** k == x else None
-
-
 def _height_data(poly: GeneralizedPolynomial, t: Fraction):
     """(integer terms, limit): height <= t iff the terms sum to at most limit."""
     if not poly.has_integer_exponents:
@@ -150,11 +145,15 @@ def _height_data(poly: GeneralizedPolynomial, t: Fraction):
     return terms, math.floor(frac(t) ** int(d) * scale)
 
 
+def _kappa_root(poly: GeneralizedPolynomial) -> float:
+    """kappa^(1/d): from P(m) >= kappa max(m)^d, no coordinate of a point
+    of height at most h exceeds h / kappa^(1/d)."""
+    return ellipticity_witness(poly) ** (1.0 / float(poly.degree))
+
+
 def _poly_box(poly: GeneralizedPolynomial, t: Fraction) -> int:
-    """Per-coordinate enumeration bound: P(m) >= kappa max(m)^d."""
-    kappa = ellipticity_witness(poly)
-    d = float(poly.degree)
-    return int(math.floor(float(t) / kappa ** (1.0 / d) * (1 + 1e-12)))
+    """Per-coordinate enumeration bound of the height ball of radius t."""
+    return int(math.floor(float(t) / _kappa_root(poly) * (1 + 1e-12)))
 
 
 def _eval_terms_int(terms, point):
@@ -182,24 +181,48 @@ def _height_mask(terms, limit, peaks, coords):
     return _eval_terms_int(terms, coords(dtype)) <= limit
 
 
-def _float_heights(poly: GeneralizedPolynomial, coords):
-    """P(coords)^(1/d) in float64 over broadcast coordinate arrays.
+@dataclass(frozen=True)
+class _ZetaCollector:
+    """The zeta reduction of both enumerators. A block is reduced where it
+    is made, to np.sum of h^-s over its kept cells in row order, so the bits
+    depend on how an enumerator cuts its blocks; math.fsum adds the block
+    sums exactly, so they depend neither on block order nor on threads."""
+    poly: Optional[GeneralizedPolynomial]  # None for the sup norm
+    s_list: Sequence[float]
+    h_cov: float
 
-    The total starts from the first term, and a coefficient 1 is not
-    multiplied in: 0.0 + t == t and 1.0 * t == t, so the bits are those of
-    a zero total plus every coefficient times its powers.
-    """
-    shape = np.broadcast_shapes(*(np.shape(x) for x in coords))
-    total = None
-    for c, e in poly.monomials:
-        term = None if c == 1 else float(c)
-        for x, ek in zip(coords, e):
-            if ek:
-                power = x ** float(ek)
-                term = power if term is None else term * power
-        term = 1.0 if term is None else term
-        total = term if total is None else total + term
-    return np.broadcast_to(total, shape) ** (1.0 / float(poly.degree))
+    def heights(self, coords):
+        """Float64 heights over broadcast coordinates, ints or arrays: the
+        largest coordinate for the sup norm, else P^(1/d). P's total starts
+        from the first term and a coefficient 1 is not multiplied in: 0.0 +
+        t == t and 1.0 * t == t, so the bits are those of a zero total plus
+        every coefficient times its powers."""
+        coords = [np.asarray(x, dtype=np.float64) for x in coords]
+        if self.poly is None:
+            return functools.reduce(np.maximum, coords)
+        total = None
+        for c, e in self.poly.monomials:
+            term = None if c == 1 else float(c)
+            for x, ek in zip(coords, e):
+                if ek:
+                    power = x ** float(ek)
+                    term = power if term is None else term * power
+            term = 1.0 if term is None else term
+            total = term if total is None else total + term
+        shape = np.broadcast_shapes(*(x.shape for x in coords))
+        return np.broadcast_to(total, shape) ** (1.0 / float(self.poly.degree))
+
+    def block(self, hval, keep):
+        """([sum of h^-s per s], count) over the kept heights h <= h_cov.
+        Callers free the coordinates first, which keeps a block in cache."""
+        hsel = hval[keep & (hval <= self.h_cov)]
+        return [float(np.sum(hsel ** (-s))) for s in self.s_list], len(hsel)
+
+    def total(self, blocks):
+        """(sums, h_cov, count) of (weight, block result) pairs."""
+        sums = [math.fsum(k * block[i] for k, (block, _) in blocks)
+                for i in range(len(self.s_list))]
+        return sums, self.h_cov, sum(k * cnt for k, (_, cnt) in blocks)
 
 
 def _chunk_map(fn, starts, threads):
@@ -239,7 +262,7 @@ def count_points(problem: ToricProblem, poly: Optional[GeneralizedPolynomial],
     t, box, hdata = _count_setup(poly, t, w, height_mode)
     rows = problem.rows
     solving = [r for r in rows if r[w - 1] != 0]
-    est = box ** (w - 1) if solving or not rows else box ** w
+    est = box ** (w - 1) if solving else box ** w
     for r in rows:
         last = max(j for j in range(w) if r[j] != 0)
         if last < w - 1:
@@ -249,13 +272,10 @@ def count_points(problem: ToricProblem, poly: Optional[GeneralizedPolynomial],
 
     csign = sign_count(problem).value
     started = time.monotonic()
-    total = _enumerate_relations(rows, w, box, hdata, threads, _count_batch, int)
+    total = _enumerate_relations(rows, w, box, hdata, threads,
+                                 lambda p, c, keep: int(np.count_nonzero(keep)), int)
     return CountResult(t=t, count=csign * total, box=(box,) * w, mode=height_mode,
                        elapsed=time.monotonic() - started)
-
-
-def _count_batch(prefix, coords, keep) -> int:
-    return int(np.count_nonzero(keep))
 
 
 def _monomial_sides(pairs, values, one=1):
@@ -884,7 +904,7 @@ def _swap_symmetric(powers, poly, height_mode) -> bool:
 
 def _zeta_pair_grid(powers, poly, s_list, term_budget, height_mode, threads):
     """Float heights over the coprime grid w1, w2 <= sqrt(term_budget),
-    summed over the covered ball only.
+    summed over the covered ball only, in blocks of BLOCK_ROWS rows.
 
     The ball of height h lies in the grid while every coordinate w_i^(q_i)
     <= h / kappa^(1/d) (sup norm: kappa = 1) keeps w_i <= wmax.
@@ -898,33 +918,24 @@ def _zeta_pair_grid(powers, poly, s_list, term_budget, height_mode, threads):
 
     When the height is swap-symmetric (`_swap_symmetric`), only the cells
     with w2 > w1 are scanned; they count twice, and (1, 1), the one coprime
-    cell on the diagonal, once. Each block of BLOCK_ROWS rows is reduced in
-    place to np.sum(h ** -s) per s over its kept cells in row order, and
-    the sums are the math.fsum of the weighted block sums. The fsum is
-    exact, so no sum depends on the order of the blocks or on the thread
-    count; the blocks' cells, and so the sums' bits, depend on BLOCK_ROWS.
+    cell on the diagonal, once.
     """
     wmax = int(math.sqrt(term_budget))
     edge = min((wmax + 1) ** powers[0][0], (wmax + 1) ** powers[1][1])
-    kappa, d = ((ellipticity_witness(poly), float(poly.degree))
-                if height_mode == "polynomial" else (1.0, 1.0))
-    h_cov = kappa ** (1 / d) * edge * (1 - 1e-9)
+    polynomial = height_mode == "polynomial"
+    zc = _ZetaCollector(poly if polynomial else None, s_list,
+                        (_kappa_root(poly) if polynomial else 1.0) * edge * (1 - 1e-9))
     symmetric = _swap_symmetric(powers, poly, height_mode)
 
-    def heights(v1, v2):
-        coords = _pair_coords(v1.astype(np.float64), v2.astype(np.float64), powers)
-        if height_mode == "polynomial":
-            return _float_heights(poly, coords)
-        return functools.reduce(np.maximum, coords)
+    def coords(v1, v2):
+        return _pair_coords(v1.astype(np.float64), v2.astype(np.float64), powers)
 
     def width(lo):
-        first = heights(np.array([lo]), np.arange(1, wmax + 1))
-        return int(np.count_nonzero(first <= h_cov))
+        first = zc.heights(coords(np.array([lo]), np.arange(1, wmax + 1)))
+        return int(np.count_nonzero(first <= zc.h_cov))
 
     def reduce(v1, v2, cop):
-        hval = heights(v1, v2)
-        hsel = hval[cop & (hval <= h_cov)]
-        return [float(np.sum(hsel ** (-s))) for s in s_list], len(hsel)
+        return zc.block(zc.heights(coords(v1, v2)), cop)
 
     weight = 2 if symmetric else 1
     blocks = [(weight, part) for part in
@@ -932,37 +943,25 @@ def _zeta_pair_grid(powers, poly, s_list, term_budget, height_mode, threads):
     if symmetric:
         one = np.ones(1, dtype=np.int64)
         blocks.append((1, reduce(one, one, np.ones((1, 1), dtype=bool))))
-    sums = [math.fsum(k * block[i] for k, (block, _) in blocks)
-            for i in range(len(s_list))]
-    n_cov = sum(k * cnt for k, (_, cnt) in blocks)
-    return sums, h_cov, n_cov
+    return zc.total(blocks)
 
 
 def _zeta_relations(problem, poly, s_list, term_budget, height_mode, threads):
-    """Heights of the relation enumerator's points in a box of side
-    term_budget^(1/width), point by point, summed in sorted order."""
+    """Float heights of the relation enumerator's points in a box of side
+    term_budget^(1/width), summed over the covered ball only. Each block
+    goes straight to the zeta collector, so the sums' bits depend on how
+    BLOCK_CELLS cuts the rows into blocks."""
     w = problem.width
     box = max(2, int(term_budget ** (1.0 / w)))
-    if height_mode == "polynomial":
-        d = float(poly.degree)
-        h_cov = ellipticity_witness(poly) ** (1 / d) * (box + 1) * (1 - 1e-9)
-
-        def height(p):
-            return poly.eval_float(p) ** (1 / d)
-    else:
-        h_cov = float(box)
-
-        def height(p):
-            return float(max(p))
+    polynomial = height_mode == "polynomial"
+    h_cov = _kappa_root(poly) * (box + 1) * (1 - 1e-9) if polynomial else float(box)
+    zc = _ZetaCollector(poly if polynomial else None, s_list, h_cov)
 
     def batch(prefix, coords, keep):
-        cols = [np.broadcast_to(x, keep.shape)[keep].tolist() for x in coords]
-        return [height(prefix + p) for p in zip(*cols)]
+        return [(1, zc.block(zc.heights(prefix + coords), keep))]
 
-    heights = _enumerate_relations(problem.rows, w, box, None, threads, batch, list)
-    kept = sorted(h for h in heights if h <= h_cov)
-    sums = [sum(h ** (-s) for h in kept) for s in s_list]
-    return sums, h_cov, len(kept)
+    return zc.total(_enumerate_relations(problem.rows, w, box, None, threads,
+                                         batch, list))
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,6 @@ class DiagonalFace:
     count_exact: bool        # False when the count is a lower bound only
 
 
-class NotCompact(Exception):
-    pass
-
-
 def build_polyhedron(points, dim_cap: int = 10) -> NewtonPolyhedron:
     """Exact facet/vertex description of conv(points) + R_+^n."""
     pts = [fracvec(p) for p in points]

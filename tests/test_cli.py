@@ -57,6 +57,10 @@ GOLDEN_COMMANDS = {
     "zeta_matrix_1_1_-2_squares": [
         "zeta", "--matrix", "1,1,-2", "--polynomial", "X1^2+X2^2+X3^2",
         "--budget", "1000000", "--s", "1.5,1.2"],
+    # the relation enumerator with no relation, under a mixed cubic
+    "zeta_projective_torus_2_mixed_cubic": [
+        "zeta", "--projective-torus", "2", "--polynomial", "X1^3+X2^3+X3^3+X1*X2*X3",
+        "--budget", "1000000", "--s", "3.5,3.2"],
 }
 
 
@@ -249,7 +253,8 @@ class TestDeterminism:
         ("--hypersurface", "1,2", "--polynomial", "X1^2+X2^2+X3^2", "--s", "1.5,1.2"),
         ("--projective-torus", "1", "--polynomial", "X1^2+X2^2", "--s", "2.5,2.2"),
         ("--matrix", "1,1,-2", "--polynomial", "X1^2+X2^2+X3^2", "--s", "1.5,1.2"),
-        ("--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2", "--s", "1.5,1.2")])
+        ("--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2", "--s", "1.5,1.2"),
+        ("--projective-torus", "2", "--polynomial", "X1^3+X2^3+X3^3", "--s", "3.5,3.2")])
     def test_zeta_thread_flag(self, capsys, problem):
         outputs = []
         for threads in ("1", "2", "3"):

@@ -139,15 +139,13 @@ class TestDifferential:
 class TestInvariants:
     def test_integer_root(self):
         import random
-        from toric_density.counting import _iroot, _perfect_root
+        from toric_density.counting import _iroot
         rng = random.Random(13)
         for _ in range(300):
             k = rng.randint(1, 7)
             x = rng.randint(0, 10 ** rng.randint(1, 30))
             r = _iroot(x, k)
             assert r ** k <= x < (r + 1) ** k
-        assert _perfect_root(7 ** 12, 12) == 7
-        assert _perfect_root(7 ** 12 + 1, 12) is None
 
     def test_monotone_in_t(self):
         prev = -1
@@ -201,9 +199,11 @@ class TestInvariants:
             manin_constant((1, 1), SQUARES)
 
     def test_budget_guard(self):
-        with pytest.raises(BoxTooLarge):
-            count_points(validate_toric_matrix([], width=4), None, 10 ** 4,
-                         "sup", budget=10 ** 6)
+        # a relation-free problem visits box^w cells: 40^4 > 10^5 >= 40^3
+        for t, budget in ((10 ** 4, 10 ** 6), (40, 10 ** 5)):
+            with pytest.raises(BoxTooLarge):
+                count_points(validate_toric_matrix([], width=4), None, t, "sup",
+                             budget=budget)
 
 
 class TestManinAssembly:
@@ -326,23 +326,15 @@ class TestZeta:
 
     @pytest.mark.parametrize("rows,width,budget", [
         ([(1, 1, -2)], 3, 30 ** 3), ([(1, 2, -3)], 3, 30 ** 3), ([], 3, 12 ** 3)])
-    def test_relations_equal_brute_force(self, rows, width, budget):
+    def test_relations_equal_brute_force(self, rows, width, budget, monkeypatch):
         prob = validate_toric_matrix(rows, width=width)
-        s_list = [3.5, 4.2]
-        samples = zeta_partial(prob, SQUARES, s_list, Fraction(3), term_budget=budget)
         box = max(2, int(budget ** (1.0 / width)))
-        heights = []
-        for m in itertools.product(range(1, box + 1), repeat=width):
-            if math.gcd(*m) != 1:
-                continue
-            if all(math.prod(x ** a for x, a in zip(m, r) if a > 0)
-                   == math.prod(x ** -a for x, a in zip(m, r) if a < 0) for r in rows):
-                heights.append(SQUARES.eval_float(m) ** (1 / 2.0))
-        kept = sorted(h for h in heights if h <= samples[0].covered_height)
-        sign = sign_count(prob).value
-        for s, sample in zip(s_list, samples):
-            assert sample.partial == sign * sum(h ** (-s) for h in kept)
-            assert sample.covered_count == sign * len(kept)
+        # 64 cells cut the solved rows into runs of two: several blocks
+        for cells in (counting.BLOCK_CELLS, 64):
+            monkeypatch.setattr(counting, "BLOCK_CELLS", cells)
+            samples = zeta_partial(prob, SQUARES, [3.5, 4.2], Fraction(3),
+                                   term_budget=budget)
+            check_relation_zeta(prob, SQUARES, samples, box)
 
     @pytest.mark.parametrize("rho", [2, 7])
     @pytest.mark.parametrize("lam,h", [(0.1, 3.1e4), (0.3, 57.0), (1.5, 2.0)])
@@ -395,15 +387,61 @@ def squares(width):
                  for i in range(width)])
 
 
-def zeta_brute(rows, width, height, box):
-    """Heights of the positive primitive solutions in [1, box]^width."""
-    out = []
-    for m in itertools.product(range(1, box + 1), repeat=width):
-        if math.gcd(*m) == 1 and all(
+def relation_points(rows, width, box):
+    """The positive primitive solutions in [1, box]^width, in lexicographic
+    order."""
+    return [m for m in itertools.product(range(1, box + 1), repeat=width)
+            if math.gcd(*m) == 1 and all(
                 math.prod(x ** a for x, a in zip(m, r) if a > 0)
-                == math.prod(x ** -a for x, a in zip(m, r) if a < 0) for r in rows):
-            out.append(height(m))
-    return out
+                == math.prod(x ** -a for x, a in zip(m, r) if a < 0) for r in rows)]
+
+
+def relation_blocks(rows, width, box):
+    """relation_points grouped into the relation enumerator's blocks. A
+    block's columns are x_w, or x_(w-1) when a relation ends at x_w; its rows
+    are the coordinate before, in runs of BLOCK_CELLS // box values (eight
+    times as many without a solved x_w) from 1 after a prefix, or from each
+    CHUNK start when the rows are x_1; with no row coordinate, a block is a
+    CHUNK of x_1."""
+    solving = any(r[width - 1] for r in rows)
+    row = width - 3 if solving else width - 2
+    run = max(1, counting.BLOCK_CELLS * (1 if solving else 8) // box)
+    blocks = {}
+    for m in relation_points(rows, width, box):
+        chunk, offset = divmod(m[0] - 1, counting.CHUNK)
+        if row < 0:
+            key = (chunk,)
+        elif row == 0:
+            key = (chunk, offset // run)
+        else:
+            key = m[:row] + ((m[row] - 1) // run,)
+        blocks.setdefault(key, []).append(m)
+    return list(blocks.values())
+
+
+def check_relation_zeta(prob, poly, samples, box):
+    """Relation-path zeta samples (poly None: the sup norm) against two
+    oracles over the brute-force points in [1, box]^width: bit for bit, the
+    fsum of per-block np.sum(h ** -s) over the enumerator's blocks, each
+    block's float heights evaluated in order; within 1e-13, the fsum of
+    h ** -s over Python float heights, with the same covered count."""
+    w, sign = prob.width, sign_count(prob).value
+    s_list, h_cov = [x.s for x in samples], samples[0].covered_height
+    parts = []
+    for pts in relation_blocks(prob.rows, w, box):
+        coords = [np.array(x, dtype=np.float64) for x in zip(*pts)]
+        hval = (np.maximum.reduce(coords) if poly is None
+                else full_width_heights(poly, coords))
+        parts.append(hval[hval <= h_cov])
+    height = ((lambda m: float(max(m))) if poly is None
+              else (lambda m: poly.eval_float(m) ** (1 / float(poly.degree))))
+    kept = [h for h in map(height, relation_points(prob.rows, w, box)) if h <= h_cov]
+    for sample in samples:
+        blockwise = math.fsum(float(np.sum(h ** (-sample.s))) for h in parts)
+        assert sample.partial == sign * blockwise
+        exact = math.fsum(h ** (-sample.s) for h in kept)
+        assert abs(sample.partial - sign * exact) <= 1e-13 * exact
+        assert sample.covered_count == sign * sum(len(h) for h in parts) == sign * len(kept)
 
 
 @st.composite
@@ -476,18 +514,12 @@ class TestKernels:
     @given(prob=small_matrices(), side=st.integers(2, 7),
            mode=st.sampled_from(["sup", "squares"]))
     def test_relation_zeta_equals_brute_force(self, prob, side, mode):
-        w, sign, sq = prob.width, sign_count(prob).value, squares(prob.width)
+        w, sq = prob.width, squares(prob.width)
         s_list = [3.5, 4.2]
         samples = zeta_partial(prob, sq, s_list, Fraction(1), term_budget=side ** w,
                                height_mode="sup" if mode == "sup" else "polynomial")
         box = max(2, int((side ** w) ** (1.0 / w)))
-        height = ((lambda m: float(max(m))) if mode == "sup"
-                  else (lambda m: sq.eval_float(m) ** 0.5))
-        kept = sorted(h for h in zeta_brute(prob.rows, w, height, box)
-                      if h <= samples[0].covered_height)
-        for s, sample in zip(s_list, samples):
-            assert sample.partial == sign * sum(h ** (-s) for h in kept)
-            assert sample.covered_count == sign * len(kept)
+        check_relation_zeta(prob, None if mode == "sup" else sq, samples, box)
 
     @pytest.mark.parametrize("rows", [[(1, -1)], [(1, -1, 0, 0), (0, 0, 1, -1)]])
     @pytest.mark.parametrize("t", [1, 5, 11])
@@ -501,9 +533,7 @@ class TestKernels:
         sample = zeta_partial(prob, None, 2.5, Fraction(1), term_budget=(t + 1) ** w,
                               height_mode="sup")
         box = max(2, int(((t + 1) ** w) ** (1.0 / w)))
-        kept = sorted(zeta_brute(rows, w, lambda m: float(max(m)), box))
-        assert sample.partial == sign * sum(h ** -2.5 for h in kept)
-        assert sample.covered_count == sign * len(kept)
+        check_relation_zeta(prob, None, [sample], box)
 
     @pytest.mark.parametrize("row", [(21, -21, 1, -1), (1, -1, 21, -21)])
     def test_solved_products_beyond_int64(self, row):
