@@ -17,18 +17,25 @@ primitive solutions of the monomial relations:
   valuation of the product a multiple of q.
 
 Two reductions consume their points: an exact count, with heights compared
-as scaled integers (`_height_mask`), and a zeta collector of float heights
-summed per s (`_ZetaCollector`): it reduces each block of the relation
-enumerator or the pair grid to one sum per s over its cells in the covered
-height ball, and adds the block sums exactly with math.fsum. The pair grid
-feeds it, per chunk, only the columns that the covered ball reaches at the
-chunk's first row and, when the height is swap-symmetric, only the cells
-with w2 > w1 (`_zeta_pair_grid`). Array products run in int64 only when
-a bound (box to the exponent sum of a relation side, or the height limit)
-shows they fit, and otherwise on numpy object arrays of Python ints.
-Coprimality of a block with a gcd g is one kernel (`_coprime_block`):
-each prime p of g, or every prime when there is no g, strikes out the
-columns divisible by p in the rows divisible by p. Fixed partitions,
+as scaled integers (`_height_mask`), and a zeta collector (`_ZetaCollector`)
+that takes no root: it works on P = h^d (the largest coordinate for the sup
+norm), keeps the cells with P at most the covered height to the d, takes
+log P once per kept cell and sums exp(-s/d log P) per s, all in per-thread
+buffers reused from block to block. It reduces each block of the relation
+enumerator or the pair grid to one sum per s, and adds the block sums
+exactly with math.fsum; the bits of a sum depend on the block cuts and on
+the order of the factors of P, not on threads. On the pair grid both
+reductions pull the height back to (w1, w2) (`_pull_back`), so that P is a
+sum (a max for the sup norm) of outer products of a row and a column
+vector. The grid feeds the collector, per chunk, only the columns that the
+covered ball reaches at the chunk's first row and, when the height is
+swap-symmetric, only the cells with w2 > w1 (`_zeta_pair_grid`). Array
+products run in int64 only when a bound (box to the exponent sum of a
+relation side, or the height limit) shows they fit, and otherwise on numpy
+object arrays of Python ints. Coprimality of a block with a gcd g is one
+kernel (`_coprime_block`): each prime p of g, or every prime when there is
+no g, strikes out the columns divisible by p in the rows divisible by p;
+an enumerator sieves those primes once. Fixed partitions,
 reduced in order or exactly, keep every result independent of threads.
 """
 
@@ -38,6 +45,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -74,8 +82,8 @@ ZETA_BUDGET = 100_000_000  # zeta_partial's default number of terms
 # the work of one thread task and how often the column bound is taken.
 CHUNK = 2048
 GRID_ROWS = 256
-# rows per block of a pair-grid chunk: a block's float heights over 10^4
-# columns, 1.3 MB, stay in a core's L2 cache. The zeta float sums are exact
+# rows per block of a pair-grid chunk: a block's float P over 10^4
+# columns, 1.3 MB, stays in a core's L2 cache. The zeta float sums are exact
 # sums of one float sum per block, so their bits depend on BLOCK_ROWS.
 BLOCK_ROWS = 16
 # cells per block of the relation enumerator, which bound its memory and set
@@ -181,42 +189,117 @@ def _height_mask(terms, limit, peaks, coords):
     return _eval_terms_int(terms, coords(dtype)) <= limit
 
 
-@dataclass(frozen=True)
+def _pull_back(terms, powers):
+    """Terms (c, exponents) of a height in coordinates x_i = w1^a_i w2^b_i,
+    (a_i, b_i) = powers[i], as terms (c, (alpha, beta)) in (w1, w2):
+    c prod x_i^e_i = c w1^alpha w2^beta, alpha = sum e_i a_i, beta = sum e_i b_i."""
+    return [(c, (sum(e * a for e, (a, _) in zip(exps, powers)),
+                 sum(e * b for e, (_, b) in zip(exps, powers))))
+            for c, exps in terms]
+
+
+def _product(factors, out):
+    """The product of factors (floats or arrays that broadcast to out's
+    shape), left to right. The last multiplication writes to out; a single
+    factor is returned as it is."""
+    if len(factors) == 1:
+        return factors[0]
+    return np.multiply(math.prod(factors[:-1]), factors[-1], out=out)
+
+
 class _ZetaCollector:
-    """The zeta reduction of both enumerators. A block is reduced where it
-    is made, to np.sum of h^-s over its kept cells in row order, so the bits
-    depend on how an enumerator cuts its blocks; math.fsum adds the block
-    sums exactly, so they depend neither on block order nor on threads."""
-    poly: Optional[GeneralizedPolynomial]  # None for the sup norm
-    s_list: Sequence[float]
-    h_cov: float
+    """The zeta reduction of both enumerators, on P = h^d, the height to the
+    degree d (d = 1 for the sup norm, where P is the largest coordinate).
 
-    def heights(self, coords):
-        """Float64 heights over broadcast coordinates, ints or arrays: the
-        largest coordinate for the sup norm, else P^(1/d). P's total starts
-        from the first term and a coefficient 1 is not multiplied in: 0.0 +
-        t == t and 1.0 * t == t, so the bits are those of a zero total plus
-        every coefficient times its powers."""
-        coords = [np.asarray(x, dtype=np.float64) for x in coords]
+    A block comes as the terms of P, each a list of factors: P is their
+    products, taken left to right, added (for the sup norm: maxed) in term
+    order. The pair grid pulls the height back to (w1, w2), so a term is
+    (c w1^alpha) times w2^beta (`_pull_back`); the relation enumerator
+    gives c then x^e per coordinate, in coordinate order. The kept cells
+    with P <= p_cov = h_cov^d are compacted in row order, L = log P is taken
+    once per cell, and the block's sum per s is np.sum of exp((-s/d) L).
+    So the bits depend on how an enumerator cuts its blocks and orders the
+    factors, and on numpy's pow, log and exp; math.fsum adds the block sums
+    exactly, so they depend neither on block order nor on threads. P, the
+    term temporary, the mask and the exp buffer are per-thread buffers,
+    reused from block to block and as large as the largest block."""
+
+    def __init__(self, poly: Optional[GeneralizedPolynomial], s_list, h_cov: float):
+        self.poly = poly  # None for the sup norm
+        self.s_list = list(s_list)
+        self.h_cov = h_cov
+        d = 1.0 if poly is None else float(poly.degree)
+        self.p_cov = h_cov ** d
+        self.scales = [-s / d for s in self.s_list]
+        self.combine = np.maximum if poly is None else np.add
+        self._local = threading.local()
+
+    def monomials(self, nvars):
+        """The terms (c, exponents) of P in nvars coordinates: the
+        polynomial's monomials, or each coordinate alone for the sup norm."""
         if self.poly is None:
-            return functools.reduce(np.maximum, coords)
-        total = None
-        for c, e in self.poly.monomials:
-            term = None if c == 1 else float(c)
-            for x, ek in zip(coords, e):
-                if ek:
-                    power = x ** float(ek)
-                    term = power if term is None else term * power
-            term = 1.0 if term is None else term
-            total = term if total is None else total + term
-        shape = np.broadcast_shapes(*(x.shape for x in coords))
-        return np.broadcast_to(total, shape) ** (1.0 / float(self.poly.degree))
+            return [(1, tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
+        return self.poly.monomials
 
-    def block(self, hval, keep):
-        """([sum of h^-s per s], count) over the kept heights h <= h_cov.
-        Callers free the coordinates first, which keeps a block in cache."""
-        hsel = hval[keep & (hval <= self.h_cov)]
-        return [float(np.sum(hsel ** (-s))) for s in self.s_list], len(hsel)
+    def terms_at(self, coords):
+        """The factors of each term at broadcast coordinates, ints or
+        arrays: the coefficient unless it is 1, then x^e per coordinate
+        with e != 0."""
+        coords = [np.asarray(x, dtype=np.float64) for x in coords]
+        terms = []
+        for c, exps in self.monomials(len(coords)):
+            factors = [] if c == 1 else [float(c)]
+            for x, e in zip(coords, exps):
+                if e:
+                    factors.append(x if e == 1 else x ** float(e))
+            terms.append(factors)
+        return terms
+
+    def _buffers(self, shape):
+        """This thread's P, term, mask and exp buffers: the first three as
+        views of the block's shape, the exp buffer flat."""
+        size = math.prod(shape)
+        bufs = getattr(self._local, "bufs", None)
+        if bufs is None or len(bufs[0]) < size:
+            bufs = self._local.bufs = (np.empty(size), np.empty(size),
+                                       np.empty(size, dtype=bool), np.empty(size))
+        p, t, m, e = bufs
+        return p[:size].reshape(shape), t[:size].reshape(shape), m[:size].reshape(shape), e
+
+    def _fill(self, terms, p, t):
+        """P of the terms into p, with t as the term temporary."""
+        total = None
+        for factors in terms:
+            term = _product(factors, p if total is None else t)
+            total = term if total is None else self.combine(total, term, out=p)
+        if total is not p:
+            np.copyto(p, total)
+
+    def covered(self, terms, shape):
+        """The number of cells of a block of this shape with P <= p_cov."""
+        p, t, m, _ = self._buffers(shape)
+        self._fill(terms, p, t)
+        return int(np.count_nonzero(np.less_equal(p, self.p_cov, out=m)))
+
+    def block(self, terms, keep):
+        """([sum of h^-s per s], count) over the cells in keep with
+        P <= p_cov."""
+        p, t, m, e = self._buffers(keep.shape)
+        self._fill(terms, p, t)
+        np.less_equal(p, self.p_cov, out=m)
+        m &= keep
+        n = int(np.count_nonzero(m))
+        if not n:
+            return [0.0] * len(self.scales), 0
+        logs = t.reshape(-1)[:n]  # the term temporary is free again
+        np.compress(m.reshape(-1), p.reshape(-1), out=logs)
+        np.log(logs, out=logs)
+        e = e[:n]
+        sums = []
+        for scale in self.scales:
+            np.multiply(logs, scale, out=e)
+            sums.append(float(np.sum(np.exp(e, out=e))))
+        return sums, n
 
     def total(self, blocks):
         """(sums, h_cov, count) of (weight, block result) pairs."""
@@ -326,19 +409,27 @@ def _primes_upto(n: int):
     return primes
 
 
-def _coprime_block(g: int, lo: int, nrows: int, ncols: int, col: int = 1):
+def _coprime_block(g: int, lo: int, nrows: int, ncols: int, col: int = 1,
+                   primes=None):
     """Mask of the cells (lo + i, col + j), 0 <= i < nrows, 0 <= j < ncols,
     with gcd(g, lo + i, col + j) = 1; g = 0 means no third number.
 
     Every prime p of g (every prime <= col + ncols - 1 for g = 0) strikes
     out the columns divisible by p in the rows divisible by p; a prime that
-    divides no row costs one vectorized remainder, not a strike.
+    divides no row costs one vectorized remainder, not a strike. For g = 0,
+    primes may hold the primes up to some larger bound, in order, sieved
+    once by a caller for all its blocks; they are cut at the last column.
     """
     if g < 0:
         raise ValueError(f"coprimality needs g >= 0, got {g}")
     keep = np.ones((nrows, ncols), dtype=bool)
-    primes = (np.fromiter(_factorize(g), dtype=np.int64) if g
-              else _primes_upto(col + ncols - 1))
+    if g:
+        primes = np.fromiter(_factorize(g), dtype=np.int64)
+    else:
+        last = col + ncols - 1
+        if primes is None:
+            primes = _primes_upto(last)
+        primes = primes[:np.searchsorted(primes, last, side="right")]
     first = -lo % primes  # the first row divisible by each prime
     hit = first < nrows
     for p, i in zip(primes[hit].tolist(), first[hit].tolist()):
@@ -371,6 +462,8 @@ def _enumerate_relations(rows, w, box, hdata, threads, batch, start):
     row = col - 1                      # its row coordinate; -1 for none
     terms, limit = hdata if hdata else (None, None)
     vec = np.arange(1, box + 1, dtype=np.int64)
+    # only unsolved blocks with no prefix (rows x_1, g = 0) need every prime
+    primes = _primes_upto(box) if row == 0 and not solving else None
     run = max(1, BLOCK_CELLS * (1 if solving or hdata else 8) // box)  # rows
     arrayed = [r for c in range(max(row, 0), w) for r in checks.get(c, [])]
     side = max((sum(abs(a) for _, a in r if (a > 0) == sign)
@@ -416,7 +509,7 @@ def _enumerate_relations(rows, w, box, hdata, threads, batch, start):
 
     def unsolved(prefix, g, lo, hi):
         """The block of rows [lo, hi) by x_w."""
-        keep = _coprime_block(g, lo, hi - lo, box)
+        keep = _coprime_block(g, lo, hi - lo, box, primes=primes)
         rv = vec[lo - 1:hi - 1]
         ok = row_ok(prefix, rv)
         if not ok.all():
@@ -517,22 +610,10 @@ def _two_var_powers(a):
     return (q // g1, 0), (0, q // g2), (a[0] // g1, a[1] // g2)
 
 
-def _pair_coords(v1, v2, powers):
-    """Coordinates w1^a w2^b, one (a, b) per coordinate, over the grid v1 x v2."""
-    coords = []
-    for a, b in powers:
-        if a and b:
-            coords.append((v1 ** a)[:, None] * (v2 ** b)[None, :])
-        elif a:
-            coords.append((v1 ** a)[:, None])
-        else:
-            coords.append((v2 ** b)[None, :])
-    return coords
-
-
 def _pair_grid(w1max, w2max, reduce, threads, width=None, upper=False):
-    """[reduce(v1, v2, coprime mask) per block] over [1, w1max] x [1, w2max],
-    in row order.
+    """[reduce(rows, cols, coprime mask) per block] over [1, w1max] x
+    [1, w2max], in row order; rows and cols are slices of the block's w1 and
+    w2 values in 0-based arrays of 1..w1max and 1..w2max.
 
     The rows go in fixed chunks of GRID_ROWS, one task each, and a chunk
     runs top to bottom in blocks of BLOCK_ROWS rows. width(lo), when given,
@@ -540,8 +621,9 @@ def _pair_grid(w1max, w2max, reduce, threads, width=None, upper=False):
     needs. With upper, a block holds only the cells with w2 > w1: its
     columns start right of its first row, and its mask drops the cells
     on or left of the diagonal. A chunk that needs no column has no blocks.
+    The primes of the coprimality masks are sieved once, up to w2max.
     """
-    v2 = np.arange(1, w2max + 1, dtype=np.int64)
+    primes = _primes_upto(w2max)
 
     def chunk(lo):
         hi = min(lo + GRID_ROWS - 1, w1max)
@@ -551,12 +633,13 @@ def _pair_grid(w1max, w2max, reduce, threads, width=None, upper=False):
             col = top + 1 if upper else 1
             if col > ncols:
                 break
-            v1 = np.arange(top, min(top + BLOCK_ROWS - 1, hi) + 1, dtype=np.int64)
-            cols = v2[col - 1:ncols]
-            keep = _coprime_block(0, top, len(v1), len(cols), col)
-            if upper:  # only the first len(v1) columns reach the diagonal
-                keep[:, :len(v1)] &= v1[:, None] < cols[None, :len(v1)]
-            parts.append(reduce(v1, cols, keep))
+            nrows = min(BLOCK_ROWS, hi - top + 1)
+            keep = _coprime_block(0, top, nrows, ncols - col + 1, col, primes)
+            if upper:  # cell (i, j) has w2 - w1 = j + 1 - i: drop j < i
+                near = min(nrows, ncols - col + 1)
+                keep[:, :near] &= ~np.tri(nrows, near, -1, dtype=bool)
+            parts.append(reduce(slice(top - 1, top - 1 + nrows),
+                                slice(col - 1, ncols), keep))
         return parts
 
     chunks = _chunk_map(chunk, range(1, w1max + 1, GRID_ROWS), threads)
@@ -589,14 +672,19 @@ def count_points_hypersurface(a, poly: Optional[GeneralizedPolynomial], t,
 
 
 def _count_two_var(a, box, hdata, threads) -> int:
+    """Coprime (w1, w2) on the pair grid, with the height's integer terms
+    pulled back to (w1, w2) for the exact mask."""
     powers = _two_var_powers(a)
     w1max, w2max = _iroot(box, powers[0][0]), _iroot(box, powers[1][1])
-    peaks = [w1max ** p * w2max ** q for p, q in powers]
+    v1 = np.arange(1, w1max + 1, dtype=np.int64)
+    v2 = np.arange(1, w2max + 1, dtype=np.int64)
+    if hdata:
+        terms, limit = _pull_back(hdata[0], powers), hdata[1]
 
-    def reduce(v1, v2, cop):
+    def reduce(rows, cols, cop):
         if hdata:
-            cop &= _height_mask(*hdata, peaks, lambda dtype: _pair_coords(
-                v1.astype(dtype), v2.astype(dtype), powers))
+            cop &= _height_mask(terms, limit, (w1max, w2max), lambda dtype: (
+                v1[rows, None].astype(dtype), v2[None, cols].astype(dtype)))
         return int(np.count_nonzero(cop))
     return sum(_pair_grid(w1max, w2max, reduce, threads))
 
@@ -903,8 +991,9 @@ def _swap_symmetric(powers, poly, height_mode) -> bool:
 
 
 def _zeta_pair_grid(powers, poly, s_list, term_budget, height_mode, threads):
-    """Float heights over the coprime grid w1, w2 <= sqrt(term_budget),
-    summed over the covered ball only, in blocks of BLOCK_ROWS rows.
+    """The zeta sums over the coprime grid w1, w2 <= sqrt(term_budget), on
+    the covered ball only, in blocks of BLOCK_ROWS rows; P = h^d is pulled
+    back to (w1, w2) (`_pull_back`), one row and one column vector per term.
 
     The ball of height h lies in the grid while every coordinate w_i^(q_i)
     <= h / kappa^(1/d) (sup norm: kappa = 1) keeps w_i <= wmax.
@@ -912,9 +1001,9 @@ def _zeta_pair_grid(powers, poly, s_list, term_budget, height_mode, threads):
     The column bound is exact. The coefficients are positive and the
     exponents of the coordinates w1^a w2^b are >= 0, so the height never
     decreases along a row or a column; neighbouring cells differ by far
-    more than float rounding, so the float heights do not decrease either.
-    A chunk therefore needs only the columns whose height at its first row
-    is at most h_cov: right of them no cell of any of its rows passes.
+    more than float rounding, so the float P does not decrease either. A
+    chunk therefore needs only the columns whose P at its first row is at
+    most h_cov^d: right of them no cell of any of its rows passes.
 
     When the height is swap-symmetric (`_swap_symmetric`), only the cells
     with w2 > w1 are scanned; they count twice, and (1, 1), the one coprime
@@ -926,39 +1015,50 @@ def _zeta_pair_grid(powers, poly, s_list, term_budget, height_mode, threads):
     zc = _ZetaCollector(poly if polynomial else None, s_list,
                         (_kappa_root(poly) if polynomial else 1.0) * edge * (1 - 1e-9))
     symmetric = _swap_symmetric(powers, poly, height_mode)
+    w = np.arange(1, wmax + 1, dtype=np.float64)
+    # per term c w1^alpha w2^beta, over all of 1..wmax: (True, c w1^alpha)
+    # for the rows and (False, w2^beta) for the columns, c w2^beta when
+    # alpha = 0; a factor with a zero exponent is left out
+    vectors = []
+    for c, (alpha, beta) in _pull_back(zc.monomials(len(powers)), powers):
+        parts = [(True, float(c) * w ** float(alpha))] if alpha else []
+        if beta:
+            parts.append((False, w ** float(beta) if alpha else float(c) * w ** float(beta)))
+        vectors.append(parts)
 
-    def coords(v1, v2):
-        return _pair_coords(v1.astype(np.float64), v2.astype(np.float64), powers)
+    def terms(rows, cols):
+        return [[v[rows, None] if on_rows else v[None, cols] for on_rows, v in parts]
+                for parts in vectors]
 
     def width(lo):
-        first = zc.heights(coords(np.array([lo]), np.arange(1, wmax + 1)))
-        return int(np.count_nonzero(first <= zc.h_cov))
+        return zc.covered(terms(slice(lo - 1, lo), slice(0, wmax)), (1, wmax))
 
-    def reduce(v1, v2, cop):
-        return zc.block(zc.heights(coords(v1, v2)), cop)
+    def reduce(rows, cols, cop):
+        return zc.block(terms(rows, cols), cop)
 
     weight = 2 if symmetric else 1
     blocks = [(weight, part) for part in
               _pair_grid(wmax, wmax, reduce, threads, width, upper=symmetric)]
     if symmetric:
-        one = np.ones(1, dtype=np.int64)
-        blocks.append((1, reduce(one, one, np.ones((1, 1), dtype=bool))))
+        blocks.append((1, reduce(slice(0, 1), slice(0, 1), np.ones((1, 1), dtype=bool))))
     return zc.total(blocks)
 
 
 def _zeta_relations(problem, poly, s_list, term_budget, height_mode, threads):
-    """Float heights of the relation enumerator's points in a box of side
-    term_budget^(1/width), summed over the covered ball only. Each block
-    goes straight to the zeta collector, so the sums' bits depend on how
-    BLOCK_CELLS cuts the rows into blocks."""
+    """The zeta sums over the relation enumerator's points in a box of side
+    term_budget^(1/width), on the covered ball only. Each block goes
+    straight to the zeta collector, so the sums' bits depend on how
+    BLOCK_CELLS cuts the rows into blocks. The covered height is (box + 1)
+    (1 - 1e-9) times kappa^(1/d), kappa = 1 for the sup norm, as on the
+    pair grid."""
     w = problem.width
     box = max(2, int(term_budget ** (1.0 / w)))
     polynomial = height_mode == "polynomial"
-    h_cov = _kappa_root(poly) * (box + 1) * (1 - 1e-9) if polynomial else float(box)
-    zc = _ZetaCollector(poly if polynomial else None, s_list, h_cov)
+    zc = _ZetaCollector(poly if polynomial else None, s_list,
+                        (_kappa_root(poly) if polynomial else 1.0) * (box + 1) * (1 - 1e-9))
 
     def batch(prefix, coords, keep):
-        return [(1, zc.block(zc.heights(prefix + coords), keep))]
+        return [(1, zc.block(zc.terms_at(prefix + coords), keep))]
 
     return zc.total(_enumerate_relations(problem.rows, w, box, None, threads,
                                          batch, list))

@@ -93,11 +93,11 @@ class GeneralizedPolynomial:
         mono = tuple(sorted(((c, e) for e, c in merged.items()), key=lambda t: t[1]))
         return GeneralizedPolynomial(monomials=mono, nvars=width)
 
-    @property
+    @functools.cached_property
     def degree(self) -> Fraction:
         return max(sum(e) for _, e in self.monomials)
 
-    @property
+    @functools.cached_property
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for _, e in self.monomials}
         return len(degs) == 1

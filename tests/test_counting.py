@@ -422,22 +422,26 @@ def relation_blocks(rows, width, box):
 def check_relation_zeta(prob, poly, samples, box):
     """Relation-path zeta samples (poly None: the sup norm) against two
     oracles over the brute-force points in [1, box]^width: bit for bit, the
-    fsum of per-block np.sum(h ** -s) over the enumerator's blocks, each
-    block's float heights evaluated in order; within 1e-13, the fsum of
-    h ** -s over Python float heights, with the same covered count."""
+    fsum over the enumerator's blocks of np.sum(exp(-s/d log P)), with
+    P = h^d evaluated per point in coordinate order and the cells with
+    P <= h_cov^d kept in order; within 1e-13, the fsum of h ** -s over
+    Python float heights, with the same covered count."""
     w, sign = prob.width, sign_count(prob).value
     s_list, h_cov = [x.s for x in samples], samples[0].covered_height
-    parts = []
+    d = 1.0 if poly is None else float(poly.degree)
+    p_cov = h_cov ** d
+    parts = []  # log P of each block's kept cells
     for pts in relation_blocks(prob.rows, w, box):
         coords = [np.array(x, dtype=np.float64) for x in zip(*pts)]
-        hval = (np.maximum.reduce(coords) if poly is None
-                else full_width_heights(poly, coords))
-        parts.append(hval[hval <= h_cov])
+        pval = (np.maximum.reduce(coords) if poly is None
+                else height_powers(poly, coords))
+        parts.append(np.log(pval[pval <= p_cov]))
     height = ((lambda m: float(max(m))) if poly is None
               else (lambda m: poly.eval_float(m) ** (1 / float(poly.degree))))
     kept = [h for h in map(height, relation_points(prob.rows, w, box)) if h <= h_cov]
     for sample in samples:
-        blockwise = math.fsum(float(np.sum(h ** (-sample.s))) for h in parts)
+        blockwise = math.fsum(float(np.sum(np.exp(-sample.s / d * logs)))
+                              for logs in parts)
         assert sample.partial == sign * blockwise
         exact = math.fsum(h ** (-sample.s) for h in kept)
         assert abs(sample.partial - sign * exact) <= 1e-13 * exact
@@ -546,8 +550,9 @@ class TestKernels:
         assert got == brute_count([row], 4, 12, lambda m: max(m) <= 12, sign) == 364
 
 
-def full_width_heights(poly, coords):
-    """Float heights from a zero total, every coefficient multiplied in."""
+def height_powers(poly, coords):
+    """P = h^d at float coordinates: each term is the coefficient times
+    x ** e per coordinate, left to right, and the terms add up in order."""
     total = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in coords)))
     for c, e in poly.monomials:
         term = float(c)
@@ -555,7 +560,14 @@ def full_width_heights(poly, coords):
             if ek:
                 term = term * x ** float(ek)
         total += term
-    return total ** (1.0 / float(poly.degree))
+    return total
+
+
+def pair_coords(v1, v2, powers):
+    """The coordinates w1^a w2^b, one (a, b) per coordinate, over v1 x v2."""
+    w1 = v1.astype(np.float64)[:, None]
+    w2 = v2.astype(np.float64)[None, :]
+    return [w1 ** a * w2 ** b for a, b in powers]
 
 
 def grid_setup(powers, poly, term_budget, height_mode):
@@ -568,34 +580,70 @@ def grid_setup(powers, poly, term_budget, height_mode):
     h_cov = kappa ** (1 / d) * edge * (1 - 1e-9)
 
     def heights(v1, v2):
-        coords = counting._pair_coords(v1.astype(np.float64), v2.astype(np.float64), powers)
+        coords = pair_coords(v1, v2, powers)
         if height_mode == "polynomial":
-            return full_width_heights(poly, coords)
+            return height_powers(poly, coords) ** (1.0 / d)
         return functools.reduce(np.maximum, coords)
     return wmax, h_cov, heights
+
+
+def pulled_back_powers(powers, poly, height_mode):
+    """(d, P(v1, v2)): P = h^d on the pair grid as the zeta collector pulls
+    it back to (w1, w2). A term c x^e, with x_i = w1^a_i w2^b_i, becomes
+    c w1^alpha w2^beta with alpha = sum e_i a_i and beta = sum e_i b_i,
+    evaluated as (c * w1 ** alpha) * w2 ** beta with a zero exponent's power
+    left out; the terms add up in order. The sup norm (d = 1) takes the max
+    of the coordinates, each a term with coefficient 1."""
+    n = len(powers)
+    if height_mode == "polynomial":
+        d, terms, combine = float(poly.degree), poly.monomials, np.add
+    else:
+        d, combine = 1.0, np.maximum
+        terms = [(1, tuple(int(i == j) for j in range(n))) for i in range(n)]
+
+    def pval(v1, v2):
+        w1 = v1.astype(np.float64)[:, None]
+        w2 = v2.astype(np.float64)[None, :]
+        total = None
+        for c, e in terms:
+            alpha = sum(x * a for x, (a, _) in zip(e, powers))
+            beta = sum(x * b for x, (_, b) in zip(e, powers))
+            term = float(c)
+            if alpha:
+                term = term * w1 ** float(alpha)
+            if beta:
+                term = term * w2 ** float(beta)
+            total = term if total is None else combine(total, term)
+        return np.broadcast_to(total, (len(v1), len(v2)))
+    return d, pval
 
 
 def full_width_zeta(powers, poly, s_list, term_budget, height_mode, symmetric):
     """The pair-grid zeta sums with every cell of every BLOCK_ROWS block
     evaluated at full width and masked: the oracle of _zeta_pair_grid's
-    bits. On a swap-symmetric height the block sums over w2 > w1 count
-    twice and the (1, 1) cell once; the sums are the fsum of all of them."""
-    wmax, h_cov, heights = grid_setup(powers, poly, term_budget, height_mode)
+    bits. A block's sum is np.sum(exp(-s/d log P)) over its coprime cells
+    with P <= h_cov^d, in row order. On a swap-symmetric height the block
+    sums over w2 > w1 count twice and the (1, 1) cell once; the sums are
+    the fsum of all of them."""
+    wmax, h_cov, _ = grid_setup(powers, poly, term_budget, height_mode)
+    d, pval = pulled_back_powers(powers, poly, height_mode)
+    p_cov = h_cov ** d
     v2 = np.arange(1, wmax + 1, dtype=np.int64)
-    parts = []  # (weight, mask, heights) per block
+    parts = []  # (weight, mask, P) per block
     for top in range(1, wmax + 1, counting.BLOCK_ROWS):
         v1 = np.arange(top, min(top + counting.BLOCK_ROWS - 1, wmax) + 1, dtype=np.int64)
-        hval = heights(v1, v2)
-        mask = counting._coprime_block(0, top, len(v1), wmax) & (hval <= h_cov)
+        p = pval(v1, v2)
+        mask = counting._coprime_block(0, top, len(v1), wmax) & (p <= p_cov)
         if not symmetric:
-            parts.append((1, mask, hval))
+            parts.append((1, mask, p))
             continue
-        parts.append((2, mask & (v1[:, None] < v2[None, :]), hval))
+        parts.append((2, mask & (v1[:, None] < v2[None, :]), p))
         if top == 1:
             diag = np.zeros_like(mask)
             diag[0, 0] = mask[0, 0]
-            parts.append((1, diag, hval))
-    sums = [math.fsum(k * float(np.sum(hval[mask] ** (-s))) for k, mask, hval in parts)
+            parts.append((1, diag, p))
+    sums = [math.fsum(k * float(np.sum(np.exp(-s / d * np.log(p[mask]))))
+                      for k, mask, p in parts)
             for s in s_list]
     return sums, h_cov, sum(k * int(np.count_nonzero(mask)) for k, mask, _ in parts)
 
@@ -651,3 +699,46 @@ class TestZetaGridBits:
             assert n_cov == n_exact
             for got, want in zip(sums, exact):
                 assert abs(got - want) <= 1e-13 * want
+
+
+class TestZetaCollectorBuffers:
+    """Each collector reduces its blocks in per-thread buffers that it
+    reuses from block to block: reducing the blocks of several collectors
+    in turn on one thread gives each block the result it had alone."""
+
+    RUNS = {
+        "P1-squares": lambda: counting._zeta_pair_grid(
+            ((1, 0), (0, 1)), parse_polynomial("X1^2+X2^2"), [2.5, 2.2], 300 ** 2,
+            "polynomial", 1),
+        "(1,2)-mixed": lambda: counting._zeta_pair_grid(
+            counting._two_var_powers((1, 2)), parse_polynomial("X1^2+2*X2^2+X3^2+X1*X3"),
+            [1.5, 1.2], 300 ** 2, "polynomial", 1),
+        # the torus of P^2: one block of 40 x 40 cells per x_1
+        "relations": lambda: counting._zeta_relations(
+            validate_toric_matrix([], width=3), SQUARES, [3.5, 3.2], 40 ** 3,
+            "polynomial", 1),
+    }
+
+    def test_interleaved_equals_alone(self, monkeypatch):
+        block = counting._ZetaCollector.block
+        calls = {}  # run -> [(collector, terms, keep, result alone)]
+        for name, run in self.RUNS.items():
+            log = calls[name] = []
+
+            def recording(zc, terms, keep, log=log):
+                result = block(zc, terms, keep)
+                log.append((zc, terms, keep.copy(), result))
+                return result
+            monkeypatch.setattr(counting._ZetaCollector, "block", recording)
+            run()
+        monkeypatch.undo()
+        assert all(len(log) > 3 for log in calls.values())
+        # fresh collectors, so that their buffers grow while they interleave
+        fresh = {name: counting._ZetaCollector(log[0][0].poly, log[0][0].s_list,
+                                               log[0][0].h_cov)
+                 for name, log in calls.items()}
+        for step in itertools.zip_longest(*calls.values()):
+            for name, call in zip(calls, step):
+                if call is not None:
+                    _, terms, keep, alone = call
+                    assert block(fresh[name], terms, keep) == alone, name
