@@ -233,21 +233,13 @@ def _mpf_str(x) -> str:
 
 
 def cmd_count(args) -> int:
-    problem, hyper, poly = _resolve_problem(args)
+    problem, _, poly = _resolve_problem(args)
     mode = "sup" if args.sup_norm else "polynomial"
     if mode == "polynomial" and poly is None:
         raise InputError("count needs --polynomial unless --sup-norm")
     ts = [frac(x) for x in args.t.split(",")]
-    results = []
-    for t in ts:
-        if hyper is not None:
-            r = counting.count_points_hypersurface(hyper, poly, t, mode,
-                                                   budget=args.budget,
-                                                   threads=args.threads)
-        else:
-            r = counting.count_points(problem, poly, t, mode,
-                                      budget=args.budget, threads=args.threads)
-        results.append(r)
+    results = [counting.count_points(problem, poly, t, mode, budget=args.budget,
+                                     threads=args.threads) for t in ts]
     if args.csv:
         _write_counts_csv(args.csv, results, None)
     emit({"schema": SCHEMA, "command": "count", "mode": mode,
@@ -321,15 +313,9 @@ def cmd_verify(args) -> int:
         extra = {"iota": iota, "rho": rho, "leading_constant": constant}
 
     t = frac(args.t)
-    ts = [t / 16, t / 4, t]
-    results = []
-    for tv in ts:
-        if hyper is not None:
-            results.append(counting.count_points_hypersurface(
-                hyper, poly, tv, mode, budget=args.budget, threads=args.threads))
-        else:
-            results.append(counting.count_points(
-                problem, poly, tv, mode, budget=args.budget, threads=args.threads))
+    results = [counting.count_points(problem, poly, tv, mode, budget=args.budget,
+                                     threads=args.threads)
+               for tv in (t / 16, t / 4, t)]
     density = counting.asymptotic_report(results, constant, iota, rho)
     within = density.final_deviation <= args.band
     checks.append({"name": f"density-ratio-within-{args.band}",

@@ -12,9 +12,20 @@ primitive solutions of the monomial relations:
   monomial coordinate map; it serves the torus of P^1 and the two-variable
   hypersurfaces;
 - the valuation solve (`_count_prefix_solve`) serves counts on
-  hypersurfaces with n >= 3: x_(n-1) is an array, and x_n runs over
-  base * j^step, where base is the least value that makes every prime's
-  valuation of the product a multiple of q.
+  hypersurfaces with n >= 3. Its blocks are x_(n-2) by x_(n-1), and per
+  cell x_n runs over base * j^step, where base is the least value that
+  makes every prime's valuation of the product a multiple of q; the rows
+  of a block that share a prime and its valuation's residue mod q take
+  one column-vector correction of the base.
+
+`count_points` chooses the engine from the shape of the relations: one
+row (a_1, ..., a_n, -q) with every a_i > 0, or its negative, is the
+hypersurface x_1^a1 ... x_n^an = x_(n+1)^q and goes to the pair grid
+(n = 2) or the valuation solve, however it was spelled; every other problem
+goes to the relation enumerator. The zeta sums do not follow it: only the
+P^1 torus and problems given as two-variable hypersurfaces take the pair
+grid there (`zeta_partial`), since the grid's side of budget^(1/2) covers
+other points than the relation enumerator's box of budget^(1/width).
 
 Two reductions consume their points: an exact count, with heights compared
 as scaled integers (`_height_mask`), and a zeta collector (`_ZetaCollector`)
@@ -88,7 +99,8 @@ GRID_ROWS = 256
 BLOCK_ROWS = 16
 # cells per block of the relation enumerator, which bound its memory and set
 # the bits of its zeta sums: a block of int64 products holds this many, one
-# with neither a height mask nor a solved coordinate eight times as many
+# with neither a height mask nor a solved coordinate eight times as many, as
+# does a block of the valuation solve
 BLOCK_CELLS = 1 << 15
 
 
@@ -340,25 +352,49 @@ def count_points(problem: ToricProblem, poly: Optional[GeneralizedPolynomial],
 
     The count is the sign factor times the number of positive primitive
     integer solutions of the monomial relations inside the height ball.
+    The shape of the relations picks the engine: a hypersurface
+    x_1^a1 ... x_n^an = x_(n+1)^q goes to the pair grid (n = 2) or to the
+    valuation solve (n >= 3), any other problem to the relation
+    enumerator. Each engine refuses with BoxTooLarge when its own estimate
+    of the work exceeds budget.
     """
     w = problem.width
     t, box, hdata = _count_setup(poly, t, w, height_mode)
-    rows = problem.rows
-    solving = [r for r in rows if r[w - 1] != 0]
-    est = box ** (w - 1) if solving else box ** w
+    a = _hypersurface_exponents(problem)
+    started = time.monotonic()
+    if a is None:
+        total = _count_relations(problem.rows, w, box, hdata, budget, threads)
+    elif len(a) == 2:
+        total = _count_two_var(a, box, hdata, budget, threads)
+    else:
+        total = _count_prefix_solve(a, box, hdata, budget, threads)
+    return CountResult(t=t, count=sign_count(problem).value * total, box=(box,) * w,
+                       mode=height_mode, elapsed=time.monotonic() - started)
+
+
+def _hypersurface_exponents(problem: ToricProblem):
+    """(a_1, ..., a_n) when the relations are the one row (a_1, ..., a_n, -q)
+    of x_1^a1 ... x_n^an = x_(n+1)^q with n >= 2 and every a_i > 0, or its
+    negative (q = sum a_i, as every row sums to zero); else None."""
+    if len(problem.rows) != 1:
+        return None
+    row = problem.rows[0]
+    a = tuple(-x for x in row[:-1]) if row[-1] > 0 else row[:-1]
+    return a if len(a) >= 2 and min(a) > 0 else None
+
+
+def _count_relations(rows, w, box, hdata, budget, threads) -> int:
+    """The relation enumerator's number of points, after its estimate of
+    the work: box^(w-1) cells when x_w is solved, else box^w, and a factor
+    box less for every relation that ends before x_w."""
+    est = box ** (w - 1) if any(r[w - 1] for r in rows) else box ** w
     for r in rows:
-        last = max(j for j in range(w) if r[j] != 0)
-        if last < w - 1:
+        if not r[w - 1]:
             est = max(est // box, 1)
     if est > budget:
         raise BoxTooLarge(f"estimated {est:.3g} operations exceed budget {budget:.3g}")
-
-    csign = sign_count(problem).value
-    started = time.monotonic()
-    total = _enumerate_relations(rows, w, box, hdata, threads,
-                                 lambda p, c, keep: int(np.count_nonzero(keep)), int)
-    return CountResult(t=t, count=csign * total, box=(box,) * w, mode=height_mode,
-                       elapsed=time.monotonic() - started)
+    return _enumerate_relations(rows, w, box, hdata, threads,
+                                lambda p, c, keep: int(np.count_nonzero(keep)), int)
 
 
 def _monomial_sides(pairs, values, one=1):
@@ -650,32 +686,17 @@ def count_points_hypersurface(a, poly: Optional[GeneralizedPolynomial], t,
                               height_mode: str = "polynomial",
                               budget: int = DEFAULT_BUDGET,
                               threads: Optional[int] = None) -> CountResult:
-    """Fast path for x_1^a1 ... x_n^an = x_(n+1)^q; agrees with count_points.
-
-    For n = 2 the primitive solutions are exactly (w1^q1, w2^q2) with
-    coprime w's, so the scan is a small coprimality grid. Larger n walks
-    prefixes and solves the final coordinate through prime valuations.
-    """
-    a = tuple(int(x) for x in a)
-    problem = hypersurface_problem(a)
-    n = len(a)
-    w = n + 1
-    t, box, hdata = _count_setup(poly, t, w, height_mode)
-    csign = sign_count(problem).value
-    started = time.monotonic()
-    if n == 2:
-        total = _count_two_var(a, box, hdata, threads)
-    else:
-        total = _count_prefix_solve(a, box, hdata, budget)
-    return CountResult(t=t, count=csign * total, box=(box,) * w, mode=height_mode,
-                       elapsed=time.monotonic() - started)
+    """count_points on x_1^a1 ... x_n^an = x_(n+1)^q, q = sum a_i."""
+    return count_points(hypersurface_problem(a), poly, t, height_mode, budget, threads)
 
 
-def _count_two_var(a, box, hdata, threads) -> int:
+def _count_two_var(a, box, hdata, budget, threads) -> int:
     """Coprime (w1, w2) on the pair grid, with the height's integer terms
     pulled back to (w1, w2) for the exact mask."""
     powers = _two_var_powers(a)
     w1max, w2max = _iroot(box, powers[0][0]), _iroot(box, powers[1][1])
+    if w1max * w2max > budget:
+        raise BoxTooLarge(f"pair grid {w1max} x {w2max} exceeds budget {budget:.3g}")
     v1 = np.arange(1, w1max + 1, dtype=np.int64)
     v2 = np.arange(1, w2max + 1, dtype=np.int64)
     if hdata:
@@ -689,16 +710,24 @@ def _count_two_var(a, box, hdata, threads) -> int:
     return sum(_pair_grid(w1max, w2max, reduce, threads))
 
 
-def _count_prefix_solve(a, box, hdata, budget) -> int:
-    """x_1^a1 ... x_n^an = x_(n+1)^q for n >= 3, solved through valuations.
+def _count_prefix_solve(a, box, hdata, budget, threads) -> int:
+    """x_1^a1 ... x_n^an = x_(n+1)^q for n >= 3, solved through valuations
+    in 2-D blocks: m_(n-2) rows by m_(n-1) columns, m_n solved per cell.
 
-    Python walks m_1..m_(n-2) and m_(n-1) is an array. The product is a
-    q-th power iff m_n = base * j^step for a j >= 1, where base is the
-    least m_n that makes every prime's valuation a multiple of q. The base
-    of each m_(n-1) on its own comes once from a smallest-prime-factor
-    sieve; a prefix corrects it at the prefix's primes. Bases saturate at
-    box + 1, which stands for no solution. The root is checked exactly on
-    arrays, in int64 while (box + 1)^q fits and on Python ints otherwise.
+    Python walks m_1..m_(n-3), then the blocks of rows. The product is a
+    q-th power iff m_n = base * j^step for a j >= 1, where base is the least
+    m_n that makes every prime's valuation a multiple of q. Each prime's
+    factor of the base depends only on its valuation mod q, so one table
+    per prime gives the base of every column value m alone (`own`). A
+    row's valuations, with the prefix's, change it at the primes p whose
+    valuation is no multiple of q: the rows of a block that share p and
+    that valuation's residue r divide p out of m before `own` is read and
+    then take one column vector of p's factors for r. Bases saturate at
+    box + 1, which stands for no solution. Once per block follow the j per
+    cell, the gcd mask, the exact q-th root check (a float root confirmed
+    in int64 while (box + 1)^q fits, else an integer root of Python ints)
+    and the height mask. A block holds about 8 BLOCK_CELLS cells; the
+    chunks of CHUNK m_1 values are a fixed partition over the threads.
     """
     n = len(a)
     q = sum(a)
@@ -714,57 +743,77 @@ def _count_prefix_solve(a, box, hdata, budget) -> int:
     dtype = np.int64 if cap ** q < 2 ** 63 else object
     vec = np.arange(1, box + 1, dtype=np.int64)
     jpow = np.array([j ** step for j in range(1, _iroot(box, step) + 1)], dtype=np.int64)
+    run = max(1, BLOCK_CELLS * 8 // box)  # rows per block
 
-    def least_exponent(v):
-        """The least e >= 0 with v + a_n e = 0 mod q per valuation v, or -1
-        where there is none."""
-        r = -v % q
-        return np.where(r % g_last == 0, r // g_last * inv % step, -1)
+    def factor(p, s):
+        """min(p^e, cap) for the least e >= 0 with s + a_n e = 0 mod q, and
+        cap where there is none: p's factor of the base when the other
+        coordinates give p the valuation s."""
+        r = -s % q
+        return cap if r % g_last else min(p ** (r // g_last * inv % step), cap)
 
-    def power(p, e):
-        """min(p^e, cap) elementwise, and cap where e = -1."""
-        out = np.ones(np.shape(e), dtype=np.int64)
-        for i in range(step - 1):
-            out = np.where(i < e, np.minimum(out * p, cap), out)
-        return np.where(e < 0, cap, out)
-
-    # own[m - 1]: the base of m_(n-1) = m alone, from the smallest prime
-    # factors: each pass divides out one prime of every m
-    spf = _smallest_prime_factors(box)
+    # per prime p: over the multiples p, 2p, ... <= box of p, p^v_p(m) and
+    # a_(n-1) v_p(m) mod q; p's factor of the base per residue mod q
+    tables = {}
+    for p in _primes_upto(box).tolist():
+        v = np.ones(box // p, dtype=np.int64)
+        k = p
+        while k * p <= box:  # m = p k' is divisible by p k iff k divides k'
+            v[k - 1::k] += 1
+            k *= p
+        tables[p] = p ** v, a[-2] * v % q, np.array([factor(p, s) for s in range(q)])
+    # own[m - 1]: the base of m_(n-1) = m alone
     own = np.ones(box, dtype=np.int64)
-    rest = vec
-    while (rest > 1).any():
-        p = spf[rest]
-        v = np.zeros(box, dtype=np.int64)
-        while (d := (rest % p == 0) & (p > 1)).any():
-            rest = np.where(d, rest // p, rest)
-            v += d
-        own = np.minimum(own * power(p, least_exponent(a[-2] * v)), cap)
+    for p, (_, res, fac) in tables.items():
+        own[p - 1::p] = np.minimum(own[p - 1::p] * fac.take(res), cap)
 
-    def last_two(values, g, rval, rfac):
-        """Solutions after the prefix values with gcd g, product rval and
-        valuations rfac."""
-        rest, base = vec, np.ones(box, dtype=np.int64)
-        for p, vpre in rfac.items():
-            if vpre % q:  # else `own` already has p's exponent
-                v = np.zeros(box, dtype=np.int64)  # v_p(m)
-                pk = p
-                while pk <= box:
-                    v[pk - 1::pk] += 1
-                    pk *= p
-                rest = rest // p ** v
-                base = np.minimum(base * power(p, least_exponent(vpre + a[-2] * v)), cap)
-        base = np.minimum(base * own[rest - 1], cap)
+    def block(values, g, rval, rfac, lo, hi):
+        """Solutions with m_(n-2) in [lo, hi) after the prefix values with
+        gcd g, product rval and valuations rfac."""
+        rv = vec[lo - 1:hi - 1]
+        ncols = box
+        if hdata:  # no column past the first row's height floor passes
+            ncols = int(np.count_nonzero(_height_mask(
+                terms, limit, values + (lo, box, 1, 1),
+                lambda dt: values + (lo, vec.astype(dt), 1, 1))))
+        cv = vec[:ncols]
+        groups = {}  # (p, residue) -> the rows of the block
+        for i, m in enumerate(rv.tolist()):
+            vals = dict(rfac)
+            for p, v in _factorize(m).items():
+                vals[p] = vals.get(p, 0) + a[-3] * v
+            for p, v in vals.items():
+                if v % q:  # else `own` already has p's exponent
+                    groups.setdefault((p, v % q), []).append(i)
+        groups = {key: np.array(rows) for key, rows in groups.items()}
+        rest = np.broadcast_to(cv, (len(rv), ncols)).copy()
+        for (p, r), rows in groups.items():
+            rest[rows, p - 1::p] //= tables[p][0][:ncols // p]
+        rest -= 1
+        base = own.take(rest)
+        del rest
+        # min(product, cap) in any order: every factor is at least 1
+        for (p, r), rows in groups.items():
+            _, res, fac = tables[p]
+            fix = np.full(ncols, fac[r])  # off the multiples of p, v_p(m) = 0
+            fix[p - 1::p] = fac.take((res[:ncols // p] + r) % q)
+            base[rows] = np.minimum(base[rows] * fix, cap)
         if hdata:
-            base[~_height_mask(terms, limit, values + (box, 1, 1),
-                               lambda dt: values + (vec.astype(dt), 1, 1))] = cap
-        reps = np.searchsorted(jpow, box // base, side="right")  # the j per m
-        mi = np.repeat(vec, reps)
-        j = np.arange(len(mi)) - np.repeat(np.cumsum(reps) - reps, reps)
+            base[~_height_mask(terms, limit, values + (box, box, 1, 1),
+                               lambda dt: values + (rv[:, None].astype(dt),
+                                                    cv[None, :].astype(dt), 1, 1))] = cap
+        cell = np.flatnonzero(base <= box)
+        base = base.ravel().take(cell)
+        reps = np.searchsorted(jpow, box // base, side="right")  # the j per cell
+        j = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
         mn = np.repeat(base, reps) * jpow[j]
-        ok = np.gcd(np.gcd(mi, g), mn) == 1
-        mi, mn = mi[ok], mn[ok]
-        prod = rval * mi.astype(dtype) ** a[-2] * mn.astype(dtype) ** a[-1]
+        cell = np.repeat(cell, reps)
+        ri, ci = np.divmod(cell, ncols)
+        mr, mc = rv.take(ri), cv.take(ci)
+        ok = np.gcd(np.gcd(mr, g), np.gcd(mc, mn)) == 1
+        mr, mc, mn = mr[ok], mc[ok], mn[ok]
+        prod = (rval * mr.astype(dtype) ** a[-3] * mc.astype(dtype) ** a[-2]
+                * mn.astype(dtype) ** a[-1])
         if dtype is object:
             y = np.array([_iroot(x, q) for x in prod.tolist()], dtype=object)
         else:  # a float estimate, confirmed exactly below
@@ -774,17 +823,25 @@ def _count_prefix_solve(a, box, hdata, budget) -> int:
             raise InvariantError(f"valuation solve gave {mn[bad[0]]}, but the "
                                  f"product is no {q}-th power")
         if hdata is None:
-            return len(mi)
+            return len(mn)
         y = y.astype(np.int64)
         return int(np.count_nonzero(_height_mask(
-            terms, limit, values + (box,) * 3,
-            lambda dt: values + (mi.astype(dt), mn.astype(dt), y.astype(dt)))))
+            terms, limit, values + (box,) * 4,
+            lambda dt: values + (mr.astype(dt), mc.astype(dt), mn.astype(dt),
+                                 y.astype(dt)))))
 
-    def rec(idx, values, g, rval, rfac):
-        if idx == n - 2:
-            return last_two(values, g, rval, rfac)
+    def rec(idx, values, g, rval, rfac, lo, hi):
+        """m_(idx+1) over [lo, hi) after the prefix values."""
+        if idx == n - 3:
+            if hdata:  # the rows whose height floor passes come first
+                rv = vec[lo - 1:hi - 1]
+                hi = lo + int(np.count_nonzero(_height_mask(
+                    terms, limit, values + (box,) + (1,) * 3,
+                    lambda dt: values + (rv.astype(dt),) + (1,) * 3)))
+            return sum(block(values, g, rval, rfac, b, min(b + run, hi))
+                       for b in range(lo, hi, run))
         total = 0
-        for m in range(1, box + 1):
+        for m in range(lo, hi):
             if hdata is not None:
                 floor_pt = values + (m,) + (1,) * (n - idx)
                 if _eval_terms_int(terms, floor_pt) > limit:
@@ -792,10 +849,13 @@ def _count_prefix_solve(a, box, hdata, budget) -> int:
             nf = dict(rfac)
             for p, v in _factorize(m).items():
                 nf[p] = nf.get(p, 0) + a[idx] * v
-            total += rec(idx + 1, values + (m,), gcd(g, m), rval * m ** a[idx], nf)
+            total += rec(idx + 1, values + (m,), gcd(g, m), rval * m ** a[idx], nf, 1, box + 1)
         return total
 
-    return rec(0, (), 0, 1, {})
+    def chunk(lo):
+        return rec(0, (), 0, 1, {}, lo, min(lo + CHUNK, box + 1))
+
+    return sum(_chunk_map(chunk, range(1, box + 1, CHUNK), threads))
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,14 @@ from fractions import Fraction
 import mpmath as mp
 import scipy.integrate as si
 
-from toric_density import cli
+from toric_density import cli, counting
 from toric_density.counting import (count_points, count_points_hypersurface,
                                     manin_constant, zeta_partial)
 from toric_density.euler import euler_constant
 from toric_density.generators import generators_with_check
 from toric_density.model import (GeneralizedPolynomial, free_weight,
                                  hypersurface_problem, hypersurface_weight,
-                                 toric_weight, validate_toric_matrix)
+                                 sign_count, toric_weight, validate_toric_matrix)
 from toric_density.polyhedron import build_polyhedron, diagonal_face, iota_lp
 from toric_density.volumes import MixedTypeT, mixed_volume_constant, sargos_constant
 
@@ -256,6 +256,16 @@ class TestCriterion8ZetaProbe:
                + f"; final dev {devs[-1]:.3f}")
 
 
+def enumerator_count(problem, height, t, mode):
+    """count_points on the relation enumerator, whatever the shape of the
+    relations (count_points itself takes a hypersurface to its own engines)."""
+    w = problem.width
+    _, box, hdata = counting._count_setup(height, t, w, mode)
+    total = counting._count_relations(problem.rows, w, box, hdata,
+                                      counting.DEFAULT_BUDGET, None)
+    return sign_count(problem).value * total
+
+
 class TestCriterion9Differential:
     CASES = [((1, 1), 40, "sup"), ((1, 1), 25, "poly"), ((1, 2), 40, "sup"),
              ((2, 1), 40, "sup"), ((2, 2), 30, "poly"), ((1, 3), 50, "sup"),
@@ -277,8 +287,8 @@ class TestCriterion9Differential:
                      for i in range(n + 1)])
                 hmode = "polynomial"
             fast = count_points_hypersurface(a, height, t, hmode)
-            slow = count_points(hypersurface_problem(a), height, t, hmode)
-            if fast.count != slow.count:
+            slow = enumerator_count(hypersurface_problem(a), height, t, hmode)
+            if fast.count != slow:
                 mismatches += 1
         ok = mismatches == 0
         report("criterion-9a", ok,

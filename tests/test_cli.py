@@ -130,6 +130,31 @@ class TestCount:
         assert lines[1].startswith("5.0,38")
 
 
+    @pytest.mark.parametrize("height", [("--sup-norm", "--t", "950"),
+                                        ("--polynomial", "X1^2+X2^2+X3^2", "--t", "520")])
+    def test_matrix_equals_hypersurface(self, capsys, height):
+        # x1 x2 = x3^2 spelled as a matrix row runs on the hypersurface engine
+        reports = [run_cli(["count", *problem, *height], capsys)
+                   for problem in (("--matrix", "1,1,-2"), ("--hypersurface", "1,1"))]
+        assert reports[0][0] == reports[1][0] == 0
+        assert reports[0][1] == reports[1][1]
+
+    def test_budget_of_the_pair_grid(self, capsys):
+        # box^2 = 4e6 cells exceed the budget, the 44 x 44 pair grid does not;
+        # the primitive points are (w1^2, w2^2, w1 w2) with coprime w, two signs
+        t = 2000
+        code, out = run_cli(["count", "--matrix", "1,1,-2", "--sup-norm", "--t", str(t),
+                             "--budget", "1000000"], capsys)
+        m = math.isqrt(t)
+        mu = [1] * (m + 1)
+        for p in range(2, m + 1):
+            if all(p % d for d in range(2, p)):
+                for k in range(p, m + 1, p):
+                    mu[k] = 0 if k % (p * p) == 0 else -mu[k]
+        oracle = 2 * sum(mu[d] * (m // d) ** 2 for d in range(1, m + 1))
+        assert code == 0 and json.loads(out)["results"][0]["count"] == oracle
+
+
 class TestConstants:
     def test_sargos_only(self, capsys):
         code, out = run_cli(["constants", "--hypersurface", "1,1",

@@ -57,6 +57,17 @@ def brute_count(rows, width, t, height, sign):
     return sign * total
 
 
+def enumerator_count(problem, height, t, mode):
+    """count_points on the relation enumerator, whatever the shape of the
+    relations: the engine that count_points takes for problems that are no
+    hypersurface."""
+    w = problem.width
+    _, box, hdata = counting._count_setup(height, t, w, mode)
+    total = counting._count_relations(problem.rows, w, box, hdata,
+                                      counting.DEFAULT_BUDGET, None)
+    return sign_count(problem).value * total
+
+
 class TestCountExamples:
     def test_p1_torus_sup(self):
         prob = validate_toric_matrix([], width=2)
@@ -107,8 +118,8 @@ class TestDifferential:
             height = poly([(1, tuple(2 if j == i else 0 for j in range(n + 1)))
                            for i in range(n + 1)])
         fast = count_points_hypersurface(a, height, t, mode)
-        slow = count_points(hypersurface_problem(a), height, t, mode)
-        assert fast.count == slow.count
+        slow = enumerator_count(hypersurface_problem(a), height, t, mode)
+        assert fast.count == slow
 
     @settings(max_examples=30, deadline=None)
     @given(a=st.tuples(*[st.integers(1, 4)] * 3), t=st.integers(1, 20),
@@ -122,8 +133,26 @@ class TestDifferential:
         height = squares(4) if mode == "squares" else None
         mode = "polynomial" if height else "sup"
         fast = count_points_hypersurface(a, height, t, mode)
-        slow = count_points(hypersurface_problem(a), height, t, mode)
-        assert fast.count == slow.count
+        slow = enumerator_count(hypersurface_problem(a), height, t, mode)
+        assert fast.count == slow
+
+    @pytest.mark.parametrize("mode", ["sup", "squares"])
+    @pytest.mark.parametrize("row", [(1, 1, -2), (-1, -1, 2), (2, 3, -5),
+                                     (1, 1, 1, -3), (1, 2, 1, -4)])
+    def test_matrix_spellings(self, row, mode):
+        # a --matrix row of hypersurface shape runs on the hypersurface engines
+        prob = validate_toric_matrix([row])
+        assert counting._hypersurface_exponents(prob) is not None
+        w, sign = prob.width, sign_count(prob).value
+        t = 30 if w == 3 else 12
+        if mode == "sup":
+            got = count_points(prob, None, t, "sup").count
+            oracle = brute_count(prob.rows, w, t, lambda m: max(m) <= t, sign)
+        else:
+            got = count_points(prob, squares(w), t, "polynomial").count
+            oracle = brute_count(prob.rows, w, t,
+                                 lambda m: sum(x * x for x in m) <= t * t, sign)
+        assert got == oracle
 
     @pytest.mark.parametrize("a", [(1, 1, 20), (1, 1, 23)])
     def test_valuation_solve_beyond_int64(self, a):
@@ -134,6 +163,38 @@ class TestDifferential:
         sign = sign_count(hypersurface_problem(a)).value
         assert got == brute_count(hypersurface_problem(a).rows, 4, t,
                                   lambda m: max(m) <= t, sign)
+
+
+class TestValuationBlocks:
+    """The valuation solve's 2-D blocks: m_(n-2) rows by m_(n-1) columns,
+    8 BLOCK_CELLS // box rows each, within chunks of CHUNK m_1 values."""
+
+    CASES = [((1, 1, 1), 13), ((1, 2, 3), 13), ((2, 2, 2), 11), ((1, 1, 4), 15),
+             ((1, 1, 1, 1), 7), ((2, 1, 1, 1), 7)]
+
+    @pytest.mark.parametrize("a,t", CASES)
+    @pytest.mark.parametrize("mode", ["sup", "squares"])
+    def test_tiny_blocks(self, a, t, mode, monkeypatch):
+        # 40 cells make blocks of 40 // box rows (1 to 5 here): the rows of
+        # one (p, residue) group, such as 2, 6 and 10 for (2, 1) under
+        # q = 3, fall in different blocks, and under the sup norm the last
+        # block of a box of 11, 13 or 15 holds fewer rows than the others
+        height = squares(len(a) + 1) if mode == "squares" else None
+        mode = "polynomial" if height else "sup"
+        prob = hypersurface_problem(a)
+        slow = enumerator_count(prob, height, t, mode)
+        monkeypatch.setattr(counting, "BLOCK_CELLS", 5)
+        assert count_points(prob, height, t, mode).count == slow
+
+    @pytest.mark.parametrize("a,t", CASES)
+    def test_threads(self, a, t, monkeypatch):
+        # chunks of 4 m_1 values: several tasks for the thread pool
+        prob = hypersurface_problem(a)
+        slow = enumerator_count(prob, None, t, "sup")
+        monkeypatch.setattr(counting, "CHUNK", 4)
+        monkeypatch.setattr(counting, "BLOCK_CELLS", 5)
+        counts = [count_points(prob, None, t, "sup", threads=k).count for k in (1, 2)]
+        assert counts == [slow, slow]
 
 
 class TestInvariants:
@@ -197,6 +258,13 @@ class TestInvariants:
         monkeypatch.setattr(counting, "face_points", lambda spec, c: real(spec, c)[1:])
         with pytest.raises(InvariantError):
             manin_constant((1, 1), SQUARES)
+
+    @pytest.mark.parametrize("problem,t", [
+        (validate_toric_matrix([(1, 1, -2)]), 10 ** 7),  # a 3162 x 3162 pair grid
+        (hypersurface_problem((1, 1, 1)), 1001)])        # a 1001^2 valuation solve
+    def test_budget_of_each_engine(self, problem, t):
+        with pytest.raises(BoxTooLarge):
+            count_points(problem, None, t, "sup", budget=10 ** 6)
 
     def test_budget_guard(self):
         # a relation-free problem visits box^w cells: 40^4 > 10^5 >= 40^3
