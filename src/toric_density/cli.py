@@ -121,7 +121,7 @@ def _spec_for(problem, hyper):
 def cmd_generators(args) -> int:
     problem, hyper, _ = _resolve_problem(args)
     spec = _spec_for(problem, hyper)
-    gens = genmod.generators_with_check(spec, args.cap)
+    gens = genmod.generators_with_check(spec)
     emit({"schema": SCHEMA, "command": "generators",
           "points": [list(p) for p in gens.points],
           "cap": gens.cap, "stabilized": gens.stabilized}, args.out)
@@ -133,7 +133,7 @@ def cmd_generators(args) -> int:
 def cmd_analyze(args) -> int:
     problem, hyper, _ = _resolve_problem(args)
     spec = _spec_for(problem, hyper)
-    gens = genmod.generators_with_check(spec, args.cap)
+    gens = genmod.generators_with_check(spec)
     e = build_polyhedron(gens.points)
     df = diagonal_face(e, spec)
     iota_min, c_min = iota_lp(e)
@@ -178,7 +178,7 @@ def cmd_constants(args) -> int:
         return EXIT_OK
     if args.euler_only:
         spec = _spec_for(problem, hyper)
-        gens = genmod.generators_with_check(spec, args.cap)
+        gens = genmod.generators_with_check(spec)
         df = diagonal_face(build_polyhedron(gens.points), spec)
         rep = eulermod.euler_constant(
             spec, df.c, df.face_point_count, cutoff=args.prime_cutoff,
@@ -198,7 +198,7 @@ def cmd_constants(args) -> int:
         return EXIT_FLAGGED if not gens.stabilized and not args.allow_flags else EXIT_OK
     target = tuple(hyper) if hyper is not None else problem
     rep = counting.manin_constant(
-        target, poly, cap=args.cap, cutoff=args.prime_cutoff,
+        target, poly, cutoff=args.prime_cutoff,
         quad_tol=args.quad_tol, euler_tol=args.euler_tol,
         precision=args.precision, seed=args.seed)
     report.update(_manin_json(rep))
@@ -266,7 +266,7 @@ def cmd_zeta(args) -> int:
         raise InputError("zeta needs --polynomial")
     target = tuple(hyper) if hyper is not None else problem
     spec = _spec_for(problem, hyper)
-    gens = genmod.generators_with_check(spec, args.cap)
+    gens = genmod.generators_with_check(spec)
     df = diagonal_face(build_polyhedron(gens.points), spec)
     s_values = [float(x) for x in args.s.split(",")]
     samples = counting.zeta_partial(target, poly, s_values, df.iota, df.rho,
@@ -290,7 +290,7 @@ def cmd_verify(args) -> int:
     flagged = False
 
     spec = _spec_for(problem, hyper)
-    gens = genmod.generators_with_check(spec, args.cap)
+    gens = genmod.generators_with_check(spec)
     checks.append({"name": "generators-stabilized", "ok": gens.stabilized})
     e = build_polyhedron(gens.points)
     df = diagonal_face(e, spec)
@@ -300,7 +300,7 @@ def cmd_verify(args) -> int:
     if mode == "polynomial":
         target = tuple(hyper) if hyper is not None else problem
         rep = counting.manin_constant(
-            target, poly, cap=args.cap, cutoff=args.prime_cutoff,
+            target, poly, cutoff=args.prime_cutoff,
             quad_tol=args.quad_tol, euler_tol=args.euler_tol,
             precision=args.precision, seed=args.seed)
         checks.append({"name": "dimension-hypothesis", "ok": rep.dimension_ok})
@@ -361,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--projective-torus", type=int, metavar="N",
                        help="full torus of P^N")
         p.add_argument("--polynomial", help="height polynomial, e.g. 'X1^2+X2^2'")
-        p.add_argument("--cap", type=int, default=None,
-                       help="generator enumeration cap")
         p.add_argument("--quad-tol", type=float, default=1e-9)
         p.add_argument("--euler-tol", type=float, default=1e-10,
                        help="accepted for compatibility: matrix and "

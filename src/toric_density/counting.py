@@ -340,9 +340,13 @@ def _count_setup(poly, t, w, height_mode):
         return t, int(t), None
     if height_mode != "polynomial":
         raise ValueError(f"unknown height mode {height_mode!r}")
+    _require_homogeneous(poly, w)
+    return t, _poly_box(poly, t), _height_data(poly, t)
+
+
+def _require_homogeneous(poly, w):
     if poly is None or poly.nvars != w or not poly.is_homogeneous:
         raise ValueError("polynomial mode needs a homogeneous height in all coordinates")
-    return t, _poly_box(poly, t), _height_data(poly, t)
 
 
 def count_points(problem: ToricProblem, poly: Optional[GeneralizedPolynomial],
@@ -899,7 +903,7 @@ def _pipeline_inputs(problem_or_a, poly):
 
 
 def manin_constant(problem_or_a, poly: GeneralizedPolynomial,
-                   cap: Optional[int] = None, cutoff: int = 100_000,
+                   cutoff: int = 100_000,
                    quad_tol: float = 1e-9, euler_tol: float = 1e-10,
                    precision: int = 160, seed: int = 0) -> ManinReport:
     """Assemble the predicted leading constant for the height density.
@@ -911,7 +915,7 @@ def manin_constant(problem_or_a, poly: GeneralizedPolynomial,
     spec, weight_poly, csign, _ = _pipeline_inputs(problem_or_a, poly)
     if weight_poly is None or not weight_poly.is_homogeneous:
         raise ValueError("a homogeneous height polynomial is required")
-    gens = generators_with_check(spec, cap)
+    gens = generators_with_check(spec)
     e = build_polyhedron(gens.points)
     df = diagonal_face(e, spec)
     if not df.compact:
@@ -993,6 +997,8 @@ def zeta_partial(problem_or_a, poly: GeneralizedPolynomial, s_values,
     spec, weight_poly, csign, problem = _pipeline_inputs(problem_or_a, poly)
     if problem is None:
         raise ValueError("zeta sums need a toric problem or exponent vector")
+    if height_mode == "polynomial":
+        _require_homogeneous(poly, problem.width)
     powers = None
     if spec.kind == "hypersurface" and spec.arity == 2:
         powers = _two_var_powers(problem.rows[0][:2])

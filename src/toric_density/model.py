@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -157,7 +157,12 @@ class UniformMultiplicativeSpec:
 
     g is {0,1,...}-valued with polynomial growth g(v) <= C (1+|v|)^M. The
     structured `kind`/`payload` lets downstream code pick fast paths without
-    touching the generic evaluator.
+    touching the generic evaluator. `last_coordinates(prefix, top)`, when
+    given, yields in increasing order the k in 0..top for which
+    prefix + (k,) can be supported; every other k must have g = 0. The
+    support walk tries only those, and g still decides each of them.
+    `default_cap` is the generator cap of custom weights; the structured
+    kinds have a proven one (`generators.proven_cap`).
     """
 
     arity: int
@@ -167,6 +172,8 @@ class UniformMultiplicativeSpec:
     kind: str = "custom"
     payload: tuple = ()
     default_cap: int = 16
+    last_coordinates: Optional[Callable[[tuple, int], Iterable[int]]] = \
+        field(default=None, compare=False)
 
     def weight(self, nu) -> int:
         nu = tuple(int(x) for x in nu)
@@ -181,7 +188,10 @@ class UniformMultiplicativeSpec:
         The walk covers |v| <= max_level and D<c,v> <= max_expo (at least
         one bound is needed), in lexicographic order and in integers. It is
         the one enumeration of the support: the Euler profile, the diagonal
-        face and the epsilon gap all read it.
+        face, the epsilon gap and the Euler numerator all read it. The last
+        coordinate takes only the values `last_coordinates` offers, so the
+        toric and hypersurface kinds solve it from the prefix instead of
+        trying every value.
         """
         if max_level is None and max_expo is None:
             raise ValueError("the support walk needs max_level or max_expo")
@@ -195,12 +205,13 @@ class UniformMultiplicativeSpec:
         if max_expo is None:
             max_expo = max_level * max(steps)
         g, last = self.g, self.arity - 1
+        finals = self.last_coordinates or (lambda prefix, top: range(top + 1))
 
         def walk(i, prefix, level, expo):
             step = steps[i]
             top = min(max_level - level, (max_expo - expo) // step)
             if i == last:
-                for k in range(top + 1):
+                for k in finals(prefix, top):
                     v = prefix + (k,)
                     w = g(v)
                     if w:
@@ -394,11 +405,22 @@ def toric_weight(problem: ToricProblem) -> UniformMultiplicativeSpec:
                 return 0
         return 1
 
-    norm = max((max(abs(x) for x in row) for row in rows), default=1)
+    # a row with a nonzero last entry fixes the last coordinate
+    pivot = next((row for row in rows if row[-1]), None)
+
+    def last_coordinates(prefix, top):
+        if all(prefix):
+            return range(1)
+        if pivot is None:
+            # no row sees the last coordinate, so the prefix decides alone
+            free = all(sum(r * x for r, x in zip(row, prefix)) == 0 for row in rows)
+            return range(top + 1) if free else ()
+        k, rem = divmod(-sum(r * x for r, x in zip(pivot, prefix)), pivot[-1])
+        return range(k, k + 1) if rem == 0 and 0 <= k <= top else ()
+
     return UniformMultiplicativeSpec(
         arity=w, g=g, growth_c=1.0, growth_m=0.0,
-        kind="toric", payload=tuple(rows),
-        default_cap=4 * w * max(1, norm))
+        kind="toric", payload=tuple(rows), last_coordinates=last_coordinates)
 
 
 def hypersurface_weight(a) -> UniformMultiplicativeSpec:
@@ -413,14 +435,27 @@ def hypersurface_weight(a) -> UniformMultiplicativeSpec:
             return 0
         return 1 if sum(ai * x for ai, x in zip(a, nu)) % q == 0 else 0
 
+    # a_n k = -<a, prefix> mod q has solutions iff d | <a, prefix>, and
+    # then they form one class mod q/d
+    d = gcd(a[-1], q)
+    period = q // d
+    inverse = pow(a[-1] // d, -1, period)
+
+    def last_coordinates(prefix, top):
+        if all(prefix):
+            return range(1)
+        s = sum(ai * x for ai, x in zip(a, prefix))
+        if s % d:
+            return ()
+        return range(-(s // d) * inverse % period, top + 1, period)
+
     return UniformMultiplicativeSpec(
         arity=len(a), g=g, growth_c=1.0, growth_m=0.0,
-        kind="hypersurface", payload=a,
-        default_cap=4 * (len(a) + 1) * max(1, q))
+        kind="hypersurface", payload=a, last_coordinates=last_coordinates)
 
 
 def free_weight(arity: int) -> UniformMultiplicativeSpec:
     """g identically 1: the weight of the full lattice N_0^n."""
     return UniformMultiplicativeSpec(
         arity=arity, g=lambda nu: 1, growth_c=1.0, growth_m=0.0,
-        kind="free", payload=(), default_cap=4 * (arity + 1))
+        kind="free", payload=())

@@ -361,3 +361,33 @@ class TestAim3Rho2Anchor:
                f"(rel bar {out['rel_error']:.1e}), Euler off 1/zeta(2)^2 by "
                f"{float(euler_err):.1e} (bound {out['euler']['error_bound']:.1e}), "
                f"A0 off pi^2/16 by {float(vol_err):.1e}, {elapsed:.2f}s")
+
+
+class TestSegreCubeGenerators:
+    """P^1 x P^1 x P^1 in P^7, coordinates x_ijk in binary order (ROADMAP
+    item 9). Its kernel monoid is generated by the six 0/1 vectors of the
+    cube's facets, each of weight 4, and the diagonal face is the compact
+    3-face they span at c = (1/4, ..., 1/4); rho = 3."""
+
+    ROWS = "1,0,-1,0,-1,0,1,0;0,1,0,-1,0,-1,0,1;1,-1,0,0,-1,1,0,0;1,-1,-1,1,0,0,0,0"
+
+    def test_analyze(self, capsys):
+        t0 = time.monotonic()
+        gen_code = cli.main(["generators", "--matrix", self.ROWS])
+        gens = json.loads(capsys.readouterr().out)
+        code = cli.main(["analyze", "--matrix", self.ROWS])
+        elapsed = time.monotonic() - t0
+        out = json.loads(capsys.readouterr().out)
+        points = sorted(map(tuple, gens["points"]))
+        facets = sorted(tuple(int(i >> b & 1) if s else 1 - int(i >> b & 1)
+                              for i in range(8))
+                        for b in (2, 1, 0) for s in (0, 1))
+        ok = (gen_code == 0 and code == 0 and gens["stabilized"]
+              and points == facets
+              and out["c"] == ["1/4"] * 8 and out["dim_face"] == 3
+              and out["compact"] and out["rho"] == 3 and out["iota"] == 2
+              and out["stabilized"] and elapsed < 10)
+        report("aim-3 segre cube", ok,
+               f"{len(points)} generators at proven cap {gens['cap']}, "
+               f"c = {out['c'][0]}, face dim {out['dim_face']}, "
+               f"rho {out['rho']}, iota {out['iota']}, {elapsed:.2f}s")

@@ -104,6 +104,11 @@ class TestGenerators:
         assert code == 0
         assert sorted(map(tuple, data["points"])) == [(0, 2), (2, 0)]
         assert data["stabilized"] is True
+        assert data["cap"] == 2  # the proven cap of (1,1)
+
+    def test_no_cap_option(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["generators", "--hypersurface", "1,1", "--cap", "4"])
 
 
 class TestCount:
@@ -208,6 +213,17 @@ class TestZeta:
         assert code == 0 and len(data["samples"]) == 2
         assert data["samples"][0]["s"] == 1.5
         assert abs(data["samples"][0]["probe"] - 1.0248) < 0.1
+
+    def test_refuses_a_non_homogeneous_height(self, capsys):
+        # count refuses it, and the zeta sums would mix degrees the same way
+        tail = ["--projective-torus", "1", "--polynomial", "X1^2+X2^2+X1"]
+        assert cli.main(["count", "--t", "10"] + tail) == cli.EXIT_BAD_INPUT
+        count_err = capsys.readouterr().err
+        code = cli.main(["zeta", "--budget", "1000000", "--s", "2.5"] + tail)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_BAD_INPUT and captured.out == ""
+        assert captured.err == count_err
+        assert "homogeneous" in captured.err
 
     def test_default_budget(self):
         args = cli.build_parser().parse_args(["zeta", "--projective-torus", "1",

@@ -1,15 +1,17 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toric_density.generators import (CapTooSmall, generators_with_check,
                                       membership, minimal_generators,
-                                      stabilization_check)
+                                      proven_cap, stabilization_check)
 from toric_density.model import (free_weight, hypersurface_weight, toric_weight,
                                  validate_toric_matrix)
+from toric_density.vectors import rank
 
 
 def brute_minimal(spec, cap):
@@ -128,6 +130,130 @@ class TestStabilization:
         gens = generators_with_check(hypersurface_weight((1, 1, 1)))
         assert gens.stabilized
         assert len(gens.points) == 9  # permutations of (3,0,0) and (2,1,0)
+
+
+def face_box_minimal(spec, cap):
+    """Oracle: the minimal support points with |v| <= cap, over whole boxes.
+
+    A supported point has a zero coordinate i, and every point below it
+    shares that zero, so each coordinate face is searched on its own: the
+    support indicator on the face's box [0, cap]^(n-1), read from the
+    defining congruence or relations, then the points that dominate a
+    support point, by running ORs along every axis. A support point is
+    minimal when stepping down any one positive coordinate leaves that
+    dominated set. g confirms each point found.
+    """
+    n = spec.arity
+    found = set()
+    for i in range(n):
+        axes = [j for j in range(n) if j != i]
+        grid = np.indices((cap + 1,) * (n - 1), dtype=np.int64)
+        if spec.kind == "hypersurface":
+            a, q = spec.payload, sum(spec.payload)
+            supported = sum(a[j] * x for j, x in zip(axes, grid)) % q == 0
+        else:
+            supported = np.ones(grid.shape[1:], dtype=bool)
+            for row in spec.payload:
+                supported &= sum(row[j] * x for j, x in zip(axes, grid)) == 0
+        supported &= grid.sum(axis=0) > 0
+        above = supported.copy()
+        for k in range(n - 1):
+            np.logical_or.accumulate(above, axis=k, out=above)
+        minimal = supported & (grid.sum(axis=0) <= cap)
+        for k in range(n - 1):
+            below = np.zeros_like(above)
+            sl = [slice(None)] * (n - 1)
+            sl[k] = slice(1, None)
+            shifted = [slice(None)] * (n - 1)
+            shifted[k] = slice(None, -1)
+            below[tuple(sl)] = above[tuple(shifted)]
+            minimal &= ~below
+        for idx in zip(*np.nonzero(minimal)):
+            v = [0] * n
+            for j, x in zip(axes, idx):
+                v[j] = int(x)
+            found.add(tuple(v))
+    assert all(spec.g(v) for v in found)
+    return sorted(found)
+
+
+def old_doubled_cap(spec):
+    """The cap of the heuristic the proven cap replaced: twice its default."""
+    if spec.kind == "hypersurface":
+        return 8 * (spec.arity + 1) * sum(spec.payload)
+    norm = max((max(abs(x) for x in row) for row in spec.payload), default=1)
+    return 8 * spec.arity * max(1, norm)
+
+
+@st.composite
+def relation_matrices(draw):
+    """1-2 independent zero-sum rows of width <= 4 with entries in [-3, 3]."""
+    width = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=width - 1,
+                                  max_size=width - 1), min_size=1, max_size=2))
+    rows = [tuple(r) + (-sum(r),) for r in rows]
+    assume(all(abs(r[-1]) <= 3 for r in rows) and rank(rows) == len(rows))
+    return rows
+
+
+def check_proven_cap(spec):
+    cap = proven_cap(spec)
+    want = face_box_minimal(spec, old_doubled_cap(spec))
+    if cap == 0:
+        assert want == []
+        with pytest.raises(ValueError):
+            generators_with_check(spec)
+        return
+    gens = generators_with_check(spec)
+    assert list(gens.points) == want
+    assert gens.stabilized and gens.cap == cap
+    assert max(sum(v) for v in gens.points) <= cap
+    rerun = stabilization_check(spec, minimal_generators(spec, cap))
+    assert rerun.points == gens.points and rerun.stabilized
+    assert gens.compact_face_members == rerun.compact_face_members
+
+
+class TestProvenCap:
+    """One enumeration at the proven cap is complete: the minimal points of
+    the support up to the old doubled cap are the same, and the doubled
+    rerun finds the same points and the same compact-face members."""
+
+    @pytest.mark.parametrize("spec,cap", [
+        (hypersurface_weight((1, 1, 1)), 6),
+        (toric_weight(validate_toric_matrix([(1, 1, -2)])), 3),
+        (toric_weight(validate_toric_matrix([(1, 1, -1, -1)])), 4),
+        (toric_weight(validate_toric_matrix([], width=3)), 2),
+        (free_weight(3), 1),
+    ])
+    def test_values(self, spec, cap):
+        assert proven_cap(spec) == cap
+        assert generators_with_check(spec).cap == cap
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=st.lists(st.integers(1, 5), min_size=2, max_size=3))
+    def test_hypersurfaces(self, a):
+        check_proven_cap(hypersurface_weight(a))
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=relation_matrices())
+    def test_matrices(self, rows):
+        check_proven_cap(toric_weight(validate_toric_matrix(rows)))
+
+    def test_empty_support(self):
+        # x1 = x2 has no supported point but 0
+        spec = toric_weight(validate_toric_matrix([(1, -1)]))
+        assert proven_cap(spec) == 0
+        with pytest.raises(ValueError, match="no nonzero point"):
+            generators_with_check(spec)
+
+    def test_custom_weights_keep_the_heuristic(self):
+        spec = hypersurface_weight((1, 1))
+        custom = type(spec)(arity=2, g=spec.g, kind="custom", default_cap=4)
+        assert proven_cap(custom) is None
+        gens = generators_with_check(custom)
+        assert gens.cap == 8 and gens.stabilized
+        with pytest.raises(ValueError, match="proven cap"):
+            generators_with_check(spec, 4)
 
 
 class TestMembership:

@@ -126,3 +126,64 @@ def test_walk_matches_brute_force(a, fracs, max_level):
     spec = hypersurface_weight(a)
     c = [Fraction(num, den) for num, den in fracs[:len(a)]]
     check_readers(spec, c, max_level)
+
+
+def as_custom(spec):
+    """The same g with no last-coordinate rule: the walk tries every value."""
+    return UniformMultiplicativeSpec(arity=spec.arity, g=spec.g, kind="custom")
+
+
+def check_same_walk(spec, c, **bounds):
+    assert list(spec.support(c, **bounds)) == list(as_custom(spec).support(c, **bounds))
+
+
+WALK_SPECS = {
+    "matrix 1,1,-2": ([(1, 1, -2)], None),
+    "matrix 2,-3,1": ([(2, -3, 1)], None),
+    "matrix 1,1,-1,-1": ([(1, 1, -1, -1)], None),
+    "two rows, last entries 0 and -2": ([(1, -1, 0), (1, 1, -2)], None),
+    "two rows, both last entries 0": ([(1, -1, 0, 0), (1, 1, -2, 0)], None),
+    "two rows, one last entry 0": ([(1, 1, -2, 0), (0, 1, 1, -2)], None),
+    "two rows, first last entry -2": ([(1, 0, 1, -2), (1, -1, 0, 0)], None),
+    "three rows": ([(1, -1, 0, 0, 0), (0, 1, -1, 0, 0), (1, 1, 1, -3, 0)], None),
+    "empty matrix, width 3": ([], 3),
+    "empty matrix, width 4": ([], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_SPECS))
+@pytest.mark.parametrize("bounds", [{"max_level": 0}, {"max_level": 7},
+                                    {"max_expo": 19}, {"max_level": 6, "max_expo": 11}])
+def test_solved_last_coordinate_matrices(name, bounds):
+    rows, width = WALK_SPECS[name]
+    spec = toric_weight(validate_toric_matrix(rows, width))
+    c = [Fraction(k + 2, 5) for k in range(spec.arity)]
+    check_same_walk(spec, c, **bounds)
+    check_same_walk(spec, [Fraction(1, 2)] * spec.arity, **bounds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+       fracs=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                      min_size=4, max_size=4),
+       max_level=st.integers(0, 9), max_expo=st.integers(0, 40))
+def test_solved_last_coordinate_hypersurfaces(a, fracs, max_level, max_expo):
+    spec = hypersurface_weight(a)
+    c = [Fraction(num, den) for num, den in fracs[:len(a)]]
+    check_same_walk(spec, c, max_level=max_level)
+    check_same_walk(spec, c, max_expo=max_expo)
+    check_same_walk(spec, c, max_level=max_level, max_expo=max_expo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                     min_size=1, max_size=2),
+       max_level=st.integers(0, 9))
+def test_solved_last_coordinate_random_matrices(rows, max_level):
+    rows = [tuple(r) + (-sum(r),) for r in rows]
+    try:
+        spec = toric_weight(validate_toric_matrix(rows))
+    except ValueError:
+        return
+    check_same_walk(spec, [Fraction(1, 3), Fraction(1, 2), Fraction(1, 4), Fraction(1)],
+                    max_level=max_level)
