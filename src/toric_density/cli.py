@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -371,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="working precision in bits")
         p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
         p.add_argument("--threads", type=int, default=None,
-                       help="threads for counting and zeta sums; "
-                            "overrides MANIN_TORIC_THREADS")
+                       help="worker processes for counting and zeta sums, "
+                            "at most one per CPU; overrides MANIN_TORIC_THREADS; "
+                            "no output byte depends on it")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--allow-flags", action="store_true",
                        help="exit 0 despite hypothesis-failure flags")
@@ -433,8 +433,6 @@ def _validate_config(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        os.environ["MANIN_TORIC_THREADS"] = str(args.threads)
     try:
         _validate_config(args)
         return args.func(args)

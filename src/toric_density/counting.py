@@ -31,23 +31,25 @@ Two reductions consume their points: an exact count, with heights compared
 as scaled integers (`_height_mask`), and a zeta collector (`_ZetaCollector`)
 that takes no root: it works on P = h^d (the largest coordinate for the sup
 norm), keeps the cells with P at most the covered height to the d, takes
-log P once per kept cell and sums exp(-s/d log P) per s, all in per-thread
-buffers reused from block to block. It reduces each block of the relation
+log P once per kept cell and sums exp(-s/d log P) per s, all in buffers
+reused from block to block. It reduces each block of the relation
 enumerator or the pair grid to one sum per s, and adds the block sums
 exactly with math.fsum; the bits of a sum depend on the block cuts and on
-the order of the factors of P, not on threads. On the pair grid both
-reductions pull the height back to (w1, w2) (`_pull_back`), so that P is a
-sum (a max for the sup norm) of outer products of a row and a column
-vector. The grid feeds the collector, per chunk, only the columns that the
-covered ball reaches at the chunk's first row and, when the height is
-swap-symmetric, only the cells with w2 > w1 (`_zeta_pair_grid`). Array
+the order of the factors of P, not on the number of workers. On the pair
+grid both reductions pull the height back to (w1, w2) (`_pull_back`), so
+that P is a sum (a max for the sup norm) of outer products of a row and a
+column vector. The grid feeds the collector, per chunk, only the columns
+that the covered ball reaches at the chunk's first row and, when the height
+is swap-symmetric, only the cells with w2 > w1 (`_zeta_pair_grid`). Array
 products run in int64 only when a bound (box to the exponent sum of a
 relation side, or the height limit) shows they fit, and otherwise on numpy
 object arrays of Python ints. Coprimality of a block with a gcd g is one
 kernel (`_coprime_block`): each prime p of g, or every prime when there is
 no g, strikes out the columns divisible by p in the rows divisible by p;
-an enumerator sieves those primes once. Fixed partitions,
-reduced in order or exactly, keep every result independent of threads.
+an enumerator sieves those primes once. The enumerators hand their chunks
+to `_chunk_map`, which spreads a fixed partition over forked worker
+processes; reduced in order or exactly, every result is independent of
+the number of workers.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ import functools
 import itertools
 import math
 import os
+import pickle
+import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -88,9 +91,9 @@ class NonCompactFace(Exception):
 
 DEFAULT_BUDGET = 10_000_000_000
 ZETA_BUDGET = 100_000_000  # zeta_partial's default number of terms
-# Fixed partitions keep reductions independent of the thread count.
+# Fixed partitions keep reductions independent of the number of workers.
 # GRID_ROWS, the pair-grid rows per chunk (a multiple of BLOCK_ROWS), sets
-# the work of one thread task and how often the column bound is taken.
+# the work of one chunk and how often the column bound is taken.
 CHUNK = 2048
 GRID_ROWS = 256
 # rows per block of a pair-grid chunk: a block's float P over 10^4
@@ -232,9 +235,10 @@ class _ZetaCollector:
     once per cell, and the block's sum per s is np.sum of exp((-s/d) L).
     So the bits depend on how an enumerator cuts its blocks and orders the
     factors, and on numpy's pow, log and exp; math.fsum adds the block sums
-    exactly, so they depend neither on block order nor on threads. P, the
-    term temporary, the mask and the exp buffer are per-thread buffers,
-    reused from block to block and as large as the largest block."""
+    exactly, so they depend neither on block order nor on the number of
+    workers. P, the term temporary, the mask and the exp buffer belong to
+    the collector, reused from block to block and as large as the largest
+    block; a forked worker of `_chunk_map` works on its own copy."""
 
     def __init__(self, poly: Optional[GeneralizedPolynomial], s_list, h_cov: float):
         self.poly = poly  # None for the sup norm
@@ -244,7 +248,7 @@ class _ZetaCollector:
         self.p_cov = h_cov ** d
         self.scales = [-s / d for s in self.s_list]
         self.combine = np.maximum if poly is None else np.add
-        self._local = threading.local()
+        self._bufs = None
 
     def monomials(self, nvars):
         """The terms (c, exponents) of P in nvars coordinates: the
@@ -268,14 +272,13 @@ class _ZetaCollector:
         return terms
 
     def _buffers(self, shape):
-        """This thread's P, term, mask and exp buffers: the first three as
-        views of the block's shape, the exp buffer flat."""
+        """The P, term, mask and exp buffers: the first three as views of
+        the block's shape, the exp buffer flat."""
         size = math.prod(shape)
-        bufs = getattr(self._local, "bufs", None)
-        if bufs is None or len(bufs[0]) < size:
-            bufs = self._local.bufs = (np.empty(size), np.empty(size),
-                                       np.empty(size, dtype=bool), np.empty(size))
-        p, t, m, e = bufs
+        if self._bufs is None or len(self._bufs[0]) < size:
+            self._bufs = (np.empty(size), np.empty(size),
+                          np.empty(size, dtype=bool), np.empty(size))
+        p, t, m, e = self._bufs
         return p[:size].reshape(shape), t[:size].reshape(shape), m[:size].reshape(shape), e
 
     def _fill(self, terms, p, t):
@@ -320,15 +323,102 @@ class _ZetaCollector:
         return sums, self.h_cov, sum(k * cnt for k, (_, cnt) in blocks)
 
 
+def _run_share(fn, starts):
+    """(results, error): fn over starts in order, up to the first chunk
+    that raises; error is None when none does."""
+    results = []
+    try:
+        for lo in starts:
+            results.append(fn(lo))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def _worker(fn, starts, fd):
+    """A forked worker: pickles _run_share's (results, error) into the
+    pipe fd and exits, with status 0 once the pickle is written, without
+    returning to the caller's stack. An error that does not survive
+    pickling goes as a RuntimeError naming it."""
+    status = 1
+    try:
+        results, error = _run_share(fn, starts)
+        if error is not None:
+            try:
+                pickle.loads(pickle.dumps(error))
+            except Exception:
+                error = RuntimeError(f"{type(error).__name__}: {error}")
+        with os.fdopen(fd, "wb") as pipe:
+            pickle.dump((results, error), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_all(fd) -> bytes:
+    parts = []
+    while part := os.read(fd, 1 << 16):
+        parts.append(part)
+    return b"".join(parts)
+
+
 def _chunk_map(fn, starts, threads):
-    """fn over a fixed partition, results in partition order: reductions of
-    the results do not depend on the thread count."""
+    """[fn(lo) for lo in starts], over forked worker processes.
+
+    With n = min(threads, len(starts), CPUs) >= 2 workers, worker k runs
+    the chunks starts[k::n] in order, the calling process being worker 0,
+    and the others send their results back through a pipe. The results
+    come back in partition order, so reductions of them do not depend on
+    n; when chunks raise, the first of them in partition order raises, as
+    in the serial loop. Every forked worker is reaped before this returns
+    or raises, and killed first if the caller fails on its own.
+
+    Workers are forked, not spawned: they inherit fn, a closure over the
+    enumerator's arrays, and the imported numpy, which a spawned worker
+    would import again (about 0.1 s). Fork is safe only where no other
+    thread can hold a lock, so with other threads running, off the main
+    thread, without fork or with fewer than two workers the loop runs
+    serially."""
     starts = list(starts)
-    nthreads = _threads(threads)
-    if nthreads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            return list(pool.map(fn, starts))
-    return [fn(lo) for lo in starts]
+    n = min(_threads(threads), len(starts), os.cpu_count() or 1)
+    if (n < 2 or not hasattr(os, "fork") or threading.active_count() > 1
+            or threading.current_thread() is not threading.main_thread()):
+        return [fn(lo) for lo in starts]
+    fds, live, statuses = [], [], []  # live: the forked workers not yet reaped
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            fds.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(fn, starts[k::n], w)
+            finally:
+                os.close(w)  # the worker never gets here
+            live.append(pid)
+        shares = [_run_share(fn, starts[::n])]
+        data = [_read_all(r) for r in fds]
+        while live:
+            statuses.append(os.waitpid(live[0], 0)[1])
+            live.pop(0)
+    finally:
+        for r in fds:
+            os.close(r)
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for k, (raw, status) in enumerate(zip(data, statuses), 1):
+        if status:
+            raise ChildProcessError(f"counting worker {k} of {n} gave no result: "
+                                    f"exit status {os.waitstatus_to_exitcode(status)}")
+        shares.append(pickle.loads(raw))
+    # the first chunk that raised, in partition order: in share k it is
+    # the chunk after the share's results, number k + n len(results)
+    failed = [(k + n * len(results), error)
+              for k, (results, error) in enumerate(shares) if error is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [shares[i % n][0][i // n] for i in range(len(starts))]
 
 
 def _count_setup(poly, t, w, height_mode):
@@ -731,7 +821,7 @@ def _count_prefix_solve(a, box, hdata, budget, threads) -> int:
     cell, the gcd mask, the exact q-th root check (a float root confirmed
     in int64 while (box + 1)^q fits, else an integer root of Python ints)
     and the height mask. A block holds about 8 BLOCK_CELLS cells; the
-    chunks of CHUNK m_1 values are a fixed partition over the threads.
+    chunks of CHUNK m_1 values are a fixed partition over the workers.
     """
     n = len(a)
     q = sum(a)

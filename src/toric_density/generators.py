@@ -37,7 +37,6 @@ class LatticePointSet:
     cap: int
     stabilized: bool
     spec: UniformMultiplicativeSpec
-    compact_face_members: Optional[frozenset] = None
 
     def __iter__(self):
         return iter(self.points)
@@ -149,15 +148,18 @@ def membership(spec: UniformMultiplicativeSpec, nu) -> int:
     return spec.weight(nu)
 
 
-def _compact_face_flags(points, facets, n):
-    """Points lying on at least one compact face of the hull with these facets.
+def compact_face_members(gens: LatticePointSet) -> frozenset:
+    """The points of gens on at least one compact face of their upward hull
+    conv(gens) + R_+^n.
 
     The smallest face containing a point is cut out by its tight facets;
     it is compact exactly when no coordinate direction is orthogonal to all
     of them. Points interior to the hull lie on no face and are excluded.
     """
+    n = gens.spec.arity
+    facets, _ = upward_hull(gens.points, n)
     members = set()
-    for p in points:
+    for p in gens.points:
         tight = [w for w, m in facets if dot(w, p) == m]
         if tight and all(any(w[i] != 0 for w in tight) for i in range(n)):
             members.add(tuple(p))
@@ -167,17 +169,14 @@ def _compact_face_flags(points, facets, n):
 def stabilization_check(spec: UniformMultiplicativeSpec, current: LatticePointSet) -> LatticePointSet:
     """Re-enumerate at twice the cap; stable when the hull vertices agree.
 
-    Returns the doubled-cap set carrying the flag and the compact-face
-    membership of each point. This is the completeness check of custom
-    weights, which have no proven cap; downstream constants refuse to
-    certify when the flag is off.
+    Returns the doubled-cap set carrying the flag. This is the completeness
+    check of custom weights, which have no proven cap; downstream constants
+    refuse to certify when the flag is off.
     """
     doubled = minimal_generators(spec, 2 * current.cap)
     _, v1 = upward_hull(current.points, spec.arity)
-    facets, v2 = upward_hull(doubled.points, spec.arity)
-    return replace(doubled, stabilized=(v1 == v2),
-                   compact_face_members=_compact_face_flags(doubled.points, facets,
-                                                            spec.arity))
+    _, v2 = upward_hull(doubled.points, spec.arity)
+    return replace(doubled, stabilized=(v1 == v2))
 
 
 def generators_with_check(spec: UniformMultiplicativeSpec, cap: Optional[int] = None) -> LatticePointSet:
@@ -194,8 +193,4 @@ def generators_with_check(spec: UniformMultiplicativeSpec, cap: Optional[int] = 
         raise ValueError(f"a {spec.kind} weight has a proven cap; pass none")
     if proven == 0:
         raise ValueError("the weight support has no nonzero point")
-    gens = minimal_generators(spec, proven)
-    facets, _ = upward_hull(gens.points, spec.arity)
-    return replace(gens, stabilized=True,
-                   compact_face_members=_compact_face_flags(gens.points, facets,
-                                                            spec.arity))
+    return replace(minimal_generators(spec, proven), stabilized=True)

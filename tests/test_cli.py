@@ -298,12 +298,12 @@ class TestDeterminism:
         ("--projective-torus", "2", "--polynomial", "X1^3+X2^3+X3^3", "--s", "3.5,3.2")])
     def test_zeta_thread_flag(self, capsys, problem):
         outputs = []
-        for threads in ("1", "2", "3"):
+        for threads in ("1", "2", "3", "4", "8"):
             code, out = run_cli(["zeta", *problem, "--budget", "1000000",
                                  "--threads", threads], capsys)
             assert code == 0
             outputs.append(out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert all(out == outputs[0] for out in outputs)
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--projective-torus", "2", "--sup-norm", "--t", "200"),
@@ -324,6 +324,16 @@ class TestDeterminism:
             assert code == 0
             results.append(json.loads(out)["results"][0]["count"])
         assert results[0] == results[1]
+
+    def test_thread_flag_leaves_environment(self, capsys, monkeypatch):
+        # --threads reaches the counts as an argument; it must not become the
+        # MANIN_TORIC_THREADS default of every later call in the process
+        monkeypatch.delenv("MANIN_TORIC_THREADS", raising=False)
+        before = dict(os.environ)
+        code, _ = run_cli(["count", "--projective-torus", "1", "--sup-norm",
+                           "--t", "50", "--threads", "2"], capsys)
+        assert code == 0
+        assert dict(os.environ) == before
 
 
 class TestImportCost:

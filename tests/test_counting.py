@@ -1,6 +1,9 @@
 import functools
 import itertools
 import math
+import os
+import threading
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -188,7 +191,7 @@ class TestValuationBlocks:
 
     @pytest.mark.parametrize("a,t", CASES)
     def test_threads(self, a, t, monkeypatch):
-        # chunks of 4 m_1 values: several tasks for the thread pool
+        # chunks of 4 m_1 values: several chunks for the two workers
         prob = hypersurface_problem(a)
         slow = enumerator_count(prob, None, t, "sup")
         monkeypatch.setattr(counting, "CHUNK", 4)
@@ -272,6 +275,141 @@ class TestInvariants:
             with pytest.raises(BoxTooLarge):
                 count_points(validate_toric_matrix([], width=4), None, t, "sup",
                              budget=budget)
+
+
+def no_child_left():
+    """Whether this process has no child, running or exited: waitpid then
+    finds none to wait for."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class Unpicklable(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+class Stop(BaseException):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
+class TestWorkers:
+    """_chunk_map's forked workers: results and errors come back as the
+    serial loop gives them, and no worker outlives the call."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        # at least two workers for threads >= 2, whatever the machine
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def test_results_in_partition_order(self):
+        starts = list(range(1, 40, 3))
+        for threads in (1, 2, 3, 4):
+            assert counting._chunk_map(lambda lo: [lo, lo * lo], starts, threads) == \
+                [[lo, lo * lo] for lo in starts]
+        assert no_child_left()
+
+    def test_at_most_one_worker_per_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pids = counting._chunk_map(lambda lo: os.getpid(), range(10), 7)
+        assert len(set(pids)) == 2 and pids[0] == os.getpid()
+        assert no_child_left()
+
+    def test_serial_while_another_thread_runs(self):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            pids = counting._chunk_map(lambda lo: os.getpid(), range(4), 2)
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
+        assert pids == [os.getpid()] * 4
+
+    def test_more_threads_than_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(counting, "CHUNK", 4)
+        # eight chunks of the valuation solve and of the relation enumerator
+        for prob in (hypersurface_problem((1, 1, 1)),
+                     validate_toric_matrix([(1, 1, -1, -1)])):
+            counts = [count_points(prob, None, 30, "sup", threads=k).count
+                      for k in (1, 9)]
+            assert counts[0] == counts[1] > 0
+        assert no_child_left()
+
+    def test_valuation_solve_invariant_raises(self, monkeypatch):
+        # the case of TestInvariants in three chunks over two workers
+        monkeypatch.setattr(counting, "_factorize", lambda m: {})
+        monkeypatch.setattr(counting, "CHUNK", 4)
+        messages = []
+        for threads in (1, 2):
+            with pytest.raises(InvariantError, match="no 3-th power") as info:
+                count_points_hypersurface((1, 1, 1), None, 10, "sup", threads=threads)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("error", [BoxTooLarge, InvariantError])
+    def test_error_in_a_worker(self, error):
+        parent = os.getpid()
+
+        def fn(lo):
+            if os.getpid() != parent:
+                raise error(f"chunk {lo}")
+            return lo
+        # with two workers the forked one runs the odd chunks
+        with pytest.raises(error, match="^chunk 1$"):
+            counting._chunk_map(fn, range(4), 2)
+        assert no_child_left()
+
+    def test_first_error_in_partition_order(self):
+        def fn(lo):
+            if lo in (1, 2, 5):
+                raise InvariantError(f"chunk {lo}")
+            return lo
+        for threads in (1, 2, 3):
+            with pytest.raises(InvariantError, match="^chunk 1$"):
+                counting._chunk_map(fn, range(6), threads)
+        assert no_child_left()
+
+    def test_unpicklable_error(self):
+        def fn(lo):
+            if lo == 1:
+                raise Unpicklable("x", "y")
+            return lo
+        with pytest.raises(RuntimeError, match="Unpicklable: x and y"):
+            counting._chunk_map(fn, range(2), 2)
+        assert no_child_left()
+
+    def test_worker_dies(self):
+        parent = os.getpid()
+
+        def fn(lo):
+            if os.getpid() != parent:
+                os._exit(3)
+            return lo
+        with pytest.raises(ChildProcessError, match="exit status 3"):
+            counting._chunk_map(fn, range(2), 2)
+        assert no_child_left()
+
+    def test_caller_fails_first(self):
+        # the calling process stops; the sleeping worker is killed and reaped
+        parent = os.getpid()
+
+        def fn(lo):
+            if os.getpid() == parent:
+                raise Stop()
+            time.sleep(60)
+        started = time.perf_counter()
+        with pytest.raises(Stop):
+            counting._chunk_map(fn, range(2), 2)
+        assert time.perf_counter() - started < 30
+        assert no_child_left()
 
 
 class TestManinAssembly:
@@ -770,9 +908,9 @@ class TestZetaGridBits:
 
 
 class TestZetaCollectorBuffers:
-    """Each collector reduces its blocks in per-thread buffers that it
+    """Each collector reduces its blocks in buffers of its own that it
     reuses from block to block: reducing the blocks of several collectors
-    in turn on one thread gives each block the result it had alone."""
+    in turn gives each block the result it had alone."""
 
     RUNS = {
         "P1-squares": lambda: counting._zeta_pair_grid(
