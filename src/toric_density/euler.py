@@ -12,14 +12,21 @@ keep a truncated walk with a certified geometric-polynomial tail bound.
 The regularized factors (1 - 1/p)^K W(x_p) tend to 1 like p^(-(1+eps)), and
 the product over primes beyond the cutoff is corrected through the prime zeta
 function applied to the exponent expansion of log[(1 - x)^K W(x)]. One pass
-over the primes, in one thread and in fixed-point integers, evaluates every
-factor and the partial prime sums that correction needs.
+over the primes (`_prime_pass`), in one thread and in fixed-point integers,
+evaluates every factor and the partial prime sums that correction needs;
+`local_factor` and `keep_factors` read the same pass. The terms of an exact
+kind are read once, before the loop; a custom weight is truncated per prime.
+The correction reads the prime zeta values P(n) at integer n = 2..6 from a
+table kept to PRIME_ZETA_BITS bits, and calls mp.primezeta only at other
+exponents or at a higher working precision.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -43,18 +50,48 @@ PRIME_BLOCK = 1024
 EXACT_KINDS = ("toric", "hypersurface", "free")
 # extra fixed-point bits beyond the precision and the cancellation in N
 GUARD_BITS = 32
+# P(n) = sum_p p^(-n) at the integer exponents 2 <= n <= EXPANSION_DEPTH,
+# the only ones the log expansion of every problem tried so far reads:
+# mp.primezeta at 700 bits, kept to 200 digits, so good to PRIME_ZETA_BITS
+# bits. At 160 bits one mp.primezeta call takes about as long as the
+# prime loop to 5000.
+PRIME_ZETA_BITS = 640
+PRIME_ZETA = {
+    2: "0.4522474200410654985065433648322479341732313432398924"
+       "217364189303511650273639108744489575443549068582228062"
+       "276669206310191740295043337534894547974809304821625666"
+       "8255972413163286426729409931685353298559",
+    3: "0.1747626392994435364231133146657067009754121219261492"
+       "898886720167016315895281295876356342005369725605467910"
+       "672277642496666845112160320244516618039306388941122020"
+       "2367732485350131983568781749342391781432",
+    4: "0.0769931397642468449426192959331578701620410597148431"
+       "902649380088592165704875642065103331067853962895420291"
+       "064188287288728654003973024769057459215026566097256010"
+       "64140610588432841102303452007363610270301",
+    5: "0.0357550174839242571328182425388557111316972767266513"
+       "316900926748239758342747279313660728064703767950896396"
+       "090984573170347370451201706643571300385368811906689046"
+       "18957015358122913191518817450057794467753",
+    6: "0.0170700868506365129541336732660593992095859418745442"
+       "447331633688369697367471724366718603500781806230288231"
+       "363175320366099991709744747411966349053193115515587652"
+       "58657749456216747408148948421877123388346",
+}
 
 
-def primes_up_to(n: int):
-    """Plain sieve, ascending."""
+def primes_up_to(n: int) -> list:
+    """Sieve of the odd numbers, ascending."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(n ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
-    return [i for i, v in enumerate(sieve) if v]
+    odd = bytearray([1]) * ((n + 1) // 2)     # odd[i] stands for 2i + 1
+    odd[0] = 0
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            odd[start::p] = bytes((len(odd) - 1 - start) // p + 1)
+    return [2, *itertools.compress(range(1, n + 1, 2), odd)]
 
 
 @dataclass(frozen=True)
@@ -235,13 +272,14 @@ def _series_source(spec: UniformMultiplicativeSpec, c, tol: float,
     return profile, lambda p: profile.truncation(p, tol)
 
 
-def _layout(scale: int, truncation, precision: int):
+def _layout(scale: int, truncation, precision: int, zeta_powers=()):
     """(bits, top, step, ops) of the fixed-point evaluation at any prime.
 
-    They are read from the terms at p = 2, the most any prime keeps: the
-    top exponent, the gcd of D and every exponent, and the operations per
-    factor. bits adds the guard and the worst cancellation in N, at p = 2,
-    where N(x) >= Q(x) because W(x) >= W(0) = 1.
+    They are read from the terms at p = 2, the most any prime keeps, and
+    from the powers zeta_powers of the prime zeta sums: the top exponent,
+    the gcd of D and every exponent, and the operations per factor. bits
+    adds the guard and the worst cancellation in N, at p = 2, where
+    N(x) >= Q(x) because W(x) >= W(0) = 1.
     """
     terms, den, _ = truncation(2)
     exps = [e for e, _ in terms] + list(den)
@@ -249,7 +287,8 @@ def _layout(scale: int, truncation, precision: int):
     mass = sum(abs(a) for _, a in terms) * 2 * (top + 1)
     inv_q = -sum(math.log2(1 - 2.0 ** (-d / scale)) for d in den)
     bits = precision + GUARD_BITS + math.ceil(math.log2(mass) + inv_q)
-    return bits, top, math.gcd(scale, *exps), len(terms) + len(den) + 4
+    return (bits, max([top, *zeta_powers]), math.gcd(scale, *exps, *zeta_powers),
+            len(terms) + len(den) + 4)
 
 
 def _x_fixed(p: int, scale: int, bits: int) -> int:
@@ -266,36 +305,82 @@ def _x_fixed(p: int, scale: int, bits: int) -> int:
         x = y
 
 
-def _powers(p: int, scale: int, step: int, top: int, bits: int) -> list:
-    """x_p^j scaled by 2^bits at the multiples j of step up to top, 0 elsewhere.
-
-    step divides scale, so x_p^step = p^(-step/scale) is one exact root;
-    every further power is one truncated product.
-    """
-    y = _x_fixed(p, scale // step, bits)
-    out = [0] * (top + 1)
-    out[0] = power = 1 << bits
-    for j in range(step, top + 1, step):
-        power = out[j] = power * y >> bits
-    return out
-
-
-def _ratio(terms, den, powers, bits: int, p: int, k_reg: int):
-    """(1 - 1/p)^k_reg N(x)/Q(x) as (m, s), m of about `bits` bits, value
-    m 2^-s, with N(x) 2^-bits as the second result."""
-    num = sum(a * powers[e] for e, a in terms)
-    one = powers[0]
-    q = math.prod(one - powers[d] for d in den)
-    upper = num * (p - 1) ** k_reg << (bits * len(den))
-    lower = q * p ** k_reg << bits
-    shift = bits + lower.bit_length() - upper.bit_length()
-    m = (upper << shift) // lower if shift >= 0 else upper // (lower << -shift)
-    return m, shift, num
-
-
 def _mpf(m: int, shift: int):
     """m 2^-shift rounded to the working precision."""
     return mp.ldexp(mp.mpf(m), -shift)
+
+
+def _prime_pass(source, truncation, plist, k_reg: int, layout,
+                zeta_powers=(), keep_factors: bool = False):
+    """Every regularized factor (1 - 1/p)^k_reg N(x_p)/Q(x_p) over plist.
+
+    One pass in fixed-point integers, with layout = _layout(...). Per prime,
+    x_p^step = p^(-step/D) is one exact root, every further power one
+    truncated product, and the factor a ratio m 2^-s with m of about `bits`
+    bits. The terms of an exact kind are read once, as indices into those
+    powers; only a custom weight calls truncation(p) per prime. Returns
+    (blocks, partial, tail_sum, factors):
+    - blocks: one (m, s) per PRIME_BLOCK primes, their product m 2^-s,
+      truncated to `bits` bits after every factor;
+    - partial: j -> sum_p x_p^j 2^bits for every j in zeta_powers;
+    - tail_sum: sum_p tail(p) / N(x_p), 0.0 for exact kinds;
+    - factors: a LocalFactor per prime with keep_factors, else None.
+    """
+    bits, top, step, _ = layout
+    root = source.scale // step
+    one = 1 << bits
+    count = top // step
+    exact = isinstance(source, RationalWeight)
+
+    def indexed(p):
+        terms, den, tail = truncation(p)
+        # equal factors of Q as one power: the integer product is the same
+        return ([(e // step, a) for e, a in terms],
+                [(d // step, den.count(d)) for d in sorted(set(den))],
+                bits * len(den), tail)
+
+    if exact:
+        terms, den, den_shift, tail = indexed(2)
+    # sum_p x_p^(i step) 2^bits, up to the last power a zeta sum reads
+    sums = [0] * (max(zeta_powers, default=0) // step + 1)
+    blocks = []
+    factors = [] if keep_factors else None
+    tail_sum = 0.0
+    for start in range(0, len(plist), PRIME_BLOCK):
+        block, block_shift = 1, 0      # the block product is block 2^-block_shift
+        for p in plist[start:start + PRIME_BLOCK]:
+            y = one // p if root == 1 else _x_fixed(p, root, bits)
+            powers = [one]
+            power = one
+            for _ in range(count):
+                power = power * y >> bits
+                powers.append(power)
+            sums = list(map(operator.add, sums, powers))
+            if not exact:
+                terms, den, den_shift, tail = indexed(p)
+            num = 0
+            for e, a in terms:
+                num += a * powers[e]
+            q = 1
+            for d, k in den:
+                q *= (one - powers[d]) ** k
+            upper = num * (p - 1) ** k_reg << den_shift
+            lower = q * p ** k_reg << bits
+            shift = bits + lower.bit_length() - upper.bit_length()
+            m = (upper << shift) // lower if shift >= 0 else upper // (lower << -shift)
+            if tail:
+                tail_sum += tail / (num / one)
+            if factors is not None:
+                factors.append(LocalFactor(p=p, value=_mpf(m, shift), tail_bound=tail))
+            block *= m
+            block_shift += shift
+            excess = block.bit_length() - bits
+            if excess > 0:
+                block >>= excess
+                block_shift -= excess
+        blocks.append((block, block_shift))
+    partial = {j: sums[j // step] for j in zeta_powers}
+    return blocks, partial, tail_sum, factors
 
 
 def local_factor(spec: UniformMultiplicativeSpec, c, p: int, tol: float = 1e-12,
@@ -309,11 +394,10 @@ def local_factor(spec: UniformMultiplicativeSpec, c, p: int, tol: float = 1e-12,
     """
     with mp.workprec(precision):
         source, truncation = _series_source(spec, c, tol, generators, profile)
-        bits, top, step, _ = _layout(source.scale, truncation, precision)
-        terms, den, tail = truncation(p)
-        powers = _powers(p, source.scale, step, top, bits)
-        m, shift, _ = _ratio(terms, den, powers, bits, p, 0)
-        return LocalFactor(p=p, value=_mpf(m, shift), tail_bound=tail)
+        layout = _layout(source.scale, truncation, precision)
+        [factor] = _prime_pass(source, truncation, [p], 0, layout,
+                               keep_factors=True)[3]
+        return factor
 
 
 def epsilon_gap(generators: LatticePointSet, c) -> Fraction:
@@ -327,6 +411,16 @@ def epsilon_gap(generators: LatticePointSet, c) -> Fraction:
     walk = generators.spec.support(c, max_expo=2 * scale - 1)
     return Fraction(min((e - scale for _, _, _, e in walk if e > scale),
                         default=scale), scale)
+
+
+def _prime_zeta(e: Fraction):
+    """P(e) = sum_p p^(-e) at the working precision.
+
+    Stored values rounded to it where there are any, else mp.primezeta.
+    """
+    if e.denominator == 1 and e.numerator in PRIME_ZETA and mp.mp.prec <= PRIME_ZETA_BITS:
+        return mp.mpf(PRIME_ZETA[e.numerator])
+    return mp.primezeta(mp.mpf(e.numerator) / e.denominator)
 
 
 def _log_factor_expansion(weights: dict, k_reg: int, depth: Fraction) -> dict:
@@ -393,39 +487,17 @@ def euler_constant(spec: UniformMultiplicativeSpec, c, k_reg: int,
         series = _log_factor_expansion(weights, k_reg, EXPANSION_DEPTH)
         # the prime zeta correction reads sum_(p <= cutoff) x_p^j, j = D e
         zeta_powers = sorted(int(e * scale) for e in series)
-        bits, top, step, ops = _layout(scale, truncation, precision)
-        top = max([top] + zeta_powers)
-        step = math.gcd(step, *zeta_powers)
-
+        layout = _layout(scale, truncation, precision, zeta_powers)
+        bits, ops = layout[0], layout[3]
+        blocks, partial, tail_sum, factors = _prime_pass(
+            source, truncation, plist, k_reg, layout, zeta_powers, keep_factors)
         log_total = mp.mpf(0)
-        tail_sum = 0.0
-        partial = dict.fromkeys(zeta_powers, 0)
-        factors = [] if keep_factors else None
-        for start in range(0, nprimes, PRIME_BLOCK):
-            block, block_shift = 1, 0      # the block product is block 2^-block_shift
-            for p in plist[start:start + PRIME_BLOCK]:
-                powers = _powers(p, scale, step, top, bits)
-                for j in zeta_powers:
-                    partial[j] += powers[j]
-                terms, den, tail = truncation(p)
-                m, shift, num = _ratio(terms, den, powers, bits, p, k_reg)
-                if tail:
-                    tail_sum += tail / (num / (1 << bits))
-                if factors is not None:
-                    factors.append(LocalFactor(p=p, value=_mpf(m, shift),
-                                               tail_bound=tail))
-                block *= m
-                block_shift += shift
-                excess = block.bit_length() - bits
-                if excess > 0:
-                    block >>= excess
-                    block_shift -= excess
+        for block, block_shift in blocks:
             log_total += mp.log(_mpf(block, block_shift))
 
         correction = mp.mpf(0)
         for e, coef in sorted(series.items()):
-            x = mp.mpf(e.numerator) / e.denominator
-            tail_pz = mp.primezeta(x) - _mpf(partial[int(e * scale)], bits)
+            tail_pz = _prime_zeta(e) - _mpf(partial[int(e * scale)], bits)
             correction += (mp.mpf(coef.numerator) / coef.denominator) * tail_pz
         log_total += correction
 

@@ -232,6 +232,43 @@ class TestZeta:
         assert args.budget == default
 
 
+class TestParser:
+    """main builds only the invoked subcommand's parser."""
+
+    @staticmethod
+    def help_text(parser, argv, capsys):
+        with pytest.raises(SystemExit) as stop:
+            parser.parse_args(argv)
+        assert stop.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(cli.SUBCOMMANDS))
+    def test_subcommand_help_is_unchanged(self, capsys, name):
+        lean = self.help_text(cli.build_parser(name), [name, "--help"], capsys)
+        full = self.help_text(cli.build_parser(), [name, "--help"], capsys)
+        assert lean == full and lean.startswith(f"usage: toric-density {name} ")
+
+    def test_lean_parser_holds_one_subcommand(self):
+        [action] = [a for a in cli.build_parser("zeta")._actions
+                    if a.dest == "command"]
+        assert list(action.choices) == ["zeta"]
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli.SUBCOMMANDS)
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--threads", "2", "count"]])
+    def test_errors_come_from_the_full_parser(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        got = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        assert got == capsys.readouterr().err and "usage: toric-density" in got
+
+
 class TestGoldenReports:
     """Design changes must reproduce these reports byte for byte."""
 

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_density.euler import (NonPositivePolar, WeightProfile, epsilon_gap,
-                                 euler_constant, local_factor, primes_up_to,
-                                 rational_weight, required_level)
+from toric_density import euler
+from toric_density.euler import (NonPositivePolar, RationalWeight, WeightProfile,
+                                 epsilon_gap, euler_constant, local_factor,
+                                 primes_up_to, rational_weight, required_level)
 from toric_density.generators import generators_with_check
 from toric_density.model import (InvariantError, UniformMultiplicativeSpec,
                                  free_weight, hypersurface_weight, toric_weight,
@@ -26,6 +27,11 @@ class TestPrimes:
 
     def test_count_to_1e5(self):
         assert len(primes_up_to(100_000)) == 9592
+
+    def test_against_trial_division(self):
+        for n in range(-1, 400):
+            assert primes_up_to(n) == [p for p in range(2, n + 1)
+                                       if all(p % d for d in range(2, math.isqrt(p) + 1))]
 
 
 class TestLocalFactor:
@@ -167,6 +173,101 @@ class TestEulerConstant:
         spec = free_weight(2)
         with pytest.raises(ValueError):
             euler_constant(spec, (1, 1), 5, cutoff=1000)
+
+
+class TestPrimeZeta:
+    def test_stored_values(self):
+        assert sorted(euler.PRIME_ZETA) == list(range(2, int(euler.EXPANSION_DEPTH) + 1))
+        with mp.workprec(700):
+            for n, digits in euler.PRIME_ZETA.items():
+                want = mp.primezeta(n)
+                bound = want * mp.ldexp(1, -euler.PRIME_ZETA_BITS)
+                assert abs(mp.mpf(digits) - want) <= bound
+
+    def test_stored_values_round_like_primezeta(self):
+        for bits in (53, 160, euler.PRIME_ZETA_BITS):
+            with mp.workprec(bits):
+                for n in euler.PRIME_ZETA:
+                    assert euler._prime_zeta(Fraction(n)) == mp.primezeta(n)
+
+    def test_other_exponents_and_precisions_call_primezeta(self, monkeypatch):
+        calls = []
+        real = mp.primezeta
+
+        def spy(x):
+            calls.append((x, mp.mp.prec))
+            return real(x)
+        monkeypatch.setattr(mp, "primezeta", spy)
+        with mp.workprec(160):
+            euler._prime_zeta(Fraction(3))
+            assert calls == []
+            assert euler._prime_zeta(Fraction(5, 2)) == real(mp.mpf(5) / 2)
+        with mp.workprec(euler.PRIME_ZETA_BITS + 1):
+            euler._prime_zeta(Fraction(3))
+        assert calls == [(2.5, 160), (3, euler.PRIME_ZETA_BITS + 1)]
+
+    def test_products_unchanged_without_the_table(self, monkeypatch):
+        spec, gens, df = diagonal("hypersurface", (1, 1, 1))
+        stored = euler_constant(spec, df.c, df.face_point_count, cutoff=1000,
+                                generators=gens)
+        monkeypatch.setattr(euler, "PRIME_ZETA", {})
+        computed = euler_constant(spec, df.c, df.face_point_count, cutoff=1000,
+                                  generators=gens)
+        assert stored.value == computed.value
+        assert stored.error_bound == computed.error_bound
+
+
+class TestPrimePass:
+    @pytest.mark.parametrize("kind, entries, cutoff", [
+        ("hypersurface", (1, 1), 100_000), ("hypersurface", (1, 1, 1), 5000)])
+    def test_keep_factors_leaves_the_value(self, kind, entries, cutoff):
+        spec, gens, df = diagonal(kind, entries)
+        kept, plain = (euler_constant(spec, df.c, df.face_point_count, cutoff=cutoff,
+                                      generators=gens, keep_factors=keep)
+                       for keep in (True, False))
+        assert kept.value == plain.value and kept.error_bound == plain.error_bound
+        assert [f.p for f in kept.factors] == primes_up_to(cutoff)
+        assert plain.factors is None
+        k = df.face_point_count
+        for f in kept.factors[:5]:
+            lf = local_factor(spec, df.c, f.p, generators=gens)
+            with mp.workprec(200):
+                assert abs(f.value - (1 - mp.mpf(1) / f.p) ** k * lf.value) < 1e-40
+
+    def test_exact_kinds_read_their_terms_once(self, monkeypatch):
+        seen = []
+        real = RationalWeight.truncation
+
+        def spy(self, p):
+            seen.append(p)
+            return real(self, p)
+        monkeypatch.setattr(RationalWeight, "truncation", spy)
+        spec, gens, df = diagonal("hypersurface", (1, 1))
+        euler_constant(spec, df.c, df.face_point_count, cutoff=1000, generators=gens)
+        assert seen and set(seen) == {2}
+
+    def test_custom_weight_truncates_per_prime(self, monkeypatch):
+        seen = []
+        real = WeightProfile.truncation
+
+        def spy(self, p, tol):
+            seen.append(p)
+            return real(self, p, tol)
+        monkeypatch.setattr(WeightProfile, "truncation", spy)
+        n = 3
+        spec = UniformMultiplicativeSpec(
+            arity=n, g=lambda nu: 1 if sum(nu) % n == 0 else 0,
+            kind="custom", default_cap=4 * n)
+        c = (Fraction(1, n),) * n
+        rep = euler_constant(spec, c, 10, cutoff=100, tol=1e-8, keep_factors=True)
+        primes = primes_up_to(100)
+        assert set(primes) <= set(seen)
+        tol_pp = 1e-8 / (4 * len(primes))
+        profile = WeightProfile(spec, c, required_level(spec, c, tol_pp))
+        levels = [profile.level_for(p, tol_pp) for p in primes]
+        assert len(set(levels)) > 1
+        assert [f.tail_bound for f in rep.factors] == \
+            [profile.tail_bound(p, level) for p, level in zip(primes, levels)]
 
 
 @functools.cache
