@@ -17,7 +17,7 @@ from .model import (GeneralizedPolynomial, InvariantError, hypersurface_problem,
                     hypersurface_weight, toric_weight, validate_toric_matrix)
 from .polyhedron import build_polyhedron, diagonal_face, iota_lp
 from .polyparse import PolynomialSyntaxError, format_polynomial, parse_polynomial
-from .vectors import format_frac, frac
+from .vectors import format_digits, format_frac, frac
 from .volumes import sargos_constant
 
 SCHEMA = 1
@@ -36,12 +36,6 @@ def _json_default(x):
         return format_frac(x)
     if isinstance(x, frozenset):
         return sorted(x)
-    try:
-        import mpmath
-        if isinstance(x, mpmath.mpf):
-            return mpmath.nstr(x, 30)
-    except ImportError:
-        pass
     raise TypeError(f"not serializable: {type(x)}")
 
 
@@ -157,6 +151,8 @@ def cmd_constants(args) -> int:
     report: dict = {"schema": SCHEMA, "command": "constants"}
     if poly is not None:
         report["polynomial"] = format_polynomial(poly)
+    elif args.sargos_only:
+        raise InputError("constants --sargos-only needs --polynomial")
     elif not args.euler_only:
         raise InputError("constants needs --polynomial unless --euler")
     if args.sargos_only:
@@ -183,13 +179,13 @@ def cmd_constants(args) -> int:
             spec, df.c, df.face_point_count, cutoff=args.prime_cutoff,
             tol=args.euler_tol, precision=args.precision, generators=gens,
             keep_factors=args.full_factors)
-        payload = {"value": float(rep.value), "value_str": _mpf_str(rep.value),
+        payload = {"value": float(rep.value), "value_str": format_digits(rep.value),
                    "cutoff": rep.cutoff, "K": rep.K,
                    "epsilon_gap": rep.epsilon_gap,
                    "error_bound": rep.error_bound, "precision": rep.precision,
                    "c": list(df.c)}
         if rep.factors is not None:
-            payload["factors"] = [{"p": f.p, "value": _mpf_str(f.value),
+            payload["factors"] = [{"p": f.p, "value": format_digits(f.value),
                                    "tail_bound": f.tail_bound}
                                   for f in rep.factors]
         report["euler"] = payload
@@ -214,7 +210,7 @@ def _manin_json(rep: counting.ManinReport) -> dict:
                             "abs_error": rep.volume.abs_error,
                             "method": rep.volume.method},
         "euler": {"value": float(rep.euler.value),
-                  "value_str": _mpf_str(rep.euler.value),
+                  "value_str": format_digits(rep.euler.value),
                   "cutoff": rep.euler.cutoff, "K": rep.euler.K,
                   "epsilon_gap": rep.euler.epsilon_gap,
                   "error_bound": rep.euler.error_bound},
@@ -224,11 +220,6 @@ def _manin_json(rep: counting.ManinReport) -> dict:
         "flags": {"compact": rep.compact, "dimension_ok": rep.dimension_ok,
                   "stabilized": rep.stabilized},
     }
-
-
-def _mpf_str(x) -> str:
-    import mpmath
-    return mpmath.nstr(x, 30)
 
 
 def cmd_count(args) -> int:
@@ -285,6 +276,10 @@ def cmd_verify(args) -> int:
     mode = "sup" if args.sup_norm else "polynomial"
     if mode == "polynomial" and poly is None:
         raise InputError("verify needs --polynomial unless --sup-norm")
+    t = frac(args.t)
+    if t < 16:
+        raise InputError(f"verify needs --t at least 16, got {args.t}: it counts "
+                         f"at t/16, t/4 and t, and each must be at least 1")
     checks = []
     flagged = False
 
@@ -311,7 +306,6 @@ def cmd_verify(args) -> int:
         constant, iota, rho = counting.sup_norm_prediction(target)
         extra = {"iota": iota, "rho": rho, "leading_constant": constant}
 
-    t = frac(args.t)
     results = [counting.count_points(problem, poly, tv, mode, budget=args.budget,
                                      threads=args.threads)
                for tv in (t / 16, t / 4, t)]

@@ -69,7 +69,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .euler import EulerReport, euler_constant
+from .euler import EulerReport, euler_constant, zeta_float
 from .generators import generators_with_check
 from .model import (GeneralizedPolynomial, InvariantError, ToricProblem,
                     ellipticity_witness, hypersurface_problem,
@@ -1052,19 +1052,18 @@ def sup_norm_prediction(problem_or_a):
     two-variable hypersurfaces via the coprime power parametrization. The
     constant includes the sign factor, i.e. it predicts the full point count.
     """
-    import mpmath as mp
     if isinstance(problem_or_a, ToricProblem):
         if problem_or_a.l != 0:
             raise ValueError("sup-norm prediction implemented for the full torus only")
         n = problem_or_a.n
-        return 2 ** n / float(mp.zeta(n + 1)), Fraction(n + 1), 1
+        return 2 ** n / zeta_float(n + 1), Fraction(n + 1), 1
     a = tuple(int(x) for x in problem_or_a)
     if len(a) != 2:
         raise ValueError("sup-norm prediction implemented for two-variable hypersurfaces")
     (q1, _), (_, q2), _ = _two_var_powers(a)
     csign = sign_count(hypersurface_problem(a)).value
     iota = Fraction(1, q1) + Fraction(1, q2)
-    return csign / float(mp.zeta(2)), iota, 1
+    return csign / zeta_float(2), iota, 1
 
 
 def zeta_partial(problem_or_a, poly: GeneralizedPolynomial, s_values,

@@ -16,13 +16,20 @@ over the primes (`_prime_pass`), in one thread and in fixed-point integers,
 evaluates every factor and the partial prime sums that correction needs;
 `local_factor` and `keep_factors` read the same pass. The terms of an exact
 kind are read once, before the loop; a custom weight is truncated per prime.
-The correction reads the prime zeta values P(n) at integer n = 2..6 from a
-table kept to PRIME_ZETA_BITS bits, and calls mp.primezeta only at other
+
+The assembly stays exact as far as it can: the block products and the
+partial sums are dyadic integers, the correction sum_e coef_e (P(e) -
+partial_e) is a Fraction, and one exp in a local decimal context, about
+`precision` bits wide, gives the value. So `LocalFactor.value` is the exact
+Fraction of the fixed-point pass and `EulerReport.value` a Decimal. The
+prime zeta values P(n) at integer n = 2..6 come from a table kept to
+PRIME_ZETA_BITS bits; mpmath is imported only for mp.primezeta at other
 exponents or at a higher working precision.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 import itertools
 import math
@@ -30,8 +37,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import mpmath as mp
 
 from .generators import LatticePointSet, generators_with_check
 # NonPositivePolar is raised by the support walk and importable from here
@@ -50,11 +55,15 @@ PRIME_BLOCK = 1024
 EXACT_KINDS = ("toric", "hypersurface", "free")
 # extra fixed-point bits beyond the precision and the cancellation in N
 GUARD_BITS = 32
+# extra decimal digits of the final exp beyond `precision` bits
+GUARD_DIGITS = 8
+# terms of the integer zeta series: its error is below 2^-150 at every k >= 2
+ZETA_TERMS = 64
 # P(n) = sum_p p^(-n) at the integer exponents 2 <= n <= EXPANSION_DEPTH,
 # the only ones the log expansion of every problem tried so far reads:
 # mp.primezeta at 700 bits, kept to 200 digits, so good to PRIME_ZETA_BITS
 # bits. At 160 bits one mp.primezeta call takes about as long as the
-# prime loop to 5000.
+# prime loop to 5000, and importing mpmath longer than that.
 PRIME_ZETA_BITS = 640
 PRIME_ZETA = {
     2: "0.4522474200410654985065433648322479341732313432398924"
@@ -97,13 +106,13 @@ def primes_up_to(n: int) -> list:
 @dataclass(frozen=True)
 class LocalFactor:
     p: int
-    value: object          # mpf
+    value: Fraction        # the fixed-point factor m 2^-s, exactly
     tail_bound: float
 
 
 @dataclass(frozen=True)
 class EulerReport:
-    value: object          # mpf
+    value: decimal.Decimal
     cutoff: int
     K: int
     epsilon_gap: Fraction
@@ -305,9 +314,14 @@ def _x_fixed(p: int, scale: int, bits: int) -> int:
         x = y
 
 
-def _mpf(m: int, shift: int):
-    """m 2^-shift rounded to the working precision."""
-    return mp.ldexp(mp.mpf(m), -shift)
+def _dyadic(m: int, shift: int) -> Fraction:
+    """m 2^-shift, exactly."""
+    return Fraction(m, 1 << shift) if shift >= 0 else Fraction(m << -shift)
+
+
+def _to_decimal(x: Fraction, ctx: decimal.Context) -> decimal.Decimal:
+    """x rounded once to the digits of ctx."""
+    return ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
 
 
 def _prime_pass(source, truncation, plist, k_reg: int, layout,
@@ -371,7 +385,7 @@ def _prime_pass(source, truncation, plist, k_reg: int, layout,
             if tail:
                 tail_sum += tail / (num / one)
             if factors is not None:
-                factors.append(LocalFactor(p=p, value=_mpf(m, shift), tail_bound=tail))
+                factors.append(LocalFactor(p=p, value=_dyadic(m, shift), tail_bound=tail))
             block *= m
             block_shift += shift
             excess = block.bit_length() - bits
@@ -392,12 +406,10 @@ def local_factor(spec: UniformMultiplicativeSpec, c, p: int, tol: float = 1e-12,
     Exact for matrix, hypersurface and free weights (tail_bound 0.0); a
     custom weight is walked to the level certified below tol.
     """
-    with mp.workprec(precision):
-        source, truncation = _series_source(spec, c, tol, generators, profile)
-        layout = _layout(source.scale, truncation, precision)
-        [factor] = _prime_pass(source, truncation, [p], 0, layout,
-                               keep_factors=True)[3]
-        return factor
+    source, truncation = _series_source(spec, c, tol, generators, profile)
+    layout = _layout(source.scale, truncation, precision)
+    [factor] = _prime_pass(source, truncation, [p], 0, layout, keep_factors=True)[3]
+    return factor
 
 
 def epsilon_gap(generators: LatticePointSet, c) -> Fraction:
@@ -413,14 +425,33 @@ def epsilon_gap(generators: LatticePointSet, c) -> Fraction:
                         default=scale), scale)
 
 
-def _prime_zeta(e: Fraction):
-    """P(e) = sum_p p^(-e) at the working precision.
+def _round_bits(x: Fraction, bits: int) -> Fraction:
+    """x > 0 rounded to `bits` significant bits, ties to even, as mpmath rounds."""
+    n, d = x.numerator, x.denominator
+    shift = bits - n.bit_length() + d.bit_length()
+    while True:
+        num, den = (n << shift, d) if shift >= 0 else (n, d << -shift)
+        m, r = divmod(num, den)
+        if m.bit_length() <= bits:
+            break
+        shift -= 1
+    if 2 * r > den or (2 * r == den and m & 1):
+        m += 1
+    return _dyadic(m, shift)
 
-    Stored values rounded to it where there are any, else mp.primezeta.
+
+def _prime_zeta(e: Fraction, precision: int) -> Fraction:
+    """P(e) = sum_p p^(-e) rounded to `precision` bits.
+
+    The stored value where there is one, else mp.primezeta: the one place
+    the package imports mpmath.
     """
-    if e.denominator == 1 and e.numerator in PRIME_ZETA and mp.mp.prec <= PRIME_ZETA_BITS:
-        return mp.mpf(PRIME_ZETA[e.numerator])
-    return mp.primezeta(mp.mpf(e.numerator) / e.denominator)
+    if e.denominator == 1 and e.numerator in PRIME_ZETA and precision <= PRIME_ZETA_BITS:
+        return _round_bits(Fraction(PRIME_ZETA[e.numerator]), precision)
+    import mpmath as mp
+    with mp.workprec(precision):
+        man, exp = mp.primezeta(mp.mpf(e.numerator) / e.denominator).man_exp
+    return _dyadic(man, -exp)
 
 
 def _log_factor_expansion(weights: dict, k_reg: int, depth: Fraction) -> dict:
@@ -478,37 +509,53 @@ def euler_constant(spec: UniformMultiplicativeSpec, c, k_reg: int,
     nprimes = len(plist)
     tol_pp = tol / (4 * max(nprimes, 1))
 
-    with mp.workprec(precision):
-        source, truncation = _series_source(spec, c, tol_pp, generators)
-        scale = source.scale
-        gap = epsilon_gap(generators, c) if generators is not None else Fraction(1)
-        weights = {Fraction(j, scale): w for j, w in
-                   enumerate(source.series(int(EXPANSION_DEPTH * scale))) if j and w}
-        series = _log_factor_expansion(weights, k_reg, EXPANSION_DEPTH)
-        # the prime zeta correction reads sum_(p <= cutoff) x_p^j, j = D e
-        zeta_powers = sorted(int(e * scale) for e in series)
-        layout = _layout(scale, truncation, precision, zeta_powers)
-        bits, ops = layout[0], layout[3]
-        blocks, partial, tail_sum, factors = _prime_pass(
-            source, truncation, plist, k_reg, layout, zeta_powers, keep_factors)
-        log_total = mp.mpf(0)
-        for block, block_shift in blocks:
-            log_total += mp.log(_mpf(block, block_shift))
+    source, truncation = _series_source(spec, c, tol_pp, generators)
+    scale = source.scale
+    gap = epsilon_gap(generators, c) if generators is not None else Fraction(1)
+    weights = {Fraction(j, scale): w for j, w in
+               enumerate(source.series(int(EXPANSION_DEPTH * scale))) if j and w}
+    series = _log_factor_expansion(weights, k_reg, EXPANSION_DEPTH)
+    # the prime zeta correction reads sum_(p <= cutoff) x_p^j, j = D e
+    zeta_powers = sorted(int(e * scale) for e in series)
+    layout = _layout(scale, truncation, precision, zeta_powers)
+    bits, ops = layout[0], layout[3]
+    blocks, partial, tail_sum, factors = _prime_pass(
+        source, truncation, plist, k_reg, layout, zeta_powers, keep_factors)
+    product = _dyadic(math.prod(m for m, _ in blocks), sum(s for _, s in blocks))
+    correction = sum((coef * (_prime_zeta(e, precision)
+                              - _dyadic(partial[int(e * scale)], bits))
+                      for e, coef in sorted(series.items())), Fraction(0))
+    ctx = decimal.Context(prec=math.ceil(precision * math.log10(2)) + GUARD_DIGITS)
+    value = ctx.multiply(_to_decimal(product, ctx), ctx.exp(_to_decimal(correction, ctx)))
+    # everything past the expansion depth is bounded by a crude integral
+    depth_f = float(EXPANSION_DEPTH)
+    mass = 1.0 + float(sum(abs(w) for w in weights.values())) + k_reg
+    remainder = (mass ** 2) * cutoff ** (1.0 - depth_f) / (depth_f - 1.0)
+    rounding = nprimes * ops * math.ldexp(1.0, -precision + 4)
+    err = float(value) * (tail_sum + remainder + rounding) + remainder
 
-        correction = mp.mpf(0)
-        for e, coef in sorted(series.items()):
-            tail_pz = _prime_zeta(e) - _mpf(partial[int(e * scale)], bits)
-            correction += (mp.mpf(coef.numerator) / coef.denominator) * tail_pz
-        log_total += correction
+    return EulerReport(value=value, cutoff=cutoff, K=k_reg, epsilon_gap=gap,
+                       error_bound=err, precision=precision,
+                       factors=tuple(factors) if factors is not None else None)
 
-        value = mp.exp(log_total)
-        # everything past the expansion depth is bounded by a crude integral
-        depth_f = float(EXPANSION_DEPTH)
-        mass = 1.0 + float(sum(abs(w) for w in weights.values())) + k_reg
-        remainder = (mass ** 2) * cutoff ** (1.0 - depth_f) / (depth_f - 1.0)
-        rounding = nprimes * ops * math.ldexp(1.0, -precision + 4)
-        err = float(value) * (tail_sum + remainder + rounding) + remainder
 
-        return EulerReport(value=value, cutoff=cutoff, K=k_reg, epsilon_gap=gap,
-                           error_bound=err, precision=precision,
-                           factors=tuple(factors) if factors is not None else None)
+def zeta_float(k: int) -> float:
+    """The Riemann zeta value zeta(k) at an integer k >= 2, rounded to a float once.
+
+    P. Borwein's alternating series (An efficient algorithm for the Riemann
+    zeta function, 2000) on integers: zeta(k) (1 - 2^(1-k)) d_n =
+    sum_(i<n) (-1)^i (d_n - d_i) / (i+1)^k up to 3 (3 + sqrt 8)^(-n) d_n,
+    with d_i = n sum_(j<=i) (n+j-1)! 4^j / ((n-j)! (2j)!). With n =
+    ZETA_TERMS the sum is good to about 150 bits before the one rounding.
+    """
+    if k < 2:
+        raise ValueError("zeta_float needs an integer k >= 2")
+    n = ZETA_TERMS
+    d, total = [], 0
+    for j in range(n + 1):
+        total += n * math.factorial(n + j - 1) * 4 ** j \
+            // (math.factorial(n - j) * math.factorial(2 * j))
+        d.append(total)
+    fixed = 192     # bits of each term: their floors cost far less than the series error
+    series = sum((-1) ** i * (((d[n] - d[i]) << fixed) // (i + 1) ** k) for i in range(n))
+    return (series << (k - 1)) / ((d[n] * ((1 << (k - 1)) - 1)) << fixed)

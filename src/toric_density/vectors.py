@@ -71,3 +71,44 @@ def format_frac(x: Fraction):
     if x.denominator == 1:
         return int(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_digits(x) -> str:
+    """x rounded half up to 30 significant digits, printed as mpmath.nstr(x, 30).
+
+    x is anything Fraction takes exactly (int, float, Decimal, Fraction).
+    The notation is fixed while the leading digit's exponent e lies strictly
+    between -10 and 30, else d.ddd followed by e+N or e-N; trailing zeros
+    go, but one digit stays after the point.
+    """
+    x = Fraction(x)
+    if not x:
+        return "0.0"
+    sign = "-" if x < 0 else ""
+    n, d = abs(x.numerator), x.denominator
+
+    def at_least(e):   # n/d >= 10^e
+        return n * 10 ** max(-e, 0) >= d * 10 ** max(e, 0)
+
+    e = (n.bit_length() - d.bit_length()) * 3 // 10
+    while at_least(e + 1):
+        e += 1
+    while not at_least(e):
+        e -= 1
+    k = 29 - e
+    num, den = (n * 10 ** k, d) if k >= 0 else (n, d * 10 ** -k)
+    kept = (2 * num + den) // (2 * den)
+    if kept == 10 ** 30:        # a carry through a run of nines
+        kept //= 10
+        e += 1
+    digits = str(kept)
+    exponent = 0
+    if -10 < e < 30:
+        split = 1 if e < 0 else e + 1
+        digits = "0" * max(-e, 0) + digits
+    else:
+        split, exponent = 1, e
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return sign + text + (f"e{exponent:+d}" if exponent else "")

@@ -5,11 +5,17 @@ import os
 import pathlib
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_density import cli, counting
 from toric_density.counting import zeta_partial
+from toric_density.vectors import format_digits
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 # report name -> the command whose stdout it holds
@@ -24,6 +30,10 @@ GOLDEN_COMMANDS = {
     "euler_matrix_1_2_-3_full": ["constants", "--euler", "--matrix", "1,2,-3",
                                  "--prime-cutoff", "50", "--euler-tol", "1e-6",
                                  "--full-factors"],
+    # past the stored prime zeta values: mp.primezeta at 700 bits
+    "euler_hypersurface_1_1_precision_700": [
+        "constants", "--euler", "--hypersurface", "1,1", "--precision", "700",
+        "--prime-cutoff", "200", "--full-factors"],
     "constants_hypersurface_1_1_1_squares": [
         "constants", "--hypersurface", "1,1,1", "--polynomial", "X1^2+X2^2+X3^2+X4^2",
         "--prime-cutoff", "100", "--euler-tol", "1e-3"],
@@ -177,6 +187,12 @@ class TestConstants:
         euler = data["euler"]
         assert abs(float(euler["value_str"]) - 6 / math.pi ** 2) <= euler["error_bound"]
 
+    def test_sargos_only_without_polynomial(self, capsys):
+        code = cli.main(["constants", "--sargos-only", "--euler", "--hypersurface", "1,1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_BAD_INPUT and captured.out == ""
+        assert "--polynomial" in captured.err and "Traceback" not in captured.err
+
     def test_full_assembly(self, capsys):
         code, out = run_cli(["constants", "--hypersurface", "1,1",
                              "--polynomial", "X1^2+X2^2+X3^2",
@@ -202,6 +218,18 @@ class TestVerify:
                              "--prime-cutoff", "20000", "--band", "0.05"], capsys)
         data = json.loads(out)
         assert code == 0 and data["ok"] is True
+
+    @pytest.mark.parametrize("t", ["8", "15.5", "1"])
+    def test_t_below_the_ladder(self, capsys, t):
+        code = cli.main(["verify", "--projective-torus", "1", "--sup-norm", "--t", t])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_BAD_INPUT and captured.out == ""
+        assert "at least 16" in captured.err and "t/16" in captured.err
+
+    def test_t_at_the_ladder_foot(self, capsys):
+        code, out = run_cli(["verify", "--projective-torus", "1", "--sup-norm",
+                             "--t", "16", "--band", "1"], capsys)
+        assert code == 0 and json.loads(out)["table"][0]["t"] == 1
 
 
 class TestZeta:
@@ -390,8 +418,92 @@ for argv in (["count", "--matrix", "1,1,-2", "--sup-norm", "--t", "50"],
         assert cli.main(argv) == 0, argv
     assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], argv
 """
+        self.run_script(script)
+
+    @staticmethod
+    def run_script(script):
         src = str(pathlib.Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+    def test_mpmath_loads_only_past_the_stored_prime_zeta_values(self):
+        # the Euler assembly, the 30-digit strings and zeta(n + 1) of the
+        # sup-norm prediction take no mpmath; --precision 700 reads
+        # mp.primezeta and still prints the bytes it printed with mpmath
+        script = f"""
+import contextlib, io, sys
+import toric_density.cli as cli
+assert 'mpmath' not in sys.modules, 'import'
+for argv in (["constants", "--euler", "--hypersurface", "1,1,1", "--prime-cutoff", "2000"],
+             ["constants", "--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2",
+              "--prime-cutoff", "2000"],
+             ["count", "--hypersurface", "1,1,1", "--sup-norm", "--t", "100"],
+             ["verify", "--projective-torus", "2", "--sup-norm", "--t", "64"],
+             ["zeta", "--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2",
+              "--budget", "1000000", "--s", "1.5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert 'mpmath' not in sys.modules, argv
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main({GOLDEN_COMMANDS["euler_hypersurface_1_1_precision_700"]!r}) == 0
+assert 'mpmath' in sys.modules
+with open({str(GOLDEN / "euler_hypersurface_1_1_precision_700.json")!r}) as fh:
+    assert out.getvalue() == fh.read()
+"""
+        self.run_script(script)
+
+
+def nstr30(x: Fraction) -> str:
+    """mpmath.nstr(x, 30) of a dyadic x, the oracle of format_digits.
+
+    mpmath takes its digits exactly while the mantissa has at most 119
+    bits; every x given here has fewer.
+    """
+    with mp.workprec(200):
+        return mp.nstr(mp.mpf(x.numerator) / x.denominator, 30)
+
+
+class TestFormatDigits:
+    @pytest.mark.parametrize("x, text", [
+        (Fraction(0), "0.0"),
+        (Fraction(-3, 4), "-0.75"),
+        # carries through runs of nines, across the switch at 10^30
+        (Fraction(2 * 10 ** 30 - 1, 2), "1.0e+30"),
+        (Fraction(2 * 10 ** 29 - 1, 2), "99999999999999999999999999999.5"),
+        (Fraction(2 * 10 ** 30 - 1, 4), "500000000000000000000000000000.0"),
+        (1 - Fraction(1, 2 ** 103), "1.0"),
+        (1 - Fraction(1, 2 ** 100), "0.999999999999999999999999999999"),
+        (Fraction(10 ** 29), "100000000000000000000000000000.0"),
+        # the switch below: leading digit at 10^-10 or 10^-9
+        (Fraction(1, 2 ** 30), "9.31322574615478515625e-10"),
+        (Fraction(1, 2 ** 29), "0.00000000186264514923095703125"),
+        (Fraction(-(2 * 10 ** 30 - 1), 2 ** 131), "-7.34683969263929692480460335764e-10"),
+    ])
+    def test_cases(self, x, text):
+        assert format_digits(x) == text == nstr30(x)
+
+    def test_carry_to_the_switch_below(self):
+        # just under 10^-10: 30 digits round up to 1.0e-10, written with an exponent
+        with mp.workprec(119):
+            v = mp.mpf(10) ** -10 * (1 - mp.mpf(2) ** -110)
+        man, exp = v.man_exp
+        x = Fraction(man) * Fraction(2) ** exp
+        assert format_digits(x) == "1.0e-10" == nstr30(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_floats(self, x):
+        assert format_digits(x) == mp.nstr(mp.mpf(x), 30)
+
+    @settings(max_examples=300, deadline=None)
+    @given(man=st.integers(-2 ** 110, 2 ** 110), exp=st.integers(-400, 300))
+    def test_dyadic(self, man, exp):
+        x = Fraction(man) * Fraction(2) ** exp
+        assert format_digits(x) == nstr30(x)
+
+    def test_decimal(self):
+        x = Decimal("0.60792710185402662866327677925836583342615264803347929")
+        assert format_digits(x) == "0.607927101854026628663276779258"

@@ -1,6 +1,7 @@
 import functools
 import math
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -19,6 +20,18 @@ from toric_density.model import (InvariantError, UniformMultiplicativeSpec,
 from toric_density.polyhedron import build_polyhedron, diagonal_face, polar_vectors
 
 HALF = Fraction(1, 2)
+
+
+def mpf(x):
+    """An exact Fraction or Decimal value as an mpf at the working precision."""
+    x = Fraction(x)
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def dyadic(x) -> Fraction:
+    """An mpf as the exact Fraction it stands for."""
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
 
 class TestPrimes:
@@ -41,7 +54,7 @@ class TestLocalFactor:
             lf = local_factor(spec, (1, 1), p, tol=1e-25)
             with mp.workprec(200):
                 expect = (1 - 1 / mp.mpf(p)) ** -2
-                assert abs(lf.value - expect) < 1e-20
+                assert abs(mpf(lf.value) - expect) < 1e-20
 
     def test_hypersurface_11_at_2(self):
         lf = local_factor(hypersurface_weight((1, 1)), (HALF, HALF), 2, tol=1e-25)
@@ -59,7 +72,7 @@ class TestLocalFactor:
             lf = local_factor(spec, c, p, tol=1e-22)
             oracle = sum(math.comb((k + 1) * n - 1, n - 1) * mp.mpf(p) ** -k
                          for k in range(200))
-            assert abs(lf.value - oracle) < 1e-15
+            assert abs(mpf(lf.value) - oracle) < 1e-15
 
     def test_nonpositive_polar_rejected(self):
         with pytest.raises(NonPositivePolar):
@@ -114,13 +127,13 @@ class TestEulerConstant:
             c = tuple(Fraction(1) for _ in range(n + 1))
             rep = euler_constant(spec, c, n + 1, cutoff=100_000)
             target = 1 / mp.zeta(n + 1)
-            assert abs(rep.value - target) < 1e-8
-            assert abs(rep.value - target) < rep.error_bound + 1e-12
+            assert abs(mpf(rep.value) - target) < 1e-8
+            assert abs(mpf(rep.value) - target) < rep.error_bound + 1e-12
 
     def test_hypersurface_11(self):
         spec = hypersurface_weight((1, 1))
         rep = euler_constant(spec, (HALF, HALF), 2, cutoff=100_000)
-        assert abs(rep.value - 6 / mp.pi ** 2) < 1e-8
+        assert abs(mpf(rep.value) - 6 / mp.pi ** 2) < 1e-8
 
     def test_free_weight_unit_factors(self):
         spec = free_weight(2)
@@ -167,7 +180,7 @@ class TestEulerConstant:
             kind="custom", default_cap=4 * n)
         rep = euler_constant(spec, (Fraction(1, n),) * n, 10, cutoff=500, tol=1e-8)
         anchor = mp.mpf("0.00131764115485317810981735")
-        assert abs(rep.value - anchor) <= rep.error_bound
+        assert abs(mpf(rep.value) - anchor) <= rep.error_bound
 
     def test_inconsistent_k_rejected(self):
         spec = free_weight(2)
@@ -188,7 +201,7 @@ class TestPrimeZeta:
         for bits in (53, 160, euler.PRIME_ZETA_BITS):
             with mp.workprec(bits):
                 for n in euler.PRIME_ZETA:
-                    assert euler._prime_zeta(Fraction(n)) == mp.primezeta(n)
+                    assert euler._prime_zeta(Fraction(n), bits) == dyadic(mp.primezeta(n))
 
     def test_other_exponents_and_precisions_call_primezeta(self, monkeypatch):
         calls = []
@@ -198,12 +211,12 @@ class TestPrimeZeta:
             calls.append((x, mp.mp.prec))
             return real(x)
         monkeypatch.setattr(mp, "primezeta", spy)
+        euler._prime_zeta(Fraction(3), 160)
+        assert calls == []
         with mp.workprec(160):
-            euler._prime_zeta(Fraction(3))
-            assert calls == []
-            assert euler._prime_zeta(Fraction(5, 2)) == real(mp.mpf(5) / 2)
-        with mp.workprec(euler.PRIME_ZETA_BITS + 1):
-            euler._prime_zeta(Fraction(3))
+            want = dyadic(real(mp.mpf(5) / 2))
+        assert euler._prime_zeta(Fraction(5, 2), 160) == want
+        euler._prime_zeta(Fraction(3), euler.PRIME_ZETA_BITS + 1)
         assert calls == [(2.5, 160), (3, euler.PRIME_ZETA_BITS + 1)]
 
     def test_products_unchanged_without_the_table(self, monkeypatch):
@@ -215,6 +228,34 @@ class TestPrimeZeta:
                                   generators=gens)
         assert stored.value == computed.value
         assert stored.error_bound == computed.error_bound
+
+
+class TestAssembly:
+    def test_zeta_float_is_mpmath_rounded_once(self):
+        assert [euler.zeta_float(k) for k in range(2, 81)] == \
+            [float(mp.zeta(k)) for k in range(2, 81)]
+
+    def test_zeta_float_needs_k_above_one(self):
+        with pytest.raises(ValueError):
+            euler.zeta_float(1)
+
+    def test_value_is_a_decimal_good_far_below_the_printed_digits(self):
+        spec, gens, df = diagonal("hypersurface", (1, 1, 1))
+        default, wide = (euler_constant(spec, df.c, df.face_point_count, cutoff=1000,
+                                        generators=gens, precision=bits)
+                         for bits in (euler.DEFAULT_PRECISION, 400))
+        assert isinstance(default.value, Decimal)
+        assert abs(default.value / wide.value - 1) < Decimal("1e-45")
+
+    def test_round_bits_ties_to_even(self):
+        assert euler._round_bits(Fraction(9, 8), 2) == 1
+        assert euler._round_bits(Fraction(11, 8), 2) == Fraction(3, 2)
+        assert euler._round_bits(Fraction(5, 4), 2) == 1
+        assert euler._round_bits(Fraction(7, 4), 2) == 2
+        # mpmath parses p/q with one correct rounding
+        with mp.workprec(20):
+            for x in (Fraction(1, 3), Fraction(10 ** 9 + 7, 3 ** 25), Fraction(2 ** 40 - 1)):
+                assert euler._round_bits(x, 20) == dyadic(mp.mpf(f"{x.numerator}/{x.denominator}"))
 
 
 class TestPrimePass:
@@ -231,8 +272,7 @@ class TestPrimePass:
         k = df.face_point_count
         for f in kept.factors[:5]:
             lf = local_factor(spec, df.c, f.p, generators=gens)
-            with mp.workprec(200):
-                assert abs(f.value - (1 - mp.mpf(1) / f.p) ** k * lf.value) < 1e-40
+            assert abs(f.value - (1 - Fraction(1, f.p)) ** k * lf.value) < 1e-40
 
     def test_exact_kinds_read_their_terms_once(self, monkeypatch):
         seen = []
@@ -324,8 +364,8 @@ class TestClosedForm:
             lf = local_factor(spec, df.c, p, generators=gens)
             with mp.workprec(200):
                 want = (1 + mp.mpf(7) / p + mp.mpf(1) / p ** 2) / (1 - mp.mpf(1) / p) ** 2
+                assert abs(mpf(lf.value) - want) < 1e-40
             assert lf.tail_bound == 0.0
-            assert abs(lf.value - want) < 1e-40
 
     @pytest.mark.parametrize("kind, entries", [("matrix", (1, 1, -2)),
                                                ("hypersurface", (1, 1, 1)),
@@ -335,7 +375,8 @@ class TestClosedForm:
         primes = (2, 3, 5)
         for p, (walked, tail) in zip(primes, walked_factors(spec, df.c, primes, 1e-8)):
             exact = local_factor(spec, df.c, p, generators=gens)
-            assert walked <= exact.value <= walked + tail + 1e-40
+            with mp.workprec(200):
+                assert walked <= mpf(exact.value) <= walked + tail + 1e-40
 
     @settings(max_examples=15, deadline=None)
     @given(a=st.lists(st.integers(1, 4), min_size=2, max_size=3),
@@ -346,7 +387,8 @@ class TestClosedForm:
         c = [Fraction(q, 4) for q in quarters[:len(a)]]
         [(walked, tail)] = walked_factors(spec, c, (p,), 1e-8)
         exact = local_factor(spec, c, p)
-        assert walked <= exact.value <= walked + tail + 1e-40
+        with mp.workprec(200):
+            assert walked <= mpf(exact.value) <= walked + tail + 1e-40
 
     def test_dropped_generator_raises(self):
         # (3,0) and (0,3) at c = (1/2, 1/3) have degrees 9 and 6 in x = p^(-1/6):
@@ -375,4 +417,4 @@ class TestClosedForm:
         rep = euler_constant(spec, df.c, df.face_point_count, cutoff=100,
                              generators=gens)
         with mp.workprec(200):
-            assert abs(rep.value - 1 / mp.zeta(2) ** 2) <= rep.error_bound
+            assert abs(mpf(rep.value) - 1 / mp.zeta(2) ** 2) <= rep.error_bound
