@@ -48,25 +48,54 @@ def emit(report: dict, out: str | None):
         print(text)
 
 
+def _field(data, key: str, convert, shape: str):
+    """convert(data[key]), or an InputError that names the key."""
+    if not isinstance(data, dict) or key not in data:
+        raise InputError(f"problem file: missing '{key}'")
+    try:
+        return convert(data[key])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"problem file: '{key}' must be {shape}") from exc
+
+
+def _list(x) -> list:
+    if not isinstance(x, list):
+        raise TypeError("not a list")
+    return x
+
+
+def _ints(x) -> tuple:
+    ints = tuple(int(y) for y in _list(x))
+    if ints != tuple(x):
+        raise ValueError("not integers")
+    return ints
+
+
 def load_problem_file(path: str):
     """Problem JSON: matrix or hypersurface, plus an optional polynomial."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InputError("problem file: expected a JSON object")
     problem = None
     hyper = None
     if data.get("hypersurface") is not None:
-        hyper = tuple(int(x) for x in data["hypersurface"])
+        hyper = _field(data, "hypersurface", _ints, "a list of integers")
     elif data.get("matrix") is not None:
-        width = data.get("width")
-        problem = validate_toric_matrix(data["matrix"], width)
+        rows = _field(data, "matrix", lambda m: [_ints(r) for r in _list(m)],
+                      "a list of integer rows")
+        width = None if data.get("width") is None else \
+            _field(data, "width", lambda w: _ints([w])[0], "an integer")
+        problem = validate_toric_matrix(rows, width)
     else:
         raise InputError("problem file needs 'matrix' or 'hypersurface'")
     poly = None
     if data.get("polynomial") is not None:
-        monos = data["polynomial"]["monomials"]
-        terms = [(frac(m["coefficient"]), tuple(frac(x) for x in m["exponents"]))
-                 for m in monos]
-        poly = GeneralizedPolynomial.from_terms(terms)
+        monos = _field(data["polynomial"], "monomials", _list, "a list")
+        poly = GeneralizedPolynomial.from_terms([
+            (_field(m, "coefficient", frac, "a rational"),
+             _field(m, "exponents", lambda e: tuple(map(frac, _list(e))), "a list of rationals"))
+            for m in monos])
     return problem, hyper, poly
 
 

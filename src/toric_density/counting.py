@@ -69,7 +69,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .euler import EulerReport, euler_constant, zeta_float
+from .euler import EulerReport, _odd_sieve, euler_constant, zeta_float
 from .generators import generators_with_check
 from .model import (GeneralizedPolynomial, InvariantError, ToricProblem,
                     ellipticity_witness, hypersurface_problem,
@@ -517,24 +517,10 @@ def _factorize(m: int) -> dict:
     return out
 
 
-def _smallest_prime_factors(n: int):
-    """spf[m] for 0 <= m <= n: the least prime factor of m, with spf[0] = 0
-    and spf[1] = 1."""
-    spf = np.zeros(n + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == 0:
-            tail = spf[p * p::p]
-            tail[tail == 0] = p
-    idx = np.arange(n + 1, dtype=np.int64)
-    spf[spf == 0] = idx[spf == 0]
-    return spf
-
-
 @functools.lru_cache(maxsize=8)
 def _primes_upto(n: int):
     """The primes <= n as a read-only int64 array (cached)."""
-    spf = _smallest_prime_factors(n)
-    primes = np.flatnonzero(spf == np.arange(n + 1))[2:]
+    primes = np.array(_odd_sieve(n), dtype=np.int64)
     primes.flags.writeable = False
     return primes
 

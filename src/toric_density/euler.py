@@ -89,8 +89,8 @@ PRIME_ZETA = {
 }
 
 
-def primes_up_to(n: int) -> list:
-    """Sieve of the odd numbers, ascending."""
+def _odd_sieve(n: int) -> list:
+    """The primes <= n, ascending, from a sieve of the odd numbers."""
     if n < 2:
         return []
     odd = bytearray([1]) * ((n + 1) // 2)     # odd[i] stands for 2i + 1
@@ -101,6 +101,12 @@ def primes_up_to(n: int) -> list:
             start = p * p // 2
             odd[start::p] = bytes((len(odd) - 1 - start) // p + 1)
     return [2, *itertools.compress(range(1, n + 1, 2), odd)]
+
+
+def primes_up_to(n: int) -> list:
+    """The primes <= n, ascending. Other modules call `_odd_sieve`, so that
+    a wrapper of this name times the Euler product's sieve alone."""
+    return _odd_sieve(n)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,8 @@ complete. Custom weights have no such bound, and completeness is certified
 heuristically: enumerate up to a cap, then double the cap and compare the
 resulting hull vertex sets (`stabilization_check`).
 
-The enumeration walks |v| = 1, 2, ..., cap one coordinate prefix at a time
-and skips every subtree whose completions all dominate an accepted
-generator; see `_enumerate_minimal`.
+The enumeration reads the one support walk, `UniformMultiplicativeSpec.support`,
+over |v| <= cap, and keeps each point that dominates no point kept before it.
 """
 
 from __future__ import annotations
@@ -43,45 +42,6 @@ class LatticePointSet:
 
     def __len__(self):
         return len(self.points)
-
-
-def _enumerate_minimal(spec: UniformMultiplicativeSpec, cap: int):
-    """Graded scan of |v| <= cap keeping the g-supported antichain.
-
-    Grading makes the filter one-directional: a point can only dominate
-    earlier accepted points, never be dominated by later ones. The head of a
-    generator is its prefix up to its last nonzero coordinate, and heads[j]
-    holds the heads of length j. A prefix that dominates a head has only
-    dominating completions, so its subtree is dead. Its parent was alive, so
-    only heads of its own length can kill it, and deadness is monotone in
-    its last coordinate: one pass over heads[k + 1] gives the first dead
-    child of a prefix of length k, and the scan of its children stops there.
-    """
-    n = spec.arity
-    accepted: list[tuple] = []
-    heads: list[list[tuple]] = [[] for _ in range(n + 1)]
-
-    def rec(prefix, rest):
-        k = len(prefix)
-        # prefix + (x,) is dead from the first x reaching h[k] of a head h
-        # of length k + 1 that prefix dominates
-        stop = rest + 1
-        for h in heads[k + 1]:
-            if h[k] < stop and all(a >= b for a, b in zip(prefix, h)):
-                stop = h[k]
-        if k == n - 1:
-            nu = prefix + (rest,)
-            if rest < stop and spec.g(nu):
-                accepted.append(nu)
-                last = max(i for i, x in enumerate(nu) if x)
-                heads[last + 1].append(nu[:last + 1])
-            return
-        for x in range(stop):
-            rec(prefix + (x,), rest - x)
-
-    for total in range(1, cap + 1):
-        rec((), total)
-    return accepted
 
 
 def _support_cone_rays(spec: UniformMultiplicativeSpec) -> list:
@@ -124,10 +84,13 @@ def proven_cap(spec: UniformMultiplicativeSpec) -> Optional[int]:
 
 
 def minimal_generators(spec: UniformMultiplicativeSpec, cap: Optional[int] = None) -> LatticePointSet:
-    """All componentwise-minimal points of the support within |v| <= cap.
+    """All componentwise-minimal nonzero points of the support within |v| <= cap.
 
-    The cap defaults to the proven one, or to `default_cap` for a custom
-    weight.
+    The support walk runs in lexicographic order, which puts every point
+    after all the points it dominates, so a point is kept when it dominates
+    none kept before. The origin is skipped, since g(0) = 1 would make it
+    the only generator. The cap defaults to the proven one, or to
+    `default_cap` for a custom weight.
     """
     if spec.arity < 1:
         raise ValueError("arity must be at least 1")
@@ -137,10 +100,13 @@ def minimal_generators(spec: UniformMultiplicativeSpec, cap: Optional[int] = Non
             cap = spec.default_cap
     if cap < 1:
         raise ValueError("cap must be positive")
-    pts = _enumerate_minimal(spec, cap)
+    pts: list[tuple] = []
+    for v, _, level, _ in spec.support((1,) * spec.arity, max_level=cap):
+        if level and not any(all(a >= b for a, b in zip(v, h)) for h in pts):
+            pts.append(v)
     if not pts and cap < 2 * spec.default_cap:
         raise CapTooSmall(f"no support points with |v| <= {cap}")
-    return LatticePointSet(points=tuple(sorted(pts)), cap=cap, stabilized=False, spec=spec)
+    return LatticePointSet(points=tuple(pts), cap=cap, stabilized=False, spec=spec)
 
 
 def membership(spec: UniformMultiplicativeSpec, nu) -> int:

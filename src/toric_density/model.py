@@ -187,8 +187,9 @@ class UniformMultiplicativeSpec:
 
         The walk covers |v| <= max_level and D<c,v> <= max_expo (at least
         one bound is needed), in lexicographic order and in integers. It is
-        the one enumeration of the support: the Euler profile, the diagonal
-        face, the epsilon gap and the Euler numerator all read it. The last
+        the one enumeration of the support: the minimal generators, the
+        Euler profile, the diagonal face, the epsilon gap and the Euler
+        numerator all read it. The last
         coordinate takes only the values `last_coordinates` offers, so the
         toric and hypersurface kinds solve it from the prefix instead of
         trying every value.

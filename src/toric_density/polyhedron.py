@@ -89,14 +89,28 @@ def support_face(e: NewtonPolyhedron, a):
     return m, face
 
 
-def diagonal_hit(e: NewtonPolyhedron) -> Fraction:
-    """Smallest t with t * (1,...,1) inside the hull."""
-    t0 = Fraction(0)
-    for w, m in e.facets:
-        s = sum(w)
-        if s > 0:
-            t0 = max(t0, frac(m) / s)
-    return t0
+def diagonal_hit(facets) -> Fraction:
+    """Smallest t with t * (1,...,1) inside an upward hull, from its facets."""
+    return max(frac(m) / sum(w) for w, m in facets if sum(w) > 0)
+
+
+def diagonal_block(facets, points) -> tuple:
+    """(t0, active, on_face, recession, span) of the face where the diagonal
+    enters the upward hull of points with these facets: the hitting
+    parameter, the facets through t0 * 1, the points on all of them, the
+    coordinates it recedes along, and its directions, the differences of
+    its points from the first and then the recession units."""
+    n = len(points[0])
+    t0 = diagonal_hit(facets)
+    diag = (t0,) * n
+    active = [(w, m) for w, m in facets if dot(w, diag) == m]
+    if not active:
+        raise InvariantError("diagonal ray must exit through some facet")
+    on_face = [p for p in points if all(dot(w, p) == m for w, m in active)]
+    recession = [i for i in range(n) if all(w[i] == 0 for w, _ in active)]
+    span = [vsub(p, on_face[0]) for p in on_face[1:]]
+    span += [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in recession]
+    return t0, active, on_face, recession, span
 
 
 def _interior_polar(e: NewtonPolyhedron, face_gens, recession):
@@ -154,20 +168,9 @@ def diagonal_face(e: NewtonPolyhedron,
     search). Otherwise generating points on the face are counted and the
     result is flagged as a lower bound.
     """
-    t0 = diagonal_hit(e)
-    diag = tuple(t0 for _ in range(e.n))
-    active = [(w, m) for w, m in e.facets if dot(w, diag) == m]
-    if not active:
-        raise InvariantError("diagonal ray must exit through some facet")
-    gens = tuple(p for p in e.points
-                 if all(dot(w, p) == m for w, m in active))
-    rec = frozenset(i for i in range(e.n)
-                    if all(w[i] == 0 for w, _ in active))
-    base = gens[0]
-    point_span = [vsub(p, base) for p in gens[1:]]
-    point_dim = rank(point_span)
-    span = point_span + [tuple(Fraction(1 if j == i else 0) for j in range(e.n))
-                         for i in sorted(rec)]
+    t0, _, gens, rec, span = diagonal_block(e.facets, e.points)
+    gens, rec = tuple(gens), frozenset(rec)
+    point_dim = rank(span[:len(gens) - 1])
     dim = rank(span)
     compact = not rec
     c = _interior_polar(e, gens, rec)
@@ -266,7 +269,7 @@ def lemma1_check(e: NewtonPolyhedron, face: Face, c) -> bool:
     """Face meets the diagonal exactly when |c| equals the dual index."""
     c = fracvec(c)
     iota, _ = iota_lp(e)
-    t0 = diagonal_hit(e)
+    t0 = diagonal_hit(e.facets)
     diag = tuple(t0 for _ in range(e.n))
     meets = face.contains(diag)
     return meets == (sum(c, Fraction(0)) == iota)

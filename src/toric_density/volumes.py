@@ -30,9 +30,10 @@ from fractions import Fraction
 
 from .hull import polytope_facets, polytope_volume, upward_hull
 from .model import GeneralizedPolynomial, InvariantError
+from .polyhedron import diagonal_block
 from .quadrature import (ConstantValue, DivergentIntegral, check_tail_convergence,
                          integrate_cube, integrate_log_orthant)
-from .vectors import dot, frac, fracvec, rank, vsub
+from .vectors import dot, frac, fracvec, rank
 
 
 class MissingVariable(Exception):
@@ -87,30 +88,14 @@ def newton_at_infinity(p: GeneralizedPolynomial) -> SargosData:
     n = p.nvars
     mirrored = [tuple(-x for x in e) for e in p.support]
     facets, _ = upward_hull(mirrored, n)
-    # largest t with t * 1 inside conv(support) - R_+^n; mirrored smallest point
-    u0 = None
-    for w, m in facets:
-        s = sum(w)
-        if s > 0:
-            t = frac(m) / s
-            u0 = t if u0 is None else max(u0, t)
-    tmax = -u0
-    if tmax <= 0:
+    # the largest t with t * 1 inside conv(support) - R_+^n is -u0
+    u0, active, face_pts, recession, span = diagonal_block(facets, mirrored)
+    if u0 >= 0:
         raise InvariantError("positive support must meet the diagonal at positive height")
-    sigma0 = 1 / tmax
-
-    diag = tuple(u0 for _ in range(n))
-    active = [(w, m) for w, m in facets if dot(w, diag) == m]
-    face_exps = [e for e in p.support
-                 if all(dot(w, tuple(-x for x in e)) == m for w, m in active)]
-    face_support = tuple((c, e) for c, e in p.monomials if e in set(face_exps))
-    recession = sorted(i for i in range(n) if all(w[i] == 0 for w, _ in active))
-
-    base = tuple(-x for x in face_exps[0])
-    span = [vsub(tuple(-x for x in e), base) for e in face_exps[1:]]
-    span += [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in recession]
-    dim_face = rank(span)
-    rho0 = n - dim_face
+    sigma0 = -1 / u0
+    face_exps = {tuple(-x for x in v) for v in face_pts}
+    face_support = tuple((c, e) for c, e in p.monomials if e in face_exps)
+    rho0 = n - rank(span)
     m_index = n - len(recession)
 
     # transverse block: greedy coordinates whose axes complement the face directions
@@ -131,14 +116,8 @@ def newton_at_infinity(p: GeneralizedPolynomial) -> SargosData:
     permutation = tuple(transverse + middle + recession)
 
     # normalized polar vectors of facets at infinity meeting the diagonal
-    lambdas = []
-    for w, m in facets:
-        if dot(w, diag) != m:
-            continue
-        m_inf = -frac(m)   # max of <w, .> over the un-mirrored hull
-        if m_inf <= 0:
-            continue
-        lambdas.append(tuple(frac(x) / m_inf for x in w))
+    # -m is the max of <w, .> over the un-mirrored hull
+    lambdas = [tuple(frac(x) / -frac(m) for x in w) for w, m in active if m < 0]
     perm_lambdas = [tuple(lam[permutation[i]] for i in range(n)) for lam in lambdas]
     corners = [tuple(Fraction(0) for _ in range(n))] + perm_lambdas
     for i in range(rho0, n):

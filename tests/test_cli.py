@@ -342,6 +342,28 @@ class TestProblemFiles:
         code, out = run_cli(["analyze", "--problem", str(path)], capsys)
         assert code == 0 and json.loads(out)["iota"] == 1
 
+    @pytest.mark.parametrize("data,field", [
+        ({"hypersurface": [1, 1], "polynomial": {}}, "'monomials'"),
+        ({"hypersurface": 5}, "'hypersurface'"),
+        ({"hypersurface": [1.5, 1]}, "'hypersurface'"),
+        ({"hypersurface": [1, 1], "polynomial": {"monomials": [{"exponents": [2, 0]}]}},
+         "'coefficient'"),
+        ({"hypersurface": [1, 1], "polynomial": {"monomials": [
+            {"coefficient": 1, "exponents": 2}]}}, "'exponents'"),
+        ({"matrix": [[1, 1, -2], 3]}, "'matrix'"),
+        ({"matrix": [], "width": [3]}, "'width'"),
+        ({"matrix": [], "width": 3.7}, "'width'"),
+        ([1, 2], "JSON object"),
+    ])
+    def test_malformed_file_is_bad_input(self, tmp_path, capsys, data, field):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(["analyze", "--problem", str(path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_BAD_INPUT
+        assert err.startswith("error: problem file") and field in err
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_reports_identical_across_threads(self, capsys, monkeypatch):

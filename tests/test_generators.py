@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,17 @@ def brute_minimal(spec, cap):
         if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in pts):
             out.append(p)
     return sorted(out)
+
+
+@st.composite
+def relation_matrices(draw):
+    """1-2 independent zero-sum rows of width <= 4 with entries in [-3, 3]."""
+    width = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=width - 1,
+                                  max_size=width - 1), min_size=1, max_size=2))
+    rows = [tuple(r) + (-sum(r),) for r in rows]
+    assume(all(abs(r[-1]) <= 3 for r in rows) and rank(rows) == len(rows))
+    return rows
 
 
 class TestMinimalGenerators:
@@ -64,7 +76,8 @@ class TestMinimalGenerators:
 
 
 class TestPrunedScan:
-    """The scan skips dead subtrees; the oracle looks at every point."""
+    """The support walk solves the last coordinate and keeps the points that
+    dominate no smaller one; the oracle looks at every point."""
 
     @pytest.mark.parametrize("row", [(1, 1, -1, -1), (1, 1, -2, 0)])
     @pytest.mark.parametrize("cap", [3, 6, 10])
@@ -80,6 +93,27 @@ class TestPrunedScan:
         want = brute_minimal(spec, cap)
         try:
             got = list(minimal_generators(spec, cap).points)
+        except CapTooSmall:
+            got = []
+        assert got == want
+
+    @pytest.mark.parametrize("cap", [4, 8])
+    def test_width_five_two_rows(self, cap):
+        spec = toric_weight(validate_toric_matrix([(1, 1, -2, 0, 0), (0, 1, 1, -1, -1)]))
+        assert list(minimal_generators(spec, cap).points) == brute_minimal(spec, cap)
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.lists(st.integers(1, 4), min_size=2, max_size=3),
+           rows=st.none() | relation_matrices(), cap=st.integers(1, 10))
+    def test_custom_weights_walk_the_whole_box(self, a, rows, cap):
+        """A custom weight has no last_coordinates, so its walk tries every
+        value of the last coordinate up to the cap."""
+        spec = hypersurface_weight(a) if rows is None else \
+            toric_weight(validate_toric_matrix(rows))
+        custom = replace(spec, kind="custom", last_coordinates=None)
+        want = brute_minimal(spec, cap)
+        try:
+            got = list(minimal_generators(custom, cap).points)
         except CapTooSmall:
             got = []
         assert got == want
@@ -184,17 +218,6 @@ def old_doubled_cap(spec):
         return 8 * (spec.arity + 1) * sum(spec.payload)
     norm = max((max(abs(x) for x in row) for row in spec.payload), default=1)
     return 8 * spec.arity * max(1, norm)
-
-
-@st.composite
-def relation_matrices(draw):
-    """1-2 independent zero-sum rows of width <= 4 with entries in [-3, 3]."""
-    width = draw(st.integers(2, 4))
-    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=width - 1,
-                                  max_size=width - 1), min_size=1, max_size=2))
-    rows = [tuple(r) + (-sum(r),) for r in rows]
-    assume(all(abs(r[-1]) <= 3 for r in rows) and rank(rows) == len(rows))
-    return rows
 
 
 def check_proven_cap(spec):
