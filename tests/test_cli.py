@@ -71,6 +71,19 @@ GOLDEN_COMMANDS = {
     "zeta_projective_torus_2_mixed_cubic": [
         "zeta", "--projective-torus", "2", "--polynomial", "X1^3+X2^3+X3^3+X1*X2*X3",
         "--budget", "1000000", "--s", "3.5,3.2"],
+    # the support generators of both presentations, and the polynomial
+    # verify and constant of a matrix next to the same hypersurface
+    "generators_hypersurface_1_1_1": ["generators", "--hypersurface", "1,1,1"],
+    "generators_matrix_1_1_-1_-1": ["generators", "--matrix", "1,1,-1,-1"],
+    "verify_hypersurface_1_1_squares_400": [
+        "verify", "--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2",
+        "--t", "400", "--prime-cutoff", "10000"],
+    "verify_matrix_1_1_-2_squares_400": [
+        "verify", "--matrix", "1,1,-2", "--polynomial", "X1^2+X2^2+X3^2",
+        "--t", "400", "--prime-cutoff", "10000"],
+    "constants_matrix_1_1_-2_squares": [
+        "constants", "--matrix", "1,1,-2", "--polynomial", "X1^2+X2^2+X3^2",
+        "--prime-cutoff", "1000"],
 }
 
 
@@ -363,6 +376,31 @@ class TestProblemFiles:
         assert code == cli.EXIT_BAD_INPUT
         assert err.startswith("error: problem file") and field in err
         assert "Traceback" not in err
+
+
+class TestPresentation:
+    """A hypersurface from --hypersurface or from a problem file wins over a
+    --matrix or --projective-torus given with it."""
+
+    COMMANDS = (["analyze"],
+                ["zeta", "--polynomial", "X1^2+X2^2+X3^2", "--budget", "1000000",
+                 "--s", "1.5"])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("beside", [("--matrix", "1,1,-2"),
+                                        ("--projective-torus", "2")])
+    def test_hypersurface_flag_wins(self, capsys, command, beside):
+        alone = run_cli([*command, "--hypersurface", "1,1"], capsys)
+        both = run_cli([*command, *beside, "--hypersurface", "1,1"], capsys)
+        assert alone[0] == 0 and both == alone
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_hypersurface_file_wins(self, tmp_path, capsys, command):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"hypersurface": [1, 1]}))
+        alone = run_cli([*command, "--hypersurface", "1,1"], capsys)
+        both = run_cli([*command, "--problem", str(path), "--matrix", "1,1,-2"], capsys)
+        assert alone[0] == 0 and both == alone
 
 
 class TestDeterminism:

@@ -436,3 +436,20 @@ class TestCrossChecks:
             a0 = mixed_volume_constant(t, p)
             oracle = sphere_oracle(p)
             assert abs(a0.value - oracle) < 1e-4
+
+
+class TestPinnedBits:
+    """Values of the float evaluators of volumes.py, bit for bit as recorded
+    when each kept its own copy of the polynomial loop."""
+
+    def test_cube_face_integral(self):
+        # a face with one inner and one recession axis, two monomials on it
+        cv = sargos_constant(poly([(1, (2, 3, 0)), (2, (2, 0, 3)), (1, (2, 1, 1))]))
+        assert cv.method == "gauss-kronrod-2d"
+        assert (cv.value, cv.abs_error) == (1.4021821053254584, 1.6519242843462047e-10)
+
+    def test_mahler_constant(self):
+        cv = mahler_constant(poly([(1, (2, 0, 0)), (3, (0, 2, 0)), (1, (0, 0, 2)),
+                                   (1, (1, 1, 0))]))
+        assert cv.method == "sphere-gauss-kronrod-2d"
+        assert (cv.value, cv.abs_error) == (0.25687832979731967, 1.326254164181432e-10)
