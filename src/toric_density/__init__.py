@@ -1,22 +1,23 @@
 """Point density on projective toric varieties under polynomial heights.
 
-The pipeline: a toric relation matrix (or hypersurface exponent vector)
-induces a multiplicative weight on lattice points; the Newton polyhedron of
-its support determines the growth exponent and log power; a mixed volume
-constant and a regularized Euler product assemble the leading constant; and
-exact brute-force counts plus height zeta partial sums validate it.
+The pipeline: a toric problem, given by a relation matrix or as a
+hypersurface x_1^a1 ... x_n^an = x_(n+1)^q, induces a multiplicative weight
+on lattice points; the Newton polyhedron of its support determines the
+growth exponent and log power; a mixed volume constant and a regularized
+Euler product assemble the leading constant; and exact brute-force counts
+plus height zeta partial sums validate it.
 """
 
 from .counting import (AsymptoticReport, CountResult, ManinReport, ZetaSample,
                        asymptotic_report, count_points,
                        count_points_hypersurface, manin_constant,
-                       predicted_density, sup_norm_prediction, zeta_partial)
+                       sup_norm_prediction, zeta_partial)
 from .euler import EulerReport, LocalFactor, epsilon_gap, euler_constant, local_factor
 from .generators import (LatticePointSet, generators_with_check,
-                         membership, minimal_generators, stabilization_check)
+                         minimal_generators, stabilization_check)
 from .model import (GeneralizedPolynomial, SignCount, ToricProblem,
                     UniformMultiplicativeSpec, ellipticity_witness, free_weight,
-                    hypersurface_problem, hypersurface_weight,
+                    hypersurface_problem, hypersurface_weight, problem_weight,
                     restrict_to_hypersurface, sign_count, toric_weight,
                     validate_toric_matrix)
 from .polyhedron import (DiagonalFace, Face, NewtonPolyhedron, build_polyhedron,

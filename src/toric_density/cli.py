@@ -1,8 +1,13 @@
 """Command-line orchestration: problem ingestion, pipeline runs, JSON/CSV reports.
 
-Subcommands: generators, analyze, constants, count, zeta, verify. Reports are
-deterministic: fixed reduction orders everywhere, timing excluded from
-serialized output, rationals rendered as 'p/q' strings.
+Subcommands: generators, analyze, constants, count, zeta, verify. Every
+command reads one problem (`_resolve_problem`): a `ToricProblem`, whose
+presentation (relation matrix or hypersurface) picks its weight, plus an
+optional height polynomial. Each command analyzes it at most once: support
+generators, Newton polyhedron and diagonal face come from `_analysis`, or,
+for full constants and the polynomial verify, from `manin_constant` alone.
+Reports are deterministic: fixed reduction orders everywhere, timing
+excluded from serialized output, rationals rendered as 'p/q' strings.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from fractions import Fraction
 
 from . import counting, euler as eulermod, generators as genmod
 from .model import (GeneralizedPolynomial, InvariantError, hypersurface_problem,
-                    hypersurface_weight, toric_weight, validate_toric_matrix)
+                    problem_weight, validate_toric_matrix)
 from .polyhedron import build_polyhedron, diagonal_face, iota_lp
 from .polyparse import PolynomialSyntaxError, format_polynomial, parse_polynomial
 from .vectors import format_digits, format_frac, frac
@@ -72,20 +77,24 @@ def _ints(x) -> tuple:
 
 
 def load_problem_file(path: str):
-    """Problem JSON: matrix or hypersurface, plus an optional polynomial."""
+    """(problem, polynomial or None) from a problem JSON: a matrix, with a
+    width that must match its rows and is needed when it has none, or a
+    hypersurface, plus an optional polynomial."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise InputError("problem file: expected a JSON object")
-    problem = None
-    hyper = None
     if data.get("hypersurface") is not None:
-        hyper = _field(data, "hypersurface", _ints, "a list of integers")
+        problem = hypersurface_problem(
+            _field(data, "hypersurface", _ints, "a list of integers"))
     elif data.get("matrix") is not None:
         rows = _field(data, "matrix", lambda m: [_ints(r) for r in _list(m)],
                       "a list of integer rows")
         width = None if data.get("width") is None else \
             _field(data, "width", lambda w: _ints([w])[0], "an integer")
+        if rows and width is not None and width != len(rows[0]):
+            raise InputError(f"problem file: 'width' is {width}, but the "
+                             f"matrix rows have {len(rows[0])} entries")
         problem = validate_toric_matrix(rows, width)
     else:
         raise InputError("problem file needs 'matrix' or 'hypersurface'")
@@ -96,54 +105,47 @@ def load_problem_file(path: str):
             (_field(m, "coefficient", frac, "a rational"),
              _field(m, "exponents", lambda e: tuple(map(frac, _list(e))), "a list of rationals"))
             for m in monos])
-    return problem, hyper, poly
-
-
-def dump_problem(problem, hyper, poly) -> dict:
-    data: dict = {}
-    if hyper is not None:
-        data["hypersurface"] = list(hyper)
-    elif problem is not None:
-        data["matrix"] = [list(r) for r in problem.rows]
-        data["width"] = problem.width
-    if poly is not None:
-        data["polynomial"] = {"monomials": [
-            {"coefficient": format_frac(c),
-             "exponents": [format_frac(x) for x in e]}
-            for c, e in poly.monomials]}
-    return data
+    return problem, poly
 
 
 def _resolve_problem(args):
-    """(problem, hyper, poly); hyper is set for the dedicated fast path."""
-    problem = hyper = poly = None
-    if getattr(args, "problem", None):
-        problem, hyper, poly = load_problem_file(args.problem)
-    if getattr(args, "hypersurface", None):
-        hyper = tuple(int(x) for x in args.hypersurface.split(","))
-    if getattr(args, "matrix", None):
+    """(problem, polynomial or None). Every given flag is checked; a
+    hypersurface, from --hypersurface first or else from the problem file,
+    wins over a --matrix or --projective-torus given with it."""
+    problem = poly = surface = None
+    if args.problem:
+        problem, poly = load_problem_file(args.problem)
+        if problem.exponents is not None:
+            surface = problem
+    if args.hypersurface:
+        surface = hypersurface_problem([int(x) for x in args.hypersurface.split(",")])
+    if args.matrix:
         rows = [[int(x) for x in row.split(",")] for row in args.matrix.split(";")]
         problem = validate_toric_matrix(rows)
-    if getattr(args, "projective_torus", None) is not None:
+    if args.projective_torus is not None:
         problem = validate_toric_matrix([], width=args.projective_torus + 1)
-    if getattr(args, "polynomial", None):
+    if args.polynomial:
         poly = parse_polynomial(args.polynomial)
-    if hyper is not None:
-        problem = hypersurface_problem(hyper)
+    if surface is not None:
+        problem = surface
     if problem is None:
         raise InputError("no problem given: use --problem, --hypersurface, "
                          "--matrix or --projective-torus")
-    return problem, hyper, poly
+    return problem, poly
 
 
-def _spec_for(problem, hyper):
-    return hypersurface_weight(hyper) if hyper is not None else toric_weight(problem)
+def _analysis(problem):
+    """(weight, support generators, Newton polyhedron, diagonal face) of
+    the problem's presentation."""
+    spec = problem_weight(problem)
+    gens = genmod.generators_with_check(spec)
+    e = build_polyhedron(gens.points)
+    return spec, gens, e, diagonal_face(e, spec)
 
 
 def cmd_generators(args) -> int:
-    problem, hyper, _ = _resolve_problem(args)
-    spec = _spec_for(problem, hyper)
-    gens = genmod.generators_with_check(spec)
+    problem, _ = _resolve_problem(args)
+    _, gens, _, _ = _analysis(problem)
     emit({"schema": SCHEMA, "command": "generators",
           "points": [list(p) for p in gens.points],
           "cap": gens.cap, "stabilized": gens.stabilized}, args.out)
@@ -153,11 +155,8 @@ def cmd_generators(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    problem, hyper, _ = _resolve_problem(args)
-    spec = _spec_for(problem, hyper)
-    gens = genmod.generators_with_check(spec)
-    e = build_polyhedron(gens.points)
-    df = diagonal_face(e, spec)
+    problem, _ = _resolve_problem(args)
+    _, gens, e, df = _analysis(problem)
     iota_min, c_min = iota_lp(e)
     report = {
         "schema": SCHEMA, "command": "analyze",
@@ -176,7 +175,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    problem, hyper, poly = _resolve_problem(args)
+    problem, poly = _resolve_problem(args)
     report: dict = {"schema": SCHEMA, "command": "constants"}
     if poly is not None:
         report["polynomial"] = format_polynomial(poly)
@@ -201,9 +200,7 @@ def cmd_constants(args) -> int:
         emit(report, args.out)
         return EXIT_OK
     if args.euler_only:
-        spec = _spec_for(problem, hyper)
-        gens = genmod.generators_with_check(spec)
-        df = diagonal_face(build_polyhedron(gens.points), spec)
+        spec, gens, _, df = _analysis(problem)
         rep = eulermod.euler_constant(
             spec, df.c, df.face_point_count, cutoff=args.prime_cutoff,
             tol=args.euler_tol, precision=args.precision, generators=gens,
@@ -220,9 +217,8 @@ def cmd_constants(args) -> int:
         report["euler"] = payload
         emit(report, args.out)
         return EXIT_FLAGGED if not gens.stabilized and not args.allow_flags else EXIT_OK
-    target = tuple(hyper) if hyper is not None else problem
     rep = counting.manin_constant(
-        target, poly, cutoff=args.prime_cutoff,
+        problem, poly, cutoff=args.prime_cutoff,
         quad_tol=args.quad_tol, euler_tol=args.euler_tol,
         precision=args.precision, seed=args.seed)
     report.update(_manin_json(rep))
@@ -252,7 +248,7 @@ def _manin_json(rep: counting.ManinReport) -> dict:
 
 
 def cmd_count(args) -> int:
-    problem, _, poly = _resolve_problem(args)
+    problem, poly = _resolve_problem(args)
     mode = "sup" if args.sup_norm else "polynomial"
     if mode == "polynomial" and poly is None:
         raise InputError("count needs --polynomial unless --sup-norm")
@@ -280,15 +276,12 @@ def _write_counts_csv(path, results, predictions):
 
 
 def cmd_zeta(args) -> int:
-    problem, hyper, poly = _resolve_problem(args)
+    problem, poly = _resolve_problem(args)
     if poly is None:
         raise InputError("zeta needs --polynomial")
-    target = tuple(hyper) if hyper is not None else problem
-    spec = _spec_for(problem, hyper)
-    gens = genmod.generators_with_check(spec)
-    df = diagonal_face(build_polyhedron(gens.points), spec)
+    _, _, _, df = _analysis(problem)
     s_values = [float(x) for x in args.s.split(",")]
-    samples = counting.zeta_partial(target, poly, s_values, df.iota, df.rho,
+    samples = counting.zeta_partial(problem, poly, s_values, df.iota, df.rho,
                                     term_budget=args.budget,
                                     threads=args.threads)
     emit({"schema": SCHEMA, "command": "zeta", "iota": df.iota, "rho": df.rho,
@@ -301,7 +294,7 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem, hyper, poly = _resolve_problem(args)
+    problem, poly = _resolve_problem(args)
     mode = "sup" if args.sup_norm else "polynomial"
     if mode == "polynomial" and poly is None:
         raise InputError("verify needs --polynomial unless --sup-norm")
@@ -309,31 +302,23 @@ def cmd_verify(args) -> int:
     if t < 16:
         raise InputError(f"verify needs --t at least 16, got {args.t}: it counts "
                          f"at t/16, t/4 and t, and each must be at least 1")
-    checks = []
-    flagged = False
-
-    spec = _spec_for(problem, hyper)
-    gens = genmod.generators_with_check(spec)
-    checks.append({"name": "generators-stabilized", "ok": gens.stabilized})
-    e = build_polyhedron(gens.points)
-    df = diagonal_face(e, spec)
-    checks.append({"name": "diagonal-face-compact", "ok": df.compact})
-    flagged = not (gens.stabilized and df.compact)
-
     if mode == "polynomial":
-        target = tuple(hyper) if hyper is not None else problem
+        # the constant's own analysis supplies the hypothesis flags
         rep = counting.manin_constant(
-            target, poly, cutoff=args.prime_cutoff,
+            problem, poly, cutoff=args.prime_cutoff,
             quad_tol=args.quad_tol, euler_tol=args.euler_tol,
             precision=args.precision, seed=args.seed)
-        checks.append({"name": "dimension-hypothesis", "ok": rep.dimension_ok})
+        flags = [rep.stabilized, rep.compact, rep.dimension_ok]
         constant, iota, rho = rep.leading_constant, rep.iota, rep.rho
         extra = _manin_json(rep)
-        flagged = flagged or not rep.dimension_ok
     else:
-        target = tuple(hyper) if hyper is not None else problem
-        constant, iota, rho = counting.sup_norm_prediction(target)
+        _, gens, _, df = _analysis(problem)
+        flags = [gens.stabilized, df.compact]
+        constant, iota, rho = counting.sup_norm_prediction(problem)
         extra = {"iota": iota, "rho": rho, "leading_constant": constant}
+    checks = [{"name": name, "ok": ok} for name, ok in zip(
+        ("generators-stabilized", "diagonal-face-compact", "dimension-hypothesis"), flags)]
+    flagged = not all(flags)
 
     results = [counting.count_points(problem, poly, tv, mode, budget=args.budget,
                                      threads=args.threads)
@@ -385,10 +370,10 @@ def _common(p):
     p.add_argument("--precision", type=int, default=160,
                    help="working precision in bits")
     p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=int, default=1,
                    help="worker processes for counting and zeta sums, "
-                        "at most one per CPU; overrides MANIN_TORIC_THREADS; "
-                        "no output byte depends on it")
+                        "at most one per CPU (default 1); no output byte "
+                        "depends on it")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--allow-flags", action="store_true",
                    help="exit 0 despite hypothesis-failure flags")

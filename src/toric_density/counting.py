@@ -18,13 +18,16 @@ primitive solutions of the monomial relations:
   of a block that share a prime and its valuation's residue mod q take
   one column-vector correction of the base.
 
-`count_points` chooses the engine from the shape of the relations: one
-row (a_1, ..., a_n, -q) with every a_i > 0, or its negative, is the
-hypersurface x_1^a1 ... x_n^an = x_(n+1)^q and goes to the pair grid
-(n = 2) or the valuation solve, however it was spelled; every other problem
-goes to the relation enumerator. The zeta sums do not follow it: only the
-P^1 torus and problems given as two-variable hypersurfaces take the pair
-grid there (`zeta_partial`), since the grid's side of budget^(1/2) covers
+Every entry takes a `ToricProblem`; `count_points_hypersurface` alone
+takes an exponent tuple. `count_points` chooses the engine from the shape
+of the relations: one row (a_1, ..., a_n, -q) with every a_i > 0, or its
+negative, is the hypersurface x_1^a1 ... x_n^an = x_(n+1)^q and goes to the
+pair grid (n = 2) or the valuation solve, however it was spelled; every
+other problem goes to the relation enumerator. The other entries follow the
+presentation (`ToricProblem.exponents`) instead: `manin_constant` analyzes
+the problem's own weight (`model.problem_weight`), and only the P^1 torus
+and problems given as two-variable hypersurfaces take the pair grid for
+zeta sums (`zeta_partial`), since the grid's side of budget^(1/2) covers
 other points than the relation enumerator's box of budget^(1/width).
 
 Two reductions consume their points: an exact count, with heights compared
@@ -72,9 +75,9 @@ import numpy as np
 from .euler import EulerReport, _odd_sieve, euler_constant, zeta_float
 from .generators import generators_with_check
 from .model import (GeneralizedPolynomial, InvariantError, ToricProblem,
-                    ellipticity_witness, hypersurface_problem,
-                    hypersurface_weight, restrict_to_hypersurface, sign_count,
-                    toric_weight)
+                    UniformMultiplicativeSpec, ellipticity_witness,
+                    hypersurface_problem, problem_weight,
+                    restrict_to_hypersurface, sign_count)
 from .polyhedron import build_polyhedron, diagonal_face, face_points
 from .quadrature import ConstantValue
 from .vectors import frac, rank
@@ -132,12 +135,6 @@ class ManinReport:
     dimension_ok: bool
     stabilized: bool
     face_points: tuple
-
-
-def _threads(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, threads)
-    return max(1, int(os.environ.get("MANIN_TORIC_THREADS", "1")))
 
 
 def _iroot(x: int, k: int) -> int:
@@ -380,7 +377,7 @@ def _chunk_map(fn, starts, threads):
     thread, without fork or with fewer than two workers the loop runs
     serially."""
     starts = list(starts)
-    n = min(_threads(threads), len(starts), os.cpu_count() or 1)
+    n = min(max(1, threads), len(starts), os.cpu_count() or 1)
     if (n < 2 or not hasattr(os, "fork") or threading.active_count() > 1
             or threading.current_thread() is not threading.main_thread()):
         return [fn(lo) for lo in starts]
@@ -441,7 +438,7 @@ def _require_homogeneous(poly, w):
 
 def count_points(problem: ToricProblem, poly: Optional[GeneralizedPolynomial],
                  t, height_mode: str = "polynomial", budget: int = DEFAULT_BUDGET,
-                 threads: Optional[int] = None) -> CountResult:
+                 threads: int = 1) -> CountResult:
     """Exact count of torus points of height at most t.
 
     The count is the sign factor times the number of positive primitive
@@ -765,7 +762,7 @@ def _pair_grid(w1max, w2max, reduce, threads, width=None, upper=False):
 def count_points_hypersurface(a, poly: Optional[GeneralizedPolynomial], t,
                               height_mode: str = "polynomial",
                               budget: int = DEFAULT_BUDGET,
-                              threads: Optional[int] = None) -> CountResult:
+                              threads: int = 1) -> CountResult:
     """count_points on x_1^a1 ... x_n^an = x_(n+1)^q, q = sum a_i."""
     return count_points(hypersurface_problem(a), poly, t, height_mode, budget, threads)
 
@@ -955,40 +952,29 @@ class ZetaSample:
         return (self.s - iota) ** rho * self.value
 
 
-def _pipeline_inputs(problem_or_a, poly):
-    """Normalize the entry points to (spec, weight polynomial, sign factor).
-
-    Accepts a toric problem, a hypersurface exponent vector, or a raw weight
-    spec (sign factor 1, no counting support for the latter).
-    """
-    from .model import UniformMultiplicativeSpec
-    if isinstance(problem_or_a, UniformMultiplicativeSpec):
-        spec = problem_or_a
-        if poly is not None and poly.nvars != spec.arity:
-            raise ValueError("height polynomial arity must match the weight")
-        return spec, poly, 1, None
-    if isinstance(problem_or_a, ToricProblem):
-        problem = problem_or_a
-        if poly is not None and poly.nvars != problem.width:
-            raise ValueError("height polynomial must use every homogeneous coordinate")
-        return toric_weight(problem), poly, sign_count(problem).value, problem
-    a = tuple(int(x) for x in problem_or_a)
-    problem = hypersurface_problem(a)
-    weight_poly = restrict_to_hypersurface(poly, a) if poly is not None else None
-    return hypersurface_weight(a), weight_poly, sign_count(problem).value, problem
-
-
-def manin_constant(problem_or_a, poly: GeneralizedPolynomial,
-                   cutoff: int = 100_000,
+def manin_constant(problem: ToricProblem | UniformMultiplicativeSpec,
+                   poly: GeneralizedPolynomial, cutoff: int = 100_000,
                    quad_tol: float = 1e-9, euler_tol: float = 1e-10,
                    precision: int = 160, seed: int = 0) -> ManinReport:
     """Assemble the predicted leading constant for the height density.
 
     sign * d^rho * A0 * Euler / (iota * (rho-1)!), with A0 the mixed volume
-    constant of the face type against the (restricted) height polynomial and
-    Euler the regularized product at the normalized polar vector.
+    constant of the face type against the height polynomial on the weight's
+    coordinates and Euler the regularized product at the normalized polar
+    vector. A hypersurface problem's height is restricted to x_1..x_n. A raw
+    weight spec (a custom weight) is taken as it is, with sign factor 1.
     """
-    spec, weight_poly, csign, _ = _pipeline_inputs(problem_or_a, poly)
+    weight_poly = poly
+    if isinstance(problem, UniformMultiplicativeSpec):
+        spec, csign = problem, 1
+        if poly is not None and poly.nvars != spec.arity:
+            raise ValueError("height polynomial arity must match the weight")
+    else:
+        spec, csign = problem_weight(problem), sign_count(problem).value
+        if poly is not None and problem.exponents is not None:
+            weight_poly = restrict_to_hypersurface(poly, problem.exponents)
+        elif poly is not None and poly.nvars != problem.width:
+            raise ValueError("height polynomial must use every homogeneous coordinate")
     if weight_poly is None or not weight_poly.is_homogeneous:
         raise ValueError("a homogeneous height polynomial is required")
     gens = generators_with_check(spec)
@@ -1025,43 +1011,39 @@ def manin_constant(problem_or_a, poly: GeneralizedPolynomial,
                        stabilized=gens.stabilized, face_points=tuple(pts))
 
 
-def predicted_density(report: ManinReport, t: float) -> float:
-    """C * t^iota * (log t)^(rho - 1)."""
-    return report.leading_constant * t ** float(report.iota) \
-        * math.log(t) ** (report.rho - 1)
-
-
-def sup_norm_prediction(problem_or_a):
+def sup_norm_prediction(problem: ToricProblem):
     """(C, iota, rho) for the max-coordinate height, where a closed form exists.
 
     Covers the full torus of projective space (Schanuel-style box count) and
-    two-variable hypersurfaces via the coprime power parametrization. The
-    constant includes the sign factor, i.e. it predicts the full point count.
+    problems given as two-variable hypersurfaces, via the coprime power
+    parametrization. The constant includes the sign factor, i.e. it predicts
+    the full point count.
     """
-    if isinstance(problem_or_a, ToricProblem):
-        if problem_or_a.l != 0:
+    a = problem.exponents
+    if a is None:
+        if problem.l != 0:
             raise ValueError("sup-norm prediction implemented for the full torus only")
-        n = problem_or_a.n
+        n = problem.n
         return 2 ** n / zeta_float(n + 1), Fraction(n + 1), 1
-    a = tuple(int(x) for x in problem_or_a)
     if len(a) != 2:
         raise ValueError("sup-norm prediction implemented for two-variable hypersurfaces")
     (q1, _), (_, q2), _ = _two_var_powers(a)
-    csign = sign_count(hypersurface_problem(a)).value
     iota = Fraction(1, q1) + Fraction(1, q2)
-    return csign / zeta_float(2), iota, 1
+    return sign_count(problem).value / zeta_float(2), iota, 1
 
 
-def zeta_partial(problem_or_a, poly: GeneralizedPolynomial, s_values,
+def zeta_partial(problem: ToricProblem, poly: GeneralizedPolynomial, s_values,
                  iota: Fraction, rho: int = 1, term_budget: int = ZETA_BUDGET,
                  height_mode: str = "polynomial",
-                 threads: Optional[int] = None):
+                 threads: int = 1):
     """Partial sums of the height zeta function at real s > iota.
 
     One enumeration pass covers every requested s. Points are truncated at
     the largest height whose ball is provably inside the scanned box; the
     tail is extrapolated from the measured count at the boundary (reported
-    separately, an estimate rather than a certified bound).
+    separately, an estimate rather than a certified bound). Problems given
+    as two-variable hypersurfaces and the torus of P^1 are summed on the
+    pair grid, every other problem on the relation enumerator.
     """
     single = isinstance(s_values, (int, float))
     s_list = [float(s_values)] if single else [float(s) for s in s_values]
@@ -1069,14 +1051,12 @@ def zeta_partial(problem_or_a, poly: GeneralizedPolynomial, s_values,
     for s in s_list:
         if s <= iota_f:
             raise ValueError(f"s = {s} is not beyond the abscissa {iota_f}")
-    spec, weight_poly, csign, problem = _pipeline_inputs(problem_or_a, poly)
-    if problem is None:
-        raise ValueError("zeta sums need a toric problem or exponent vector")
     if height_mode == "polynomial":
         _require_homogeneous(poly, problem.width)
+    csign = sign_count(problem).value
     powers = None
-    if spec.kind == "hypersurface" and spec.arity == 2:
-        powers = _two_var_powers(problem.rows[0][:2])
+    if problem.exponents is not None and len(problem.exponents) == 2:
+        powers = _two_var_powers(problem.exponents)
     elif problem.l == 0 and problem.width == 2:
         powers = ((1, 0), (0, 1))
     if powers:

@@ -109,11 +109,6 @@ def minimal_generators(spec: UniformMultiplicativeSpec, cap: Optional[int] = Non
     return LatticePointSet(points=tuple(pts), cap=cap, stabilized=False, spec=spec)
 
 
-def membership(spec: UniformMultiplicativeSpec, nu) -> int:
-    """The exact weight g(v)."""
-    return spec.weight(nu)
-
-
 def compact_face_members(gens: LatticePointSet) -> frozenset:
     """The points of gens on at least one compact face of their upward hull
     conv(gens) + R_+^n.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional
@@ -42,11 +42,20 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class ToricProblem:
-    """Monomial relations prod_j x_j^(a_ij) = 1 cutting a toric variety out of P^n."""
+    """Monomial relations prod_j x_j^(a_ij) = 1 cutting a toric variety out of P^n.
+
+    exponents is (a_1, ..., a_n) when the variety is presented as the
+    hypersurface x_1^a1 ... x_n^an = x_(n+1)^q (`hypersurface_problem`), and
+    None for a relation matrix. The presentation picks the weight
+    (`problem_weight`) and so every analysis of the problem; it takes part
+    in equality, since the two presentations of one variety are analyzed in
+    different coordinates.
+    """
 
     rows: tuple
     n: int
     l: int
+    exponents: Optional[tuple] = None
 
     @property
     def width(self) -> int:
@@ -251,12 +260,19 @@ def validate_toric_matrix(rows, width: Optional[int] = None) -> ToricProblem:
     return ToricProblem(rows=tuple(rows), n=width - 1, l=len(rows))
 
 
-def hypersurface_problem(a) -> ToricProblem:
-    """The rank-one problem of x_1^a1 ... x_n^an = x_(n+1)^q with q = |a|."""
-    a = [int(x) for x in a]
+def _exponents(a) -> tuple:
+    """The hypersurface exponents a_1, ..., a_n as ints: n >= 2, each >= 1."""
+    a = tuple(int(x) for x in a)
     if len(a) < 2 or any(x < 1 for x in a):
         raise ValueError("need n >= 2 positive exponents")
-    return validate_toric_matrix([tuple(a) + (-sum(a),)])
+    return a
+
+
+def hypersurface_problem(a) -> ToricProblem:
+    """The rank-one problem of x_1^a1 ... x_n^an = x_(n+1)^q with q = |a|,
+    presented as that hypersurface."""
+    a = _exponents(a)
+    return replace(validate_toric_matrix([a + (-sum(a),)]), exponents=a)
 
 
 def sign_count(problem: ToricProblem) -> SignCount:
@@ -295,9 +311,7 @@ def restrict_to_hypersurface(p: GeneralizedPolynomial, a) -> GeneralizedPolynomi
 
     Preserves the degree and ellipticity on the positive orthant.
     """
-    a = [int(x) for x in a]
-    if len(a) < 2 or any(x < 1 for x in a):
-        raise ValueError("need n >= 2 positive exponents")
+    a = _exponents(a)
     n = len(a)
     if p.nvars != n + 1:
         raise ValueError(f"polynomial must have {n + 1} variables")
@@ -426,9 +440,7 @@ def toric_weight(problem: ToricProblem) -> UniformMultiplicativeSpec:
 
 def hypersurface_weight(a) -> UniformMultiplicativeSpec:
     """Characteristic weight of {q | <a, v>, v_1 ... v_n = 0}."""
-    a = tuple(int(x) for x in a)
-    if len(a) < 2 or any(x < 1 for x in a):
-        raise ValueError("need n >= 2 positive exponents")
+    a = _exponents(a)
     q = sum(a)
 
     def g(nu):
@@ -453,6 +465,14 @@ def hypersurface_weight(a) -> UniformMultiplicativeSpec:
     return UniformMultiplicativeSpec(
         arity=len(a), g=g, growth_c=1.0, growth_m=0.0,
         kind="hypersurface", payload=a, last_coordinates=last_coordinates)
+
+
+def problem_weight(problem: ToricProblem) -> UniformMultiplicativeSpec:
+    """The weight of the problem's presentation: `hypersurface_weight` on
+    x_1..x_n for a hypersurface, else `toric_weight` on every coordinate."""
+    if problem.exponents is not None:
+        return hypersurface_weight(problem.exponents)
+    return toric_weight(problem)
 
 
 def free_weight(arity: int) -> UniformMultiplicativeSpec:

@@ -183,18 +183,7 @@ def _cube_face_integral(data: SargosData, tol: float, seed: int) -> ConstantValu
     outer = n - data.m                # [1, oo) axes
     dim = inner + outer
     perm = data.permutation
-    terms = [(float(c), tuple(float(x) for x in e)) for c, e in data.face_support]
-
-    def face_poly(v):
-        # v holds the n variable values in original coordinate order
-        total = 0.0
-        for c, e in terms:
-            t = c
-            for xi, ei in zip(v, e):
-                if ei != 0.0:
-                    t *= xi ** ei
-            total += t
-        return total
+    face = GeneralizedPolynomial.from_terms(data.face_support, n)
 
     def integrand(u):
         v = [1.0] * n
@@ -206,7 +195,7 @@ def _cube_face_integral(data: SargosData, tol: float, seed: int) -> ConstantValu
             if u[inner + j] <= 0.0:
                 return 0.0
             v[perm[data.m + j]] = 1.0 / u[inner + j]
-        val = face_poly(v)
+        val = face.eval_float(v)  # v in original coordinate order
         if val <= 0.0 or not math.isfinite(val):
             return 0.0
         w = val ** (-sigma0)
@@ -294,7 +283,6 @@ def mahler_constant(p: GeneralizedPolynomial, tol: float = 1e-9,
         raise DimensionTooHigh("sphere quadrature capped at six variables")
     top = p.top_part()
     power = -float(k) / float(p.degree)
-    terms = [(float(c), tuple(float(x) for x in e)) for c, e in top.monomials]
     half_pi = math.pi / 2
 
     def integrand(u):
@@ -305,16 +293,9 @@ def mahler_constant(p: GeneralizedPolynomial, tol: float = 1e-9,
             v.append(s * math.cos(ang[i]))
             s *= math.sin(ang[i])
         v.append(s)
-        total = 0.0
-        for c, e in terms:
-            t_ = c
-            for xi, ei in zip(v, e):
-                if ei != 0.0:
-                    if xi <= 0.0:
-                        t_ = 0.0
-                        break
-                    t_ *= xi ** ei
-            total += t_
+        # no coordinate is negative on the octant, so a zero one makes its
+        # terms vanish
+        total = top.eval_float(v)
         if total <= 0.0:
             return 0.0
         w = total ** power
@@ -324,7 +305,7 @@ def mahler_constant(p: GeneralizedPolynomial, tol: float = 1e-9,
         return w * half_pi ** (k - 1)
 
     if k == 1:
-        return ConstantValue(value=float(sum(c for c, _ in terms)) ** power,
+        return ConstantValue(value=sum(float(c) for c in top.coefficients) ** power,
                              abs_error=1e-15, method="closed-form")
     result = integrate_cube(integrand, k - 1, tol=tol, seed=seed)
     return ConstantValue(value=result.value / k, abs_error=result.abs_error / k,

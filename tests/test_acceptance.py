@@ -184,7 +184,7 @@ SQUARES = GeneralizedPolynomial.from_terms(
 class TestCriterion6PolynomialHeight:
     def test_constant_and_density(self):
         t0 = time.monotonic()
-        rep = manin_constant((1, 1), SQUARES)
+        rep = manin_constant(hypersurface_problem((1, 1)), SQUARES)
         oracle, quad_err = si.quad(
             lambda th: (math.cos(th) ** 4 + math.sin(th) ** 4
                         + math.cos(th) ** 2 * math.sin(th) ** 2) ** -0.5,
@@ -239,9 +239,9 @@ class TestCriterion7Lemma1:
 
 class TestCriterion8ZetaProbe:
     def test_trend(self):
-        rep = manin_constant((1, 1), SQUARES)
+        rep = manin_constant(hypersurface_problem((1, 1)), SQUARES)
         c0 = rep.zeta_constant
-        samples = zeta_partial((1, 1), SQUARES, [1.5, 1.3, 1.2, 1.1],
+        samples = zeta_partial(hypersurface_problem((1, 1)), SQUARES, [1.5, 1.3, 1.2, 1.1],
                                rep.iota, rep.rho, term_budget=100_000_000)
         probes = [s.probe(1.0, 1) for s in samples]
         devs = [abs(p / c0 - 1) for p in probes]
@@ -262,7 +262,7 @@ def enumerator_count(problem, height, t, mode):
     w = problem.width
     _, box, hdata = counting._count_setup(height, t, w, mode)
     total = counting._count_relations(problem.rows, w, box, hdata,
-                                      counting.DEFAULT_BUDGET, None)
+                                      counting.DEFAULT_BUDGET, 1)
     return sign_count(problem).value * total
 
 
@@ -294,14 +294,14 @@ class TestCriterion9Differential:
         report("criterion-9a", ok,
                f"{len(self.CASES)} instances, {mismatches} mismatches")
 
-    def test_thread_determinism(self, tmp_path, monkeypatch):
+    def test_thread_determinism(self, tmp_path):
         outputs = []
         for threads in ("1", "4", "8"):
-            monkeypatch.setenv("MANIN_TORIC_THREADS", threads)
             out = tmp_path / f"verify-{threads}.json"
             code = cli.main(["verify", "--hypersurface", "1,1", "--polynomial",
                              "X1^2+X2^2+X3^2", "--t", "400",
-                             "--prime-cutoff", "20000", "--out", str(out)])
+                             "--prime-cutoff", "20000", "--threads", threads,
+                             "--out", str(out)])
             assert code == 0
             outputs.append(out.read_bytes())
         ok = outputs[0] == outputs[1] == outputs[2]

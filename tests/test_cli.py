@@ -1,3 +1,5 @@
+import collections
+import importlib.util
 import inspect
 import json
 import math
@@ -245,6 +247,30 @@ class TestVerify:
         assert code == 0 and json.loads(out)["table"][0]["t"] == 1
 
 
+    @pytest.mark.parametrize("problem", [("--hypersurface", "1,1"), ("--matrix", "1,1,-2")])
+    def test_polynomial_verify_analyzes_once(self, capsys, monkeypatch, problem):
+        # the hypothesis flags come from manin_constant's own analysis
+        from toric_density import generators, polyhedron
+        calls = collections.Counter()
+        modules = [m for name, m in sys.modules.items() if name.startswith("toric_density")]
+        for home, name in ((generators, "generators_with_check"),
+                           (polyhedron, "build_polyhedron"), (polyhedron, "diagonal_face")):
+            original = getattr(home, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            for module in modules:  # every namespace that bound the name
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        code, _ = run_cli(["verify", *problem, "--polynomial", "X1^2+X2^2+X3^2",
+                           "--t", "400", "--prime-cutoff", "10000"], capsys)
+        assert code == 0
+        assert calls == {"generators_with_check": 1, "build_polyhedron": 1,
+                         "diagonal_face": 1}
+
+
 class TestZeta:
     def test_samples(self, capsys):
         code, out = run_cli(["zeta", "--hypersurface", "1,1", "--polynomial",
@@ -310,6 +336,29 @@ class TestParser:
         assert got == capsys.readouterr().err and "usage: toric-density" in got
 
 
+class TestBenchmarkCommands:
+    """Every command line of the benchmark's workloads still parses, so a
+    later removal of a flag that it passes shows here."""
+
+    def test_every_command_parses(self, capsys, monkeypatch):
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        parser = cli.build_parser()
+        argvs = {command.argv for workload in workloads.WORKLOADS.values()
+                 for seed in range(10) for command in workload.build(seed)}
+        assert {argv[0] for argv in argvs} >= {"constants", "count", "verify", "zeta"}
+        refused = []
+        for argv in sorted(argvs):
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                refused.append((argv, capsys.readouterr().err))
+        assert refused == []
+
+
 class TestGoldenReports:
     """Design changes must reproduce these reports byte for byte."""
 
@@ -337,17 +386,17 @@ class TestInternalErrors:
 
 class TestProblemFiles:
     def test_round_trip(self, tmp_path, capsys):
-        from toric_density.cli import dump_problem, load_problem_file
+        from toric_density.cli import load_problem_file
         from toric_density.model import validate_toric_matrix
         from toric_density.polyparse import parse_polynomial
-        poly = parse_polynomial("X1^2 + 3/2*X2^2 + X3^1/2*X1^3/2")
-        prob = validate_toric_matrix([(1, 1, -2)])
-        data = dump_problem(prob, None, poly)
         path = tmp_path / "problem.json"
-        path.write_text(json.dumps(data))
-        prob2, hyper2, poly2 = load_problem_file(str(path))
-        assert prob2 == prob and hyper2 is None and poly2 == poly
-        assert dump_problem(prob2, hyper2, poly2) == data
+        path.write_text("""{"matrix": [[1, 1, -2]], "width": 3, "polynomial": {"monomials": [
+            {"coefficient": "1", "exponents": ["3/2", "0", "1/2"]},
+            {"coefficient": 1, "exponents": [2, 0, 0]},
+            {"coefficient": "3/2", "exponents": [0, 2, 0]}]}}""")
+        prob, poly = load_problem_file(str(path))
+        assert prob == validate_toric_matrix([(1, 1, -2)]) and prob.exponents is None
+        assert poly == parse_polynomial("X1^2 + 3/2*X2^2 + X3^1/2*X1^3/2")
 
     def test_hypersurface_file(self, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -367,6 +416,7 @@ class TestProblemFiles:
         ({"matrix": [], "width": [3]}, "'width'"),
         ({"matrix": [], "width": 3.7}, "'width'"),
         ([1, 2], "JSON object"),
+        ({"matrix": [[1, 1, -2]], "width": 5}, "'width'"),
     ])
     def test_malformed_file_is_bad_input(self, tmp_path, capsys, data, field):
         path = tmp_path / "p.json"
@@ -404,13 +454,13 @@ class TestPresentation:
 
 
 class TestDeterminism:
-    def test_reports_identical_across_threads(self, capsys, monkeypatch):
+    def test_reports_identical_across_threads(self, capsys):
         outputs = []
         for threads in ("1", "4", "8"):
-            monkeypatch.setenv("MANIN_TORIC_THREADS", threads)
             code, out = run_cli(["verify", "--hypersurface", "1,1",
                                  "--polynomial", "X1^2+X2^2+X3^2",
-                                 "--t", "400", "--prime-cutoff", "10000"], capsys)
+                                 "--t", "400", "--prime-cutoff", "10000",
+                                 "--threads", threads], capsys)
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
@@ -450,10 +500,9 @@ class TestDeterminism:
             results.append(json.loads(out)["results"][0]["count"])
         assert results[0] == results[1]
 
-    def test_thread_flag_leaves_environment(self, capsys, monkeypatch):
-        # --threads reaches the counts as an argument; it must not become the
-        # MANIN_TORIC_THREADS default of every later call in the process
-        monkeypatch.delenv("MANIN_TORIC_THREADS", raising=False)
+    def test_thread_flag_leaves_environment(self, capsys):
+        # --threads reaches the counts as an argument, never through the
+        # environment of the process
         before = dict(os.environ)
         code, _ = run_cli(["count", "--projective-torus", "1", "--sup-norm",
                            "--t", "50", "--threads", "2"], capsys)

@@ -17,8 +17,7 @@ from toric_density import counting
 from toric_density.counting import (BoxTooLarge, InvariantError, NonCompactFace,
                                     asymptotic_report, count_points,
                                     count_points_hypersurface, manin_constant,
-                                    predicted_density, sup_norm_prediction,
-                                    zeta_partial)
+                                    sup_norm_prediction, zeta_partial)
 from toric_density.model import (GeneralizedPolynomial, ellipticity_witness,
                                  hypersurface_problem, sign_count, validate_toric_matrix)
 from toric_density.polyparse import parse_polynomial
@@ -67,7 +66,7 @@ def enumerator_count(problem, height, t, mode):
     w = problem.width
     _, box, hdata = counting._count_setup(height, t, w, mode)
     total = counting._count_relations(problem.rows, w, box, hdata,
-                                      counting.DEFAULT_BUDGET, None)
+                                      counting.DEFAULT_BUDGET, 1)
     return sign_count(problem).value * total
 
 
@@ -260,7 +259,7 @@ class TestInvariants:
         real = counting.face_points
         monkeypatch.setattr(counting, "face_points", lambda spec, c: real(spec, c)[1:])
         with pytest.raises(InvariantError):
-            manin_constant((1, 1), SQUARES)
+            manin_constant(hypersurface_problem((1, 1)), SQUARES)
 
     @pytest.mark.parametrize("problem,t", [
         (validate_toric_matrix([(1, 1, -2)]), 10 ** 7),  # a 3162 x 3162 pair grid
@@ -414,7 +413,7 @@ class TestWorkers:
 
 class TestManinAssembly:
     def test_a11_remark_constant(self):
-        rep = manin_constant((1, 1), SQUARES)
+        rep = manin_constant(hypersurface_problem((1, 1)), SQUARES)
         import scipy.integrate as si
         oracle = 6 / math.pi ** 2 * si.quad(
             lambda th: (math.cos(th) ** 4 + math.sin(th) ** 4
@@ -434,14 +433,14 @@ class TestManinAssembly:
         expected = 4 * rep.volume.value * float(1 / mp.zeta(3))
         assert rep.leading_constant == pytest.approx(expected, rel=1e-9)
         # count convergence: N(t)/(C t^3) -> 1
-        n = count_points(prob, cubes, 150, "polynomial")
-        ratio = n.count / predicted_density(rep, 150.0)
-        assert abs(ratio - 1) < 0.02
+        counts = [count_points(prob, cubes, t, "polynomial") for t in (50, 100, 150)]
+        density = asymptotic_report(counts, rep.leading_constant, rep.iota, rep.rho)
+        assert density.final_deviation < 0.02
 
     def test_toric_112_matches_hypersurface(self):
         prob = validate_toric_matrix([(1, 1, -2)])
         rep_t = manin_constant(prob, SQUARES)
-        rep_h = manin_constant((1, 1), SQUARES)
+        rep_h = manin_constant(hypersurface_problem((1, 1)), SQUARES)
         assert rep_t.iota == rep_h.iota and rep_t.rho == rep_h.rho
         assert rep_t.sign_factor == rep_h.sign_factor
         assert abs(rep_t.leading_constant - rep_h.leading_constant) < 1e-8
@@ -497,11 +496,11 @@ class TestSupNorm:
         assert c == pytest.approx(2 / float(mp.zeta(2)))
 
     def test_a11(self):
-        c, iota, rho = sup_norm_prediction((1, 1))
+        c, iota, rho = sup_norm_prediction(hypersurface_problem((1, 1)))
         assert iota == 1 and c == pytest.approx(12 / math.pi ** 2)
 
     def test_a35(self):
-        c, iota, rho = sup_norm_prediction((3, 5))
+        c, iota, rho = sup_norm_prediction(hypersurface_problem((3, 5)))
         assert iota == Fraction(1, 4)
 
 
@@ -552,8 +551,8 @@ class TestZeta:
     def test_tail_beyond_rho_one(self):
         # (1,1,1) has rho 7; the tail is delta s Gamma(7, x) / (s - 1)^7 - N H^-s
         squares4 = parse_polynomial("X1^2+X2^2+X3^2+X4^2")
-        for sample in zeta_partial((1, 1, 1), squares4, [1.3, 1.1], Fraction(1), 7,
-                                   term_budget=10 ** 4):
+        for sample in zeta_partial(hypersurface_problem((1, 1, 1)), squares4, [1.3, 1.1],
+                                   Fraction(1), 7, term_budget=10 ** 4):
             h, n_b, lam = sample.covered_height, sample.covered_count, sample.s - 1
             delta = n_b / (h * mp.log(h) ** 6)
             want = (delta * sample.s * mp.gammainc(7, lam * mp.log(h)) / mp.mpf(lam) ** 7
@@ -562,11 +561,12 @@ class TestZeta:
 
     def test_requires_s_beyond_abscissa(self):
         with pytest.raises(ValueError):
-            zeta_partial((1, 1), SQUARES, 0.9, Fraction(1))
+            zeta_partial(hypersurface_problem((1, 1)), SQUARES, 0.9, Fraction(1))
 
     def test_probe_trend_toward_constant(self):
-        rep = manin_constant((1, 1), SQUARES)
-        samples = zeta_partial((1, 1), SQUARES, [1.5, 1.2], rep.iota, rep.rho,
+        rep = manin_constant(hypersurface_problem((1, 1)), SQUARES)
+        samples = zeta_partial(hypersurface_problem((1, 1)), SQUARES, [1.5, 1.2],
+                               rep.iota, rep.rho,
                                term_budget=2000 ** 2)
         for s in samples:
             assert abs(s.probe(1.0, 1) / rep.zeta_constant - 1) < 0.1

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toric_density.generators import (CapTooSmall, compact_face_members,
-                                      generators_with_check, membership,
+                                      generators_with_check,
                                       minimal_generators, proven_cap,
                                       stabilization_check)
 from toric_density.model import (free_weight, hypersurface_weight, toric_weight,
@@ -283,10 +283,10 @@ class TestProvenCap:
 class TestMembership:
     def test_values(self):
         spec = hypersurface_weight((1, 1, 1))
-        assert membership(spec, (1, 1, 1)) == 0
-        assert membership(spec, (2, 1, 0)) == 1
+        assert spec.weight((1, 1, 1)) == 0
+        assert spec.weight((2, 1, 0)) == 1
 
     def test_arity_mismatch(self):
         spec = toric_weight(validate_toric_matrix([], width=3))
         with pytest.raises(ValueError):
-            membership(spec, (0, 0, 0, 0))
+            spec.weight((0, 0, 0, 0))
