@@ -3,9 +3,10 @@
 Subcommands: generators, analyze, constants, count, zeta, verify. Every
 command reads one problem (`_resolve_problem`): a `ToricProblem`, whose
 presentation (relation matrix or hypersurface) picks its weight, plus an
-optional height polynomial. Each command analyzes it at most once: support
-generators, Newton polyhedron and diagonal face come from `_analysis`, or,
-for full constants and the polynomial verify, from `manin_constant` alone.
+optional height polynomial. Each command analyzes it at most once:
+`generators` reads the support generators alone, the other commands get
+generators, Newton polyhedron and diagonal face from `_analysis`, or, for
+full constants and the polynomial verify, from `manin_constant` alone.
 Reports are deterministic: fixed reduction orders everywhere, timing
 excluded from serialized output, rationals rendered as 'p/q' strings.
 """
@@ -78,8 +79,8 @@ def _ints(x) -> tuple:
 
 def load_problem_file(path: str):
     """(problem, polynomial or None) from a problem JSON: a matrix, with a
-    width that must match its rows and is needed when it has none, or a
-    hypersurface, plus an optional polynomial."""
+    width that is needed when it has no rows, or a hypersurface, plus an
+    optional polynomial."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -92,9 +93,6 @@ def load_problem_file(path: str):
                       "a list of integer rows")
         width = None if data.get("width") is None else \
             _field(data, "width", lambda w: _ints([w])[0], "an integer")
-        if rows and width is not None and width != len(rows[0]):
-            raise InputError(f"problem file: 'width' is {width}, but the "
-                             f"matrix rows have {len(rows[0])} entries")
         problem = validate_toric_matrix(rows, width)
     else:
         raise InputError("problem file needs 'matrix' or 'hypersurface'")
@@ -145,7 +143,7 @@ def _analysis(problem):
 
 def cmd_generators(args) -> int:
     problem, _ = _resolve_problem(args)
-    _, gens, _, _ = _analysis(problem)
+    gens = genmod.generators_with_check(problem_weight(problem))
     emit({"schema": SCHEMA, "command": "generators",
           "points": [list(p) for p in gens.points],
           "cap": gens.cap, "stabilized": gens.stabilized}, args.out)
@@ -345,13 +343,9 @@ def cmd_verify(args) -> int:
     if args.csv:
         _write_counts_csv(args.csv, results,
                           [row.predicted for row in density.rows])
-    if not report["ok"]:
-        if flagged and not args.allow_flags:
-            return EXIT_FLAGGED
-        return EXIT_CHECK_FAILED
     if flagged and not args.allow_flags:
         return EXIT_FLAGGED
-    return EXIT_OK
+    return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
 def _common(p):

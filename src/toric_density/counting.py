@@ -431,6 +431,14 @@ def _count_setup(poly, t, w, height_mode):
     return t, _poly_box(poly, t), _height_data(poly, t)
 
 
+def _check_arity(problem: ToricProblem, poly):
+    """A height polynomial must have one variable per homogeneous coordinate."""
+    if poly is not None and poly.nvars != problem.width:
+        if problem.exponents is not None:
+            raise ValueError(f"polynomial must have {problem.width} variables")
+        raise ValueError("height polynomial must use every homogeneous coordinate")
+
+
 def _require_homogeneous(poly, w):
     if poly is None or poly.nvars != w or not poly.is_homogeneous:
         raise ValueError("polynomial mode needs a homogeneous height in all coordinates")
@@ -971,10 +979,9 @@ def manin_constant(problem: ToricProblem | UniformMultiplicativeSpec,
             raise ValueError("height polynomial arity must match the weight")
     else:
         spec, csign = problem_weight(problem), sign_count(problem).value
+        _check_arity(problem, poly)
         if poly is not None and problem.exponents is not None:
             weight_poly = restrict_to_hypersurface(poly, problem.exponents)
-        elif poly is not None and poly.nvars != problem.width:
-            raise ValueError("height polynomial must use every homogeneous coordinate")
     if weight_poly is None or not weight_poly.is_homogeneous:
         raise ValueError("a homogeneous height polynomial is required")
     gens = generators_with_check(spec)
@@ -1051,6 +1058,7 @@ def zeta_partial(problem: ToricProblem, poly: GeneralizedPolynomial, s_values,
     for s in s_list:
         if s <= iota_f:
             raise ValueError(f"s = {s} is not beyond the abscissa {iota_f}")
+    _check_arity(problem, poly)
     if height_mode == "polynomial":
         _require_homogeneous(poly, problem.width)
     csign = sign_count(problem).value

@@ -242,9 +242,13 @@ def polar_scale(c) -> int:
 
 
 def validate_toric_matrix(rows, width: Optional[int] = None) -> ToricProblem:
-    """Check zero row sums and Q-independence; empty matrices need `width`."""
+    """Check zero row sums and Q-independence; empty matrices need `width`,
+    and a `width` given with rows must be their length."""
     rows = [tuple(int(x) for x in r) for r in rows]
     if rows:
+        if width is not None and width != len(rows[0]):
+            raise ValueError(f"'width' is {width}, but the matrix rows have "
+                             f"{len(rows[0])} entries")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("rows of unequal length")

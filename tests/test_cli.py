@@ -131,6 +131,13 @@ class TestGenerators:
         assert data["stabilized"] is True
         assert data["cap"] == 2  # the proven cap of (1,1)
 
+    def test_no_hull_past_ten_coordinates(self, capsys):
+        # generators builds no Newton polyhedron, whose hull stops at ten
+        # coordinates
+        code, out = run_cli(["generators", "--projective-torus", "10"], capsys)
+        data = json.loads(out)
+        assert code == 0 and len(data["points"]) == 11
+
     def test_no_cap_option(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["generators", "--hypersurface", "1,1", "--cap", "4"])
@@ -246,6 +253,11 @@ class TestVerify:
                              "--t", "16", "--band", "1"], capsys)
         assert code == 0 and json.loads(out)["table"][0]["t"] == 1
 
+    @pytest.mark.parametrize("allow", [[], ["--allow-flags"]])
+    def test_density_outside_the_band_fails(self, capsys, allow):
+        code, out = run_cli(["verify", "--projective-torus", "1", "--sup-norm",
+                             "--t", "16", "--band", "0"] + allow, capsys)
+        assert code == cli.EXIT_CHECK_FAILED and json.loads(out)["ok"] is False
 
     @pytest.mark.parametrize("problem", [("--hypersurface", "1,1"), ("--matrix", "1,1,-2")])
     def test_polynomial_verify_analyzes_once(self, capsys, monkeypatch, problem):
@@ -291,6 +303,17 @@ class TestZeta:
         assert code == cli.EXIT_BAD_INPUT and captured.out == ""
         assert captured.err == count_err
         assert "homogeneous" in captured.err
+
+    @pytest.mark.parametrize("problem,message", [
+        (["--hypersurface", "1,1"], "polynomial must have 3 variables"),
+        (["--matrix", "1,1,-2"], "height polynomial must use every homogeneous coordinate"),
+    ])
+    def test_wrong_arity_names_the_variables(self, capsys, problem, message):
+        # the same message as constants gives for that polynomial
+        tail = problem + ["--polynomial", "X1^2+X2^2"]
+        for command in (["zeta", "--budget", "1000000", "--s", "2.5"], ["constants"]):
+            assert cli.main(command + tail) == cli.EXIT_BAD_INPUT
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_default_budget(self):
         args = cli.build_parser().parse_args(["zeta", "--projective-torus", "1",
@@ -416,7 +439,6 @@ class TestProblemFiles:
         ({"matrix": [], "width": [3]}, "'width'"),
         ({"matrix": [], "width": 3.7}, "'width'"),
         ([1, 2], "JSON object"),
-        ({"matrix": [[1, 1, -2]], "width": 5}, "'width'"),
     ])
     def test_malformed_file_is_bad_input(self, tmp_path, capsys, data, field):
         path = tmp_path / "p.json"
@@ -426,6 +448,15 @@ class TestProblemFiles:
         assert code == cli.EXIT_BAD_INPUT
         assert err.startswith("error: problem file") and field in err
         assert "Traceback" not in err
+
+
+    def test_width_must_match_rows(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"matrix": [[1, 1, -2]], "width": 5}))
+        code = cli.main(["analyze", "--problem", str(path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_BAD_INPUT
+        assert err == "error: 'width' is 5, but the matrix rows have 3 entries\n"
 
 
 class TestPresentation:

@@ -41,6 +41,11 @@ class TestValidateMatrix:
         prob = validate_toric_matrix([(1, 1, -2)])
         assert prob.n == 2 and prob.l == 1 and prob.variety_dim == 1
 
+    def test_width_must_match_rows(self):
+        assert validate_toric_matrix([(1, 1, -2)], width=3).n == 2
+        with pytest.raises(ValueError, match="'width' is 5"):
+            validate_toric_matrix([(1, 1, -2)], width=5)
+
     def test_dependent_rows(self):
         with pytest.raises(DependentRows):
             validate_toric_matrix([(1, 0, -1), (2, 0, -2)])
