@@ -355,7 +355,9 @@ def _common(p):
     p.add_argument("--projective-torus", type=int, metavar="N",
                    help="full torus of P^N")
     p.add_argument("--polynomial", help="height polynomial, e.g. 'X1^2+X2^2'")
-    p.add_argument("--quad-tol", type=float, default=1e-9)
+    p.add_argument("--quad-tol", type=float, default=1e-9,
+                   help="absolute tolerance of the quadrature fallback; a "
+                        "volume face integral with a closed form ignores it")
     p.add_argument("--euler-tol", type=float, default=1e-10,
                    help="accepted for compatibility: matrix and "
                         "hypersurface Euler factors are exact; only custom "

@@ -6,7 +6,8 @@ in every direction. Its error bar adds a certified bound on the mass cut off
 outside the window [-R, R]^k to an estimate of the step error: the difference
 between the last two step sizes, which overstates the error of the finer one
 when the rule converges exponentially. Sargos face integrals over compact
-faces of dimension one or two take this rule.
+faces of dimension one or two take this rule when `volumes.exact_face_integral`
+has no closed form for them.
 
 `integrate_cube` serves the rest on the unit cube, where unbounded axes are
 mapped first: nested adaptive Gauss-Kronrod (QUADPACK) up to four dimensions,

@@ -9,10 +9,30 @@ facets (at infinity) meeting the diagonal, and the unit vectors outside the
 transverse block, and I integrates P restricted to the diagonal face, raised
 to the power -sigma0, ones in the transverse slots, over the positive
 orthant in the face directions and over [1, oo) in the recession directions.
-A compact face of dimension one or two takes the log-coordinate trapezoid
-rule of `quadrature.integrate_log_orthant`: its convergence is decided
-exactly, from the facets of the face exponents, and its error bar certifies
-the cut-off mass and estimates the step error. Larger faces and faces with
+
+A compact face of any dimension first tries `exact_face_integral`, which
+needs no quadrature. On a simplex face with monomials c_i x^(e_i),
+i = 0..k, solve sum alpha_i e_i = (1, ..., 1) and sum alpha_i = sigma0
+exactly in fractions. Then
+
+    I = prod Gamma(alpha_i) c_i^(-alpha_i) / (Gamma(sigma0) |det(e_i - e_0)|),
+
+finite exactly when every alpha_i > 0. A simplex plus one monomial
+c* x^(e*), with e* = sum beta_i e_i, sum beta_i = 1 and every beta_i >= 0,
+takes the alternating Euler-Mellin series of Nilsson and Passare (J. Funct.
+Anal. 264, 2013):
+
+    I = sum_n (-1)^n c*^n / n! prod Gamma(alpha_i(n)) c_i^(-alpha_i(n))
+        / (Gamma(sigma0) |det(e_i - e_0)|),   alpha(n) = alpha + n beta,
+
+whose terms shrink by the ratio c* prod (beta_i / c_i)^beta_i in the
+limit; it is used while that ratio is at most SERIES_MAX_RATIO. A face
+whose polynomial is a product of polynomials in disjoint variables is the
+product of their integrals. Every other compact face of dimension one or
+two takes the log-coordinate trapezoid rule of
+`quadrature.integrate_log_orthant`: its convergence is decided exactly,
+from the facets of the face exponents, and its error bar certifies the
+cut-off mass and estimates the step error. Larger faces and faces with
 recession directions go to `quadrature.integrate_cube`.
 
 The volume constant A0(I; u; b) is the Sargos constant of an auxiliary
@@ -24,6 +44,7 @@ A0(T; P) first pushes the type T through the exponent matrix of P.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,6 +171,142 @@ def log_decay_rate(exps, sigma0: Fraction) -> float:
     return float(sigma0) * min(float(gap) / math.hypot(*w) for gap, w in gaps)
 
 
+EPS = 2.0 ** -52
+# A series whose terms shrink by a ratio above this needs more than about
+# 370 terms to reach the rounding level; it is left to quadrature.
+SERIES_MAX_RATIO = 0.9
+
+
+def exact_face_integral(coeffs, exps, sigma0) -> ConstantValue | None:
+    """The integral of (sum_e c_e x^e)^(-sigma0) over (0, oo)^k, without quadrature.
+
+    Covers a simplex ("gamma-simplex"), a simplex plus one monomial inside
+    it ("mellin-barnes"), and a product of such faces in disjoint variables
+    ("gamma-product", or "mellin-barnes-product" when a factor takes the
+    series). Returns None for any other face, for a series whose ratio
+    exceeds SERIES_MAX_RATIO, and where the integral diverges. Exponents and coefficients are exact; the error bar is the
+    series truncation plus an estimate of the lgamma and exp rounding.
+    """
+    k = len(exps[0])
+    if len(exps) == k + 1:
+        return _simplex_series(coeffs, exps, sigma0)
+    if len(exps) == k + 2:
+        for j in range(k + 2):
+            rest = [i for i in range(k + 2) if i != j]
+            result = _simplex_series([coeffs[i] for i in rest], [exps[i] for i in rest],
+                                     sigma0, extra=(coeffs[j], exps[j]))
+            if result is not None:
+                return result
+    return _product_face(coeffs, exps, sigma0)
+
+
+def _solve(columns, rhs):
+    """x with sum_i x_i columns[i] = rhs, and |det|, exactly; None if singular."""
+    size = len(rhs)
+    rows = [[frac(col[r]) for col in columns] + [frac(rhs[r])] for r in range(size)]
+    det = Fraction(1)
+    for c in range(size):
+        piv = next((r for r in range(c, size) if rows[r][c] != 0), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        det *= rows[c][c]
+        for r in range(size):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [rows[r][size] / rows[r][r] for r in range(size)], abs(det)
+
+
+def _simplex_series(coeffs, exps, sigma0, extra=None) -> ConstantValue | None:
+    """The Gamma product on a simplex, or with extra = (c*, e*) the series."""
+    k = len(exps[0])
+    columns = [(1,) + tuple(e) for e in exps]
+    solved = _solve(columns, (sigma0,) + (1,) * k)
+    if solved is None:
+        return None
+    alpha, det = solved
+    if any(a <= 0 for a in alpha):
+        return None     # (1, ..., 1) / sigma0 is not inside: the integral diverges
+    logc = [math.log(c) for c in coeffs]
+    norm = math.lgamma(float(sigma0)) + math.log(det)
+
+    def term(n, beta, log_star):
+        # |n-th term|, and a rounding estimate: a few ulps of each logarithm
+        # summed into its exponent, and of each Gamma argument
+        log_value = n * log_star - math.lgamma(n + 1) - norm
+        size = abs(n * log_star) + math.lgamma(n + 1) + abs(norm)
+        for a, b, lc in zip(alpha, beta, logc):
+            x = float(a + n * b)
+            g, w = math.lgamma(x), x * lc
+            log_value += g - w
+            size += abs(g) + abs(w) + x * (1 + abs(math.log(x)))
+        value = math.exp(log_value)
+        return value, value * 8 * EPS * (1 + size)
+
+    if extra is None:
+        value, rounding = term(0, [0] * (k + 1), 0.0)
+        return ConstantValue(value=value, abs_error=rounding + EPS * value,
+                             method="gamma-simplex")
+    beta = _solve(columns, (1,) + tuple(extra[1]))[0]
+    if any(b < 0 for b in beta):
+        return None
+    log_star = math.log(extra[0])
+    log_ratio = log_star + sum(float(b) * (math.log(b) - lc)
+                               for b, lc in zip(beta, logc) if b)
+    ratio = math.exp(log_ratio)
+    if ratio > SERIES_MAX_RATIO:
+        return None
+    # Wendel's inequality Gamma(x + b) <= x^b Gamma(x) for 0 <= b <= 1 and
+    # the weighted AM-GM inequality bound the ratio of consecutive terms by
+    # ratio (n + sigma0) / (n + 1): from `steady` on the terms shrink, so
+    # the first omitted one bounds the alternating tail
+    steady = max(0, math.floor((ratio * float(sigma0) - 1) / (1 - ratio)) + 1)
+    terms, partial, rounding = [], 0.0, 0.0
+    for n in itertools.count():
+        value, err = term(n, beta, log_star)
+        if n >= steady and value <= EPS / 16 * abs(partial):
+            total = math.fsum(terms)
+            return ConstantValue(value=total,
+                                 abs_error=value + rounding + EPS * abs(total),
+                                 method="mellin-barnes")
+        terms.append(-value if n % 2 else value)
+        partial += terms[-1]
+        rounding += err
+
+
+def _product_face(coeffs, exps, sigma0) -> ConstantValue | None:
+    """A face polynomial f(x_S) g(x_T) in disjoint variable sets, integrated per factor."""
+    k = len(exps[0])
+    table = dict(zip(map(tuple, exps), coeffs))
+    for size in range(k - 1):
+        for more in itertools.combinations(range(1, k), size):
+            left = (0,) + more
+            right = tuple(i for i in range(k) if i not in left)
+            split = {(tuple(e[i] for i in left), tuple(e[i] for i in right)): c
+                     for e, c in table.items()}
+            a_part = sorted({a for a, _ in split})
+            b_part = sorted({b for _, b in split})
+            if len(a_part) * len(b_part) != len(split):
+                continue
+            a0, b0 = next(iter(split))
+            c00 = split[a0, b0]
+            if any(c * c00 != split[a, b0] * split[a0, b] for (a, b), c in split.items()):
+                continue
+            f = exact_face_integral([split[a, b0] for a in a_part], a_part, sigma0)
+            g = exact_face_integral([split[a0, b] / c00 for b in b_part], b_part, sigma0)
+            if f is None or g is None:
+                return None
+            value = f.value * g.value
+            error = (abs(f.value) * g.abs_error + abs(g.value) * f.abs_error
+                     + f.abs_error * g.abs_error + EPS * abs(value))
+            gamma = {"gamma-simplex", "gamma-product"}
+            method = ("gamma-product" if {f.method, g.method} <= gamma
+                      else "mellin-barnes-product")
+            return ConstantValue(value=value, abs_error=error, method=method)
+    return None
+
+
 def sargos_constant(p: GeneralizedPolynomial, tol: float = 1e-9,
                     seed: int = 0) -> ConstantValue:
     """n! Vol(Lambda) times the diagonal-face integral."""
@@ -161,14 +318,17 @@ def sargos_constant(p: GeneralizedPolynomial, tol: float = 1e-9,
         const = sum(float(c) for c, _ in data.face_support)
         return ConstantValue(value=scale * const ** (-float(data.sigma0)),
                              abs_error=1e-15, method="closed-form")
-    if compact and inner <= 2:
+    result = None
+    if compact:
         perm = data.permutation
         coeffs = [c for c, _ in data.face_support]
         exps = [tuple(e[perm[data.rho0 + j]] for j in range(inner))
                 for _, e in data.face_support]
-        result = integrate_log_orthant(coeffs, exps, data.sigma0,
-                                       log_decay_rate(exps, data.sigma0), tol=tol)
-    else:
+        result = exact_face_integral(coeffs, exps, data.sigma0)
+        if result is None and inner <= 2:
+            result = integrate_log_orthant(coeffs, exps, data.sigma0,
+                                           log_decay_rate(exps, data.sigma0), tol=tol)
+    if result is None:
         result = _cube_face_integral(data, tol, seed)
     return ConstantValue(value=scale * result.value,
                          abs_error=scale * result.abs_error,

@@ -22,8 +22,10 @@ from toric_density.generators import generators_with_check
 from toric_density.model import (GeneralizedPolynomial, free_weight,
                                  hypersurface_problem, hypersurface_weight,
                                  sign_count, toric_weight, validate_toric_matrix)
-from toric_density.polyhedron import build_polyhedron, diagonal_face, iota_lp
-from toric_density.volumes import MixedTypeT, mixed_volume_constant, sargos_constant
+from toric_density.polyhedron import (build_polyhedron, diagonal_face, face_points,
+                                      iota_lp)
+from toric_density.volumes import (MixedTypeT, exact_face_integral, mixed_volume_constant,
+                                   sargos_constant)
 
 HALF = Fraction(1, 2)
 
@@ -311,8 +313,9 @@ class TestCriterion9Differential:
 
 
 class TestAim3VolumeErrorBar:
-    # (1,1,1) mixed volume constant of X1^2+..+X4^2, to eleven digits
-    VOLUME_111 = 0.0017090897522
+    # (1,1,1) mixed volume constant of X1^2+..+X4^2, to 30 digits: the
+    # Mellin-Barnes series of TestExactFaceAnchors.test_volume_111_series
+    VOLUME_111 = "0.0017090897521681587668698566866"
 
     def test_error_bar_at_default_tolerance(self, capsys):
         args = ["constants", "--hypersurface", "1,1,1", "--polynomial",
@@ -323,12 +326,84 @@ class TestAim3VolumeErrorBar:
             code = cli.main(args)
         elapsed = time.monotonic() - t0
         vol = json.loads(capsys.readouterr().out)["volume_constant"]
-        err = abs(vol["value"] - self.VOLUME_111)
+        err = float(abs(Fraction(vol["value"]) - Fraction(self.VOLUME_111)))
         rel = vol["abs_error"] / vol["value"]
         ok = code == 0 and err <= vol["abs_error"] and rel < 1e-6 and elapsed < 10
         report("aim-3", ok,
                f"A0 = {vol['value']!r} +- {vol['abs_error']:.1e} ({vol['method']}), "
                f"off {self.VOLUME_111} by {err:.1e}, rel bar {rel:.1e}, {elapsed:.2f}s")
+
+
+class TestExactFaceAnchors:
+    """Face integrals with a closed form, against values computed here."""
+
+    def test_projective_torus_3_squares(self, capsys):
+        # the Sargos constant of X1^2+..+X4^2 on P^3 is pi^2/16; its 3-d
+        # simplex face took a 60 s gauss-kronrod-3d with an 8% bar
+        args = ["constants", "--sargos-only", "--projective-torus", "3",
+                "--polynomial", "X1^2+X2^2+X3^2+X4^2"]
+        t0 = time.monotonic()
+        code = cli.main(args)
+        elapsed = time.monotonic() - t0
+        out = json.loads(capsys.readouterr().out)["sargos"]
+        with mp.workprec(200):
+            err = float(abs(out["value"] - mp.pi ** 2 / 16))
+        ok = (code == 0 and out["method"] == "gamma-simplex"
+              and err <= out["abs_error"] and elapsed < 1)
+        report("exact P^3", ok,
+               f"A0 = {out['value']!r} +- {out['abs_error']:.1e} ({out['method']}), "
+               f"off pi^2/16 by {err:.1e}, {elapsed:.2f}s")
+
+    def test_quadric_face(self):
+        # (1 + x^2)(1 + y^2) over the quadrant: (pi/2)^2
+        exps = [(0, 0), (0, 2), (2, 0), (2, 2)]
+        cv = exact_face_integral([1, 1, 1, 1], exps, Fraction(1))
+        with mp.workprec(200):
+            err = float(abs(cv.value - (mp.pi / 2) ** 2))
+        ok = cv.method == "gamma-product" and err <= cv.abs_error
+        report("exact quadric face", ok,
+               f"I = {cv.value!r} +- {cv.abs_error:.1e} ({cv.method}), "
+               f"off (pi/2)^2 by {err:.1e}")
+
+    def test_segre_face(self):
+        # the Segre cube's face type against X1^2+..+X8^2: the face is
+        # {0, 2}^3, (1 + x^2)(1 + y^2)(1 + z^2), and the constant (pi/4)^3
+        rows = [[int(x) for x in r.split(",")]
+                for r in TestSegreCubeGenerators.ROWS.split(";")]
+        spec = toric_weight(validate_toric_matrix(rows))
+        df = diagonal_face(build_polyhedron(generators_with_check(spec).points), spec)
+        pts = face_points(spec, df.c)
+        squares = poly([(1, tuple(2 * (j == i) for j in range(8))) for i in range(8)])
+        t0 = time.monotonic()
+        cv = mixed_volume_constant(MixedTypeT.of(pts, [spec.g(b) for b in pts]), squares)
+        elapsed = time.monotonic() - t0
+        with mp.workprec(200):
+            err = float(abs(cv.value - mp.pi ** 3 / 64))
+        ok = cv.method == "gamma-product" and err <= cv.abs_error and elapsed < 1
+        report("exact segre face", ok,
+               f"A0 = {cv.value!r} +- {cv.abs_error:.1e} ({cv.method}), "
+               f"off pi^3/64 by {err:.1e}, {elapsed:.2f}s")
+
+    def test_volume_111_series(self):
+        # The (1,1,1) face is 1 + x^2 + x^2 y^2 + x^4 y^6 at sigma0 = 1/2:
+        # the simplex (0,0), (2,0), (4,6), |det| = 12, with (2,2) at its
+        # centroid, so alpha_i = 1/6 and beta_i = 1/3, and 9! Vol(Lambda) is
+        # 1/4608. Term n of the series is (-1)^n Gamma(1/6 + n/3)^3 / n!.
+        with mp.workdps(50):
+            third, sixth = mp.mpf(1) / 3, mp.mpf(1) / 6
+            series = mp.nsum(lambda n: (-1) ** n * mp.gamma(sixth + n * third) ** 3
+                             / mp.factorial(n), [0, mp.inf])
+            value = series / (mp.gamma(mp.mpf(1) / 2) * 12 * 4608)
+            digits = mp.nstr(value, 30)
+        squares = poly([(1, tuple(2 * (j == i) for j in range(4))) for i in range(4)])
+        cv = manin_constant(hypersurface_problem((1, 1, 1)), squares, cutoff=100,
+                            euler_tol=1e-3).volume
+        err = float(abs(Fraction(cv.value) - Fraction(digits)))
+        ok = (digits == TestAim3VolumeErrorBar.VOLUME_111
+              and cv.method == "mellin-barnes" and err <= cv.abs_error)
+        report("exact (1,1,1) series", ok,
+               f"{digits} by mpmath; A0 = {cv.value!r} +- {cv.abs_error:.1e} "
+               f"({cv.method}), off by {err:.1e}")
 
 
 class TestAim3Rho2Anchor:

@@ -560,6 +560,22 @@ for argv in (["count", "--matrix", "1,1,-2", "--sup-norm", "--t", "50"],
 """
         self.run_script(script)
 
+    def test_closed_form_constants_load_neither(self):
+        # faces with a Gamma-product or Mellin-Barnes integral need no
+        # scipy; the P^3 face took gauss-kronrod-3d before
+        script = """
+import contextlib, io, sys
+import toric_density.cli as cli
+for argv in (["constants", "--sargos-only", "--projective-torus", "3",
+              "--polynomial", "X1^2+X2^2+X3^2+X4^2"],
+             ["constants", "--hypersurface", "1,1,1", "--polynomial", "X1^2+X2^2+X3^2+X4^2",
+              "--prime-cutoff", "100", "--euler-tol", "1e-3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert not [m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')], argv
+"""
+        self.run_script(script)
+
     @staticmethod
     def run_script(script):
         src = str(pathlib.Path(cli.__file__).resolve().parents[1])

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from toric_density import quadrature, volumes
 from toric_density.hull import polytope_facets
 from toric_density.model import GeneralizedPolynomial
-from toric_density.quadrature import (DivergentIntegral, check_tail_convergence,
-                                      integrate_cube, integrate_log_orthant)
+from toric_density.quadrature import (ConstantValue, DivergentIntegral,
+                                      check_tail_convergence, integrate_cube,
+                                      integrate_log_orthant)
 from toric_density.volumes import (MissingVariable, MixedTypeT,
-                                   build_repetition_polynomial, log_decay_rate,
-                                   mahler_constant, mixed_type_pushforward,
-                                   mixed_volume_constant, newton_at_infinity,
-                                   sargos_constant, volume_constant)
+                                   build_repetition_polynomial, exact_face_integral,
+                                   log_decay_rate, mahler_constant,
+                                   mixed_type_pushforward, mixed_volume_constant,
+                                   newton_at_infinity, sargos_constant,
+                                   volume_constant)
 
 
 def poly(terms):
@@ -153,6 +155,22 @@ def face_terms(p):
             [tuple(e[i] for i in inner) for _, e in data.face_support], data.sigma0)
 
 
+def log_rule(p, tol=1e-9):
+    """The Sargos constant of p with its face integral by the log-coordinate
+    trapezoid rule, which sargos_constant runs only where no closed form fits."""
+    data = newton_at_infinity(p)
+    scale = float(math.factorial(data.n) * data.lambda_volume)
+    coeffs, exps, sigma0 = face_terms(p)
+    cv = integrate_log_orthant(coeffs, exps, sigma0, log_decay_rate(exps, sigma0), tol=tol)
+    return ConstantValue(value=scale * cv.value, abs_error=scale * cv.abs_error,
+                         method=cv.method)
+
+
+def agree(a, b):
+    """Two ConstantValues within the sum of their error bars."""
+    return abs(a.value - b.value) <= a.abs_error + b.abs_error
+
+
 def diagonal_window(exps):
     """The open interval of t > 0 with (t, ..., t) inside conv(exps), or None."""
     if len(exps[0]) == 1:
@@ -220,28 +238,44 @@ class TestLogTrapezoid:
         ([(1, (1, 0)), (1, (0, 1))], 1.0),
     ])
     def test_closed_forms(self, terms, oracle):
-        cv = sargos_constant(poly(terms))
+        cv = log_rule(poly(terms))
         assert cv.method == "log-trapezoid-1d"
         assert abs(cv.value - oracle) <= cv.abs_error
+        exact = sargos_constant(poly(terms))
+        assert exact.method == "gamma-simplex"
+        assert abs(exact.value - oracle) <= exact.abs_error
+        assert agree(exact, cv)
 
     def test_lifted_kernel_oracle(self):
         # half the integral of 1/(1 + x + x^2), which is 2 pi / (3 sqrt 3)
-        cv = volume_constant([(2, 0, 1), (0, 2, 1)], (1, 1), (1, 1, 1))
+        oracle = math.pi / (3 * math.sqrt(3))
+        cv = log_rule(build_repetition_polynomial([(2, 0, 1), (0, 2, 1)], (1, 1), (1, 1, 1)))
         assert cv.method == "log-trapezoid-1d"
-        assert abs(cv.value - math.pi / (3 * math.sqrt(3))) <= cv.abs_error
+        assert abs(cv.value - oracle) <= cv.abs_error
+        exact = volume_constant([(2, 0, 1), (0, 2, 1)], (1, 1), (1, 1, 1))
+        assert exact.method == "mellin-barnes"
+        assert abs(exact.value - oracle) <= exact.abs_error
+        assert agree(exact, cv)
 
     @pytest.mark.parametrize("terms, parent, parent_err", GAUSS_KRONROD_2D)
     def test_two_dimensional_faces_match_gauss_kronrod(self, terms, parent, parent_err):
-        cv = sargos_constant(poly(terms))
+        cv = log_rule(poly(terms))
         assert cv.method == "log-trapezoid-2d"
         assert abs(cv.value - parent) <= parent_err + cv.abs_error
+        exact = sargos_constant(poly(terms))
+        assert abs(exact.value - parent) <= parent_err + exact.abs_error
+        assert agree(exact, cv)
 
     def test_error_bar_shrinks_with_tol(self):
         p = poly(GAUSS_KRONROD_2D[0][0])
-        loose = sargos_constant(p, tol=1e-4)
-        tight = sargos_constant(p, tol=1e-9)
+        loose = log_rule(p, tol=1e-4)
+        tight = log_rule(p, tol=1e-9)
         assert tight.abs_error < loose.abs_error
-        assert abs(loose.value - tight.value) <= loose.abs_error + tight.abs_error
+        assert agree(loose, tight)
+        # the series ignores tol, and lies inside both bars
+        exact = sargos_constant(p, tol=1e-4)
+        assert exact.method == "mellin-barnes" and exact == sargos_constant(p, tol=1e-9)
+        assert agree(exact, loose) and agree(exact, tight)
 
     @pytest.mark.parametrize("exps, sigma0", [
         ([(0,), (2,)], Fraction(1, 2)),                  # 2 is an endpoint
@@ -296,6 +330,114 @@ class TestLogTrapezoid:
         got = integrate_log_orthant(coeffs, exps, sigma0, rate, tol=1e-10)
         want, want_err = window_reference(coeffs, exps, sigma0, rate)
         assert abs(got.value - want) <= got.abs_error + want_err + 1e-12 * want
+
+
+@st.composite
+def simplex_faces(draw):
+    """(coefficients, exponents) of a random 1-d or 2-d simplex face, half
+    of them with one more monomial inside or on the simplex.
+
+    The extra point is the weighted mean of the vertices with integer
+    weights summing to w; the vertices are scaled by w to keep every
+    exponent an integer, which leaves the log-coordinate decay rate alone.
+    """
+    k = draw(st.sampled_from((1, 2)))
+    vertices = draw(st.lists(st.tuples(*[st.integers(0, 4)] * k),
+                             min_size=k + 1, max_size=k + 1, unique=True))
+    coeffs = draw(st.lists(st.fractions(Fraction(1, 10), 5, max_denominator=10),
+                           min_size=k + 1, max_size=k + 1))
+    if not draw(st.booleans()):
+        return coeffs, vertices
+    weights = draw(st.lists(st.integers(0, 3), min_size=k + 1, max_size=k + 1)
+                   .filter(lambda w: sum(w) > 1 and max(w) < sum(w)))
+    w = sum(weights)
+    extra = tuple(sum(u * v[j] for u, v in zip(weights, vertices)) for j in range(k))
+    star = draw(st.fractions(Fraction(1, 10), 2, max_denominator=10))
+    return coeffs + [star], [tuple(w * x for x in v) for v in vertices] + [extra]
+
+
+def is_simplex(exps):
+    """The first k + 1 points span R^k."""
+    k = len(exps[0])
+    if k == 1:
+        return exps[0] != exps[1]
+    (a, b), (c, d), (e, f) = exps[:3]
+    return (c - a) * (f - b) != (d - b) * (e - a)
+
+
+class TestExactFaceIntegral:
+    @settings(max_examples=10, deadline=None)
+    @given(case=simplex_faces())
+    def test_agrees_with_log_rule(self, case):
+        coeffs, exps = case
+        assume(is_simplex(exps) and len(set(exps)) == len(exps))
+        window = diagonal_window(exps)
+        assume(window is not None)
+        sigma0 = 2 / (window[0] + window[1])
+        rate = log_decay_rate(exps, sigma0)
+        assume(rate >= 0.4)
+        exact = exact_face_integral(coeffs, exps, sigma0)
+        if len(exps) == len(exps[0]) + 1:
+            assert exact.method == "gamma-simplex"
+        else:
+            # a series whose terms shrink too slowly is left to quadrature
+            assume(exact is not None)
+            assert exact.method == "mellin-barnes"
+        got = integrate_log_orthant(coeffs, exps, sigma0, rate, tol=1e-10)
+        assert agree(exact, got)
+
+    # the log rule's (value, abs_error, method) on faces no closed form
+    # covers, as recorded before the closed forms were added
+    @pytest.mark.parametrize("terms, pinned", [
+        # a simplex plus one point whose series ratio is about 0.95
+        (GAUSS_KRONROD_2D[1][0],
+         (0.07323619033276055, 1.0314585015747944e-10, "log-trapezoid-2d")),
+        # the same face with a series ratio of about 1.4, which diverges
+        (GAUSS_KRONROD_2D[3][0],
+         (0.06330250121682443, 1.0314585015747944e-10, "log-trapezoid-2d")),
+        # the square {0, 2}^2: each point has a beta_i < 0 against the
+        # other three, and the coefficients 1, 2, 1, 1 do not factor
+        ([(1, (2, 0, 2, 0)), (2, (0, 2, 2, 0)), (1, (2, 0, 0, 2)), (1, (0, 2, 0, 2))],
+         (0.5148397968649887, 3.1551521346822713e-11, "log-trapezoid-2d")),
+        # four monomials on a segment
+        ([(1, (4, 0)), (1, (0, 4)), (1, (3, 1)), (2, (1, 3))],
+         (0.355579559567026, 5.42313941370204e-11, "log-trapezoid-1d")),
+    ])
+    def test_fallback_faces_keep_the_log_rule(self, terms, pinned):
+        p = poly(terms)
+        assert exact_face_integral(*face_terms(p)) is None
+        cv = sargos_constant(p)
+        assert (cv.value, cv.abs_error, cv.method) == pinned
+
+    # (1,1,1) and P^2 cubic faces, a 3-d simplex that went to the cube
+    # rule, the quadric square, and a square times a 1-d series face
+    EXACT_FACES = [
+        ([(1, (2, 0)), (1, (0, 2))], "gamma-simplex"),
+        ([(1, (4, 0)), (1, (2, 2)), (1, (0, 4))], "mellin-barnes"),
+        (GAUSS_KRONROD_2D[0][0], "mellin-barnes"),
+        ([(1, (3, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 3)), (1, (1, 1, 1))], "mellin-barnes"),
+        ([(1, tuple(2 * (j == i) for j in range(4))) for i in range(4)], "gamma-simplex"),
+        ([(1, (2, 0, 2, 0)), (1, (0, 2, 2, 0)), (1, (2, 0, 0, 2)), (1, (0, 2, 0, 2))],
+         "gamma-product"),
+        ([(1, (2, 0, 2, 0)), (1, (2, 0, 1, 1)), (1, (2, 0, 0, 2)),
+          (1, (0, 2, 2, 0)), (1, (0, 2, 1, 1)), (1, (0, 2, 0, 2))], "mellin-barnes-product"),
+    ]
+
+    def test_exact_paths_skip_quadrature(self, monkeypatch):
+        polys = [poly(terms) for terms, _ in self.EXACT_FACES]
+        # the log rule's values, where the face is small enough for it
+        refs = [log_rule(p) if len(face_terms(p)[1][0]) <= 2 else None for p in polys]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature called on a face with a closed form")
+
+        monkeypatch.setattr(volumes, "integrate_log_orthant", refuse)
+        monkeypatch.setattr(volumes, "integrate_cube", refuse)
+        for p, (_, method), ref in zip(polys, self.EXACT_FACES, refs):
+            cv = sargos_constant(p)
+            assert cv.method == method
+            assert ref is None or agree(cv, ref)
+        assert sargos_constant(polys[4]).value == pytest.approx(math.pi ** 2 / 16, abs=1e-14)
 
 
 class TestVolumeConstant:
