@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -277,8 +278,13 @@ def cmd_zeta(args) -> int:
     problem, poly = _resolve_problem(args)
     if poly is None:
         raise InputError("zeta needs --polynomial")
+    try:
+        s_values = [float(x) for x in args.s.split(",")]
+        if not all(map(math.isfinite, s_values)):
+            raise ValueError
+    except ValueError:
+        raise InputError(f"--s must be comma-separated finite numbers, got {args.s!r}") from None
     _, _, _, df = _analysis(problem)
-    s_values = [float(x) for x in args.s.split(",")]
     samples = counting.zeta_partial(problem, poly, s_values, df.iota, df.rho,
                                     term_budget=args.budget,
                                     threads=args.threads)
@@ -441,8 +447,11 @@ def _validate_config(args):
     if getattr(args, "budget", 10 ** 9) < 10 ** 6:
         raise InputError("operation budget must be at least 10^6")
     for name in ("quad_tol", "euler_tol"):
-        if getattr(args, name, 1.0) <= 0:
-            raise InputError(f"--{name.replace('_', '-')} must be positive")
+        tol = getattr(args, name, 1.0)
+        if not (tol > 0 and math.isfinite(tol)):
+            raise InputError(f"--{name.replace('_', '-')} must be a positive finite number")
+    if not getattr(args, "band", 0.0) >= 0:  # NaN fails this too
+        raise InputError("--band must be a number >= 0")
     if getattr(args, "precision", 64) < 32:
         raise InputError("--precision below 32 bits is not supported")
     if getattr(args, "prime_cutoff", 100) < 10:

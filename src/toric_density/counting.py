@@ -34,8 +34,10 @@ Two reductions consume their points: an exact count, with heights compared
 as scaled integers (`_height_mask`), and a zeta collector (`_ZetaCollector`)
 that takes no root: it works on P = h^d (the largest coordinate for the sup
 norm), keeps the cells with P at most the covered height to the d, takes
-log P once per kept cell and sums exp(-s/d log P) per s, all in buffers
-reused from block to block. It reduces each block of the relation
+log P once per kept cell and sums exp(-s/d log P) per s, all in three
+buffers reused from block to block (P, a term temporary and a mask); the
+one array it allocates per block is the flat index of the kept cells,
+which gathers them unbuffered. It reduces each block of the relation
 enumerator or the pair grid to one sum per s, and adds the block sums
 exactly with math.fsum; the bits of a sum depend on the block cuts and on
 the order of the factors of P, not on the number of workers. On the pair
@@ -49,10 +51,12 @@ relation side, or the height limit) shows they fit, and otherwise on numpy
 object arrays of Python ints. Coprimality of a block with a gcd g is one
 kernel (`_coprime_block`): each prime p of g, or every prime when there is
 no g, strikes out the columns divisible by p in the rows divisible by p;
-an enumerator sieves those primes once. The enumerators hand their chunks
-to `_chunk_map`, which spreads a fixed partition over forked worker
-processes; reduced in order or exactly, every result is independent of
-the number of workers.
+an enumerator sieves those primes once. The relation enumerator builds a
+mask per block; the pair grid builds one per group of four blocks
+(`_group_mask`) and hands each block a view of it. The enumerators hand
+their chunks to `_chunk_map`, which spreads a fixed partition over forked
+worker processes; reduced in order or exactly, every result is
+independent of the number of workers.
 """
 
 from __future__ import annotations
@@ -233,9 +237,13 @@ class _ZetaCollector:
     So the bits depend on how an enumerator cuts its blocks and orders the
     factors, and on numpy's pow, log and exp; math.fsum adds the block sums
     exactly, so they depend neither on block order nor on the number of
-    workers. P, the term temporary, the mask and the exp buffer belong to
-    the collector, reused from block to block and as large as the largest
-    block; a forked worker of `_chunk_map` works on its own copy."""
+    workers. P, the term temporary and the mask belong to the collector,
+    reused from block to block and as large as the largest block; a
+    forked worker of `_chunk_map` works on its own copy. Once the kept
+    cells are gathered, by their flat index, the term temporary holds L
+    and the P buffer each s's exponents and exponentials, so a block
+    allocates only that index. The keep mask a block gets may be a view
+    of a larger mask; it is only read."""
 
     def __init__(self, poly: Optional[GeneralizedPolynomial], s_list, h_cov: float):
         self.poly = poly  # None for the sup norm
@@ -269,14 +277,11 @@ class _ZetaCollector:
         return terms
 
     def _buffers(self, shape):
-        """The P, term, mask and exp buffers: the first three as views of
-        the block's shape, the exp buffer flat."""
+        """The P, term and mask buffers, as views of the block's shape."""
         size = math.prod(shape)
         if self._bufs is None or len(self._bufs[0]) < size:
-            self._bufs = (np.empty(size), np.empty(size),
-                          np.empty(size, dtype=bool), np.empty(size))
-        p, t, m, e = self._bufs
-        return p[:size].reshape(shape), t[:size].reshape(shape), m[:size].reshape(shape), e
+            self._bufs = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
+        return tuple(b[:size].reshape(shape) for b in self._bufs)
 
     def _fill(self, terms, p, t):
         """P of the terms into p, with t as the term temporary."""
@@ -289,24 +294,27 @@ class _ZetaCollector:
 
     def covered(self, terms, shape):
         """The number of cells of a block of this shape with P <= p_cov."""
-        p, t, m, _ = self._buffers(shape)
+        p, t, m = self._buffers(shape)
         self._fill(terms, p, t)
         return int(np.count_nonzero(np.less_equal(p, self.p_cov, out=m)))
 
     def block(self, terms, keep):
         """([sum of h^-s per s], count) over the cells in keep with
         P <= p_cov."""
-        p, t, m, e = self._buffers(keep.shape)
+        p, t, m = self._buffers(keep.shape)
         self._fill(terms, p, t)
         np.less_equal(p, self.p_cov, out=m)
         m &= keep
-        n = int(np.count_nonzero(m))
+        cells = np.flatnonzero(m)
+        n = len(cells)
         if not n:
             return [0.0] * len(self.scales), 0
         logs = t.reshape(-1)[:n]  # the term temporary is free again
-        np.compress(m.reshape(-1), p.reshape(-1), out=logs)
+        # mode "clip" writes straight into out, where the default "raise"
+        # writes through a temporary copy; the indices are in range
+        np.take(p.reshape(-1), cells, mode="clip", out=logs)
         np.log(logs, out=logs)
-        e = e[:n]
+        e = p.reshape(-1)[:n]  # and so is P, which takes the exponents
         sums = []
         for scale in self.scales:
             np.multiply(logs, scale, out=e)
@@ -540,6 +548,9 @@ def _coprime_block(g: int, lo: int, nrows: int, ncols: int, col: int = 1,
     divides no row costs one vectorized remainder, not a strike. For g = 0,
     primes may hold the primes up to some larger bound, in order, sieved
     once by a caller for all its blocks; they are cut at the last column.
+    The relation enumerator calls this per block, the pair grid once per
+    group of four blocks (`_group_mask`), so that a prime dividing rows of
+    several blocks strikes them in one slice.
     """
     if g < 0:
         raise ValueError(f"coprimality needs g >= 0, got {g}")
@@ -731,6 +742,17 @@ def _two_var_powers(a):
     return (q // g1, 0), (0, q // g2), (a[0] // g1, a[1] // g2)
 
 
+def _group_mask(top, nrows, col, last, primes, upper):
+    """The pair-grid mask of rows w1 = top .. top + nrows - 1 by columns
+    w2 = col .. last: coprime (w1, w2), and with upper also w2 > w1.
+    primes are the primes up to at least last, in order."""
+    keep = _coprime_block(0, top, nrows, last - col + 1, col, primes)
+    if upper:  # cell (i, j) has w2 - w1 = col + j - top - i
+        near = min(last - col + 1, max(0, nrows + top - col))
+        keep[:, :near] &= ~np.tri(nrows, near, top - col, dtype=bool)
+    return keep
+
+
 def _pair_grid(w1max, w2max, reduce, threads, width=None, upper=False):
     """[reduce(rows, cols, coprime mask) per block] over [1, w1max] x
     [1, w2max], in row order; rows and cols are slices of the block's w1 and
@@ -743,8 +765,14 @@ def _pair_grid(w1max, w2max, reduce, threads, width=None, upper=False):
     columns start right of its first row, and its mask drops the cells
     on or left of the diagonal. A chunk that needs no column has no blocks.
     The primes of the coprimality masks are sieved once, up to w2max.
+    The masks are built for groups of four blocks at a time (`_group_mask`),
+    so a prime that divides rows of several blocks strikes them once per
+    group; a block's mask is a view into its group's. A group's mask, one
+    bool per cell, takes half the memory of one block's float64 P buffer.
+    A reduce may change the mask it gets: no other block sees those cells.
     """
     primes = _primes_upto(w2max)
+    group = 4 * BLOCK_ROWS
 
     def chunk(lo):
         hi = min(lo + GRID_ROWS - 1, w1max)
@@ -754,13 +782,12 @@ def _pair_grid(w1max, w2max, reduce, threads, width=None, upper=False):
             col = top + 1 if upper else 1
             if col > ncols:
                 break
+            if (top - lo) % group == 0:
+                mask = _group_mask(top, min(group, hi - top + 1), col, ncols, primes, upper)
+                i0, j0 = top, col
             nrows = min(BLOCK_ROWS, hi - top + 1)
-            keep = _coprime_block(0, top, nrows, ncols - col + 1, col, primes)
-            if upper:  # cell (i, j) has w2 - w1 = j + 1 - i: drop j < i
-                near = min(nrows, ncols - col + 1)
-                keep[:, :near] &= ~np.tri(nrows, near, -1, dtype=bool)
-            parts.append(reduce(slice(top - 1, top - 1 + nrows),
-                                slice(col - 1, ncols), keep))
+            parts.append(reduce(slice(top - 1, top - 1 + nrows), slice(col - 1, ncols),
+                                mask[top - i0:top - i0 + nrows, col - j0:]))
         return parts
 
     chunks = _chunk_map(chunk, range(1, w1max + 1, GRID_ROWS), threads)
@@ -1056,6 +1083,8 @@ def zeta_partial(problem: ToricProblem, poly: GeneralizedPolynomial, s_values,
     s_list = [float(s_values)] if single else [float(s) for s in s_values]
     iota_f = float(iota)
     for s in s_list:
+        if not math.isfinite(s):
+            raise ValueError(f"s = {s} is not a finite number")
         if s <= iota_f:
             raise ValueError(f"s = {s} is not beyond the abscissa {iota_f}")
     _check_arity(problem, poly)

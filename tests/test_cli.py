@@ -322,6 +322,43 @@ class TestZeta:
         assert args.budget == default
 
 
+class TestNumericFlags:
+    """Float flags that no run can use exit 2, naming the flag, before any
+    output: NaN passes every `x <= 0` check, and s = inf sums to NaN."""
+
+    @staticmethod
+    def refused(argv, flag, capsys):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code == cli.EXIT_BAD_INPUT and captured.out == "" and flag in captured.err
+
+    @pytest.mark.parametrize("s", ["nan", "inf", "-inf", "1.5,NaN", "1.5,Infinity",
+                                   "1.5,,1.2", "abc"])
+    @pytest.mark.parametrize("problem", [("--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2"),
+                                         ("--matrix", "1,1,-2", "--polynomial", "X1^2+X2^2+X3^2")])
+    def test_zeta_s_must_be_finite(self, capsys, problem, s):
+        assert self.refused(["zeta", *problem, "--budget", "1000000", f"--s={s}"], "--s", capsys)
+
+    @pytest.mark.parametrize("flag", ["--quad-tol", "--euler-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
+    @pytest.mark.parametrize("command", ["constants", "verify", "zeta"])
+    def test_tolerances_must_be_positive_and_finite(self, capsys, command, flag, value):
+        own = {"constants": [], "verify": ["--t", "400"], "zeta": ["--s", "1.5"]}[command]
+        argv = [command, "--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2",
+                *own, f"{flag}={value}"]
+        assert self.refused(argv, flag, capsys)
+
+    @pytest.mark.parametrize("band", ["nan", "-0.01", "-inf"])
+    def test_band_must_be_a_number_at_least_zero(self, capsys, band):
+        argv = ["verify", "--projective-torus", "1", "--sup-norm", "--t", "16", f"--band={band}"]
+        assert self.refused(argv, "--band", capsys)
+
+    def test_infinite_band_passes_any_density(self, capsys):
+        code, out = run_cli(["verify", "--projective-torus", "1", "--sup-norm", "--t", "16",
+                             "--band=inf"], capsys)
+        assert code == 0 and json.loads(out)["ok"] is True
+
+
 class TestParser:
     """main builds only the invoked subcommand's parser."""
 
@@ -501,7 +538,10 @@ class TestDeterminism:
         ("--projective-torus", "1", "--polynomial", "X1^2+X2^2", "--s", "2.5,2.2"),
         ("--matrix", "1,1,-2", "--polynomial", "X1^2+X2^2+X3^2", "--s", "1.5,1.2"),
         ("--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2", "--s", "1.5,1.2"),
-        ("--projective-torus", "2", "--polynomial", "X1^3+X2^3+X3^3", "--s", "3.5,3.2")])
+        ("--projective-torus", "2", "--polynomial", "X1^3+X2^3+X3^3", "--s", "3.5,3.2"),
+        # pair grids whose height is not swap-symmetric: every cell is scanned
+        ("--hypersurface", "1,2", "--polynomial", "X1^2+2*X2^2+X3^2+X1*X3", "--s", "1.5,1.2"),
+        ("--projective-torus", "1", "--polynomial", "X1^2+2*X2^2", "--s", "2.5,2.2")])
     def test_zeta_thread_flag(self, capsys, problem):
         outputs = []
         for threads in ("1", "2", "3", "4", "8"):

@@ -563,6 +563,15 @@ class TestZeta:
         with pytest.raises(ValueError):
             zeta_partial(hypersurface_problem((1, 1)), SQUARES, 0.9, Fraction(1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("problem", [
+        hypersurface_problem((1, 1)), validate_toric_matrix([(1, 1, -2)])])
+    def test_requires_finite_s(self, problem, bad):
+        # NaN compares False with the abscissa, and s = inf sums to NaN probes
+        for s_values in (bad, [1.5, bad]):
+            with pytest.raises(ValueError, match="not a finite number"):
+                zeta_partial(problem, SQUARES, s_values, Fraction(1), term_budget=10 ** 4)
+
     def test_probe_trend_toward_constant(self):
         rep = manin_constant(hypersurface_problem((1, 1)), SQUARES)
         samples = zeta_partial(hypersurface_problem((1, 1)), SQUARES, [1.5, 1.2],
@@ -707,6 +716,28 @@ class TestKernels:
             got = _coprime_block(g, lo, nrows, ncols, col)
             assert np.array_equal(got, np.gcd(np.gcd(rows, cols), g) == 1), (g, lo)
 
+    @settings(max_examples=150, deadline=None)
+    @given(top=st.integers(1, 10 ** 5), nrows=st.integers(1, counting.GRID_ROWS + 40),
+           offset=st.integers(-300, 300), ncols=st.integers(1, 400), upper=st.booleans(),
+           bound=st.integers(0, 2000))
+    @example(top=1, nrows=counting.GRID_ROWS, offset=1, ncols=300, upper=True, bound=0)
+    @example(top=99_991, nrows=counting.GRID_ROWS + 1, offset=1, ncols=1, upper=True, bound=0)
+    @example(top=30_030, nrows=64, offset=-29_999, ncols=400, upper=False, bound=0)
+    def test_group_mask_equals_gcd(self, top, nrows, offset, ncols, upper, bound):
+        # columns col .. col + ncols - 1 with col = top + offset, or a low
+        # col when that is not positive; upper keeps w2 > w1 only. The
+        # primes may run past the last column, as the grid's sieve does.
+        col = top + offset if top + offset >= 1 else -offset % 50 + 1
+        last = col + ncols - 1
+        primes = counting._primes_upto(last + bound)
+        got = counting._group_mask(top, nrows, col, last, primes, upper)
+        rows = np.arange(top, top + nrows)[:, None]
+        cols = np.arange(col, last + 1)[None, :]
+        want = np.gcd(rows, cols) == 1
+        if upper:
+            want &= cols > rows
+        assert got.shape == (nrows, ncols) and np.array_equal(got, want)
+
     @settings(max_examples=40, deadline=None)
     @given(prob=small_matrices(), t=st.integers(1, 12), mode=st.sampled_from(["sup", "squares"]))
     def test_counts_equal_brute_force(self, prob, t, mode):
@@ -828,7 +859,8 @@ def full_width_zeta(powers, poly, s_list, term_budget, height_mode, symmetric):
     """The pair-grid zeta sums with every cell of every BLOCK_ROWS block
     evaluated at full width and masked: the oracle of _zeta_pair_grid's
     bits. A block's sum is np.sum(exp(-s/d log P)) over its coprime cells
-    with P <= h_cov^d, in row order. On a swap-symmetric height the block
+    with P <= h_cov^d, in row order; coprimality comes from np.gcd, not
+    from the grid's own mask kernel. On a swap-symmetric height the block
     sums over w2 > w1 count twice and the (1, 1) cell once; the sums are
     the fsum of all of them."""
     wmax, h_cov, _ = grid_setup(powers, poly, term_budget, height_mode)
@@ -839,7 +871,7 @@ def full_width_zeta(powers, poly, s_list, term_budget, height_mode, symmetric):
     for top in range(1, wmax + 1, counting.BLOCK_ROWS):
         v1 = np.arange(top, min(top + counting.BLOCK_ROWS - 1, wmax) + 1, dtype=np.int64)
         p = pval(v1, v2)
-        mask = counting._coprime_block(0, top, len(v1), wmax) & (p <= p_cov)
+        mask = (np.gcd(v1[:, None], v2[None, :]) == 1) & (p <= p_cov)
         if not symmetric:
             parts.append((1, mask, p))
             continue
