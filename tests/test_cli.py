@@ -56,6 +56,19 @@ GOLDEN_COMMANDS = {
                                          "--sup-norm", "--t", "600"],
     "count_matrix_1_1_-1_-1_sup_120": ["count", "--matrix", "1,1,-1,-1", "--sup-norm",
                                        "--t", "120"],
+    # polynomial heights on both integer engines, and a valuation solve
+    # with a prefix level
+    "count_projective_torus_2_cubic_60_120": [
+        "count", "--projective-torus", "2", "--polynomial", "X1^3+X2^3+X3^3+X1*X2*X3",
+        "--t", "60,120"],
+    "count_matrix_1_1_-1_-1_squares_80": [
+        "count", "--matrix", "1,1,-1,-1", "--polynomial", "X1^2+X2^2+X3^2+X4^2",
+        "--t", "80"],
+    "count_hypersurface_1_1_1_squares_150": [
+        "count", "--hypersurface", "1,1,1", "--polynomial", "X1^2+X2^2+X3^2+X4^2",
+        "--t", "150"],
+    "count_hypersurface_1_1_1_1_sup_40": ["count", "--hypersurface", "1,1,1,1",
+                                          "--sup-norm", "--t", "40"],
     "zeta_hypersurface_1_1_squares": [
         "zeta", "--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2",
         "--budget", "1000000", "--s", "1.5,1.2"],
