@@ -18,6 +18,10 @@ primitive solutions of the monomial relations:
   of a block that share a prime and its valuation's residue mod q take
   one column-vector correction of the base.
 
+The two integer engines share one prefix walk (`_walk_prefixes`: chunks of
+CHUNK x_1 values, the prefix gcd, and every coordinate, the rows too, cut
+at its height floor) and one integer-root estimate (`_int_roots`).
+
 Every entry takes a `ToricProblem`; `count_points_hypersurface` alone
 takes an exponent tuple. `count_points` chooses the engine from the shape
 of the relations: one row (a_1, ..., a_n, -q) with every a_i > 0, or its
@@ -47,8 +51,9 @@ column vector. The grid feeds the collector, per chunk, only the columns
 that the covered ball reaches at the chunk's first row and, when the height
 is swap-symmetric, only the cells with w2 > w1 (`_zeta_pair_grid`). Array
 products run in int64 only when a bound (box to the exponent sum of a
-relation side, or the height limit) shows they fit, and otherwise on numpy
-object arrays of Python ints. Coprimality of a block with a gcd g is one
+relation side; for the exact height, the limit and the height at the
+largest coordinate values) shows they fit, and otherwise on numpy object
+arrays of Python ints. Coprimality of a block with a gcd g is one
 kernel (`_coprime_block`): each prime p of g, or every prime when there is
 no g, strikes out the columns divisible by p in the rows divisible by p;
 an enumerator sieves those primes once. The relation enumerator builds a
@@ -192,17 +197,29 @@ def _eval_terms_int(terms, point):
     return total
 
 
-def _height_mask(terms, limit, peaks, coords):
-    """Exact mask of P <= limit over broadcast integer coordinates.
-
-    coords(dtype) builds the coordinates, each at most its entry of peaks.
-    They are int64 when sum |c| prod peak^e, which bounds every partial sum,
-    and limit fit in it, else numpy object arrays of Python ints.
+def _height_mask(terms, limit, coords):
+    """Exact mask of P <= limit over broadcast coordinates, positive ints and
+    int64 arrays. With peak the largest value of each coordinate, the
+    arrays stay int64 when sum |c| prod peak^e, which bounds every partial
+    sum, and limit fit in it, else they become object arrays of Python ints.
     """
+    peaks = [int(x.max(initial=0)) if isinstance(x, np.ndarray) else x for x in coords]
     bound = sum(abs(c) * math.prod(p ** e for p, e in zip(peaks, exps))
                 for c, exps in terms)
-    dtype = np.int64 if max(bound, limit, *peaks) < 2 ** 63 else object
-    return _eval_terms_int(terms, coords(dtype)) <= limit
+    if max(bound, limit, *peaks) >= 2 ** 63:
+        coords = [x.astype(object) if isinstance(x, np.ndarray) else x for x in coords]
+    return _eval_terms_int(terms, coords) <= limit
+
+
+def _int_roots(x, k):
+    """Integer k-th roots of the array x: x itself for k = 1, exact roots
+    (`_iroot`) of an object array, else the int64 rounding of the float
+    root, which the caller confirms exactly."""
+    if k == 1:
+        return x
+    if x.dtype == object:
+        return np.array([_iroot(v, k) for v in x.tolist()], dtype=object)
+    return np.rint(x.astype(np.float64) ** (1.0 / k)).astype(np.int64)
 
 
 def _pull_back(terms, powers):
@@ -317,7 +334,10 @@ class _ZetaCollector:
         e = p.reshape(-1)[:n]  # and so is P, which takes the exponents
         sums = []
         for scale in self.scales:
-            np.multiply(logs, scale, out=e)
+            # a huge s overflows the exponent to -inf, whose exp is the
+            # right 0
+            with np.errstate(over="ignore"):
+                np.multiply(logs, scale, out=e)
             sums.append(float(np.sum(np.exp(e, out=e))))
         return sums, n
 
@@ -569,6 +589,46 @@ def _coprime_block(g: int, lo: int, nrows: int, ncols: int, col: int = 1,
     return keep
 
 
+def _walk_prefixes(depth, box, hdata, width, run, block, threads, admit=None, start=int):
+    """block(prefix, g, lo, hi) summed from start() over every prefix of the
+    first depth coordinates and every run [lo, hi) of at most run values of
+    the next one; coordinates range over [1, box], g is the prefix's gcd (0
+    for none), and Python loops only over the prefix.
+
+    A prefix goes on when admit(prefix) holds, if admit is given, and its
+    height floor passes: the height of hdata = (terms, limit), in width
+    coordinates, at the prefix and every later coordinate 1 is at most
+    limit. Heights never decrease in any coordinate, so the first value that
+    fails ends its loop, and the values after a prefix are cut there too.
+    The first coordinate goes in chunks of CHUNK values, a fixed partition
+    over the forked workers of `_chunk_map`, summed in chunk order.
+    """
+    terms, limit = hdata if hdata else (None, None)
+
+    def rec(values, g, lo, hi):
+        total = start()
+        if len(values) == depth:
+            if hdata:  # the values whose height floor passes come first
+                rv = np.arange(lo, hi, dtype=np.int64)
+                floor = values + (rv,) + (1,) * (width - depth - 1)
+                hi = lo + int(np.count_nonzero(_height_mask(terms, limit, floor)))
+            for a in range(lo, hi, run):
+                total += block(values, g, a, min(a + run, hi))
+            return total
+        for m in range(lo, hi):
+            vals = values + (m,)
+            if hdata and _eval_terms_int(terms, vals + (1,) * (width - len(vals))) > limit:
+                break
+            if admit is None or admit(vals):
+                total += rec(vals, gcd(g, m), 1, box + 1)
+        return total
+
+    def chunk(lo):
+        return rec((), 0, lo, min(lo + CHUNK, box + 1))
+
+    return sum(_chunk_map(chunk, range(1, box + 1, CHUNK), threads), start())
+
+
 def _enumerate_relations(rows, w, box, hdata, threads, batch, start):
     """Positive primitive solutions in [1, box]^w, in 2-D blocks.
 
@@ -576,14 +636,14 @@ def _enumerate_relations(rows, w, box, hdata, threads, batch, start):
     column: x_w is then solved per cell from the first such relation by an
     exact integer root. Its rows are the coordinate before the columns, in
     runs of about BLOCK_CELLS cells (none when w = 2 and x_2 is solved: the
-    block is one row of x_1). Python loops only over the coordinates before
-    the rows, the prefix. Relations that end at a prefix coordinate are
-    checked per prefix, those that end at the row coordinate filter the
-    rows, the rest run on the block; so does the height floor. Each block's
-    solutions go to batch(prefix, coords, keep): keep masks the cells and
-    coords, one array per coordinate after the prefix, broadcast to its
-    shape. The results are summed from start() per chunk of x_1 values,
-    then in chunk order.
+    block is one row of x_1, a chunk of its values). The coordinates before
+    the rows, the prefix, go through `_walk_prefixes`, which applies the
+    height floor to them and to the rows. Relations that end at a prefix
+    coordinate are checked per prefix, those that end at the row coordinate
+    filter the rows, the rest run on the block. Each block's solutions go to
+    batch(prefix, coords, keep): keep masks the cells and coords, one array
+    per coordinate after the prefix, broadcast to its shape. The results are
+    summed from start() per chunk of x_1 values, then in chunk order.
     """
     checks = {}  # relations by their last column, as (column, exponent) pairs
     for r in rows:
@@ -596,61 +656,30 @@ def _enumerate_relations(rows, w, box, hdata, threads, batch, start):
     vec = np.arange(1, box + 1, dtype=np.int64)
     # only unsolved blocks with no prefix (rows x_1, g = 0) need every prime
     primes = _primes_upto(box) if row == 0 and not solving else None
-    run = max(1, BLOCK_CELLS * (1 if solving or hdata else 8) // box)  # rows
+    # rows per run; with no row coordinate, a whole chunk of x_1 values
+    run = box if row < 0 else max(1, BLOCK_CELLS * (1 if solving or hdata else 8) // box)
     arrayed = [r for c in range(max(row, 0), w) for r in checks.get(c, [])]
     side = max((sum(abs(a) for _, a in r if (a > 0) == sign)
                 for r in arrayed for sign in (True, False)), default=0)
     # every relation product on arrays is at most box^side: int64 when that fits
     dtype = np.int64 if box ** side < 2 ** 63 else object
 
-    def cast(prefix, arrays, dt):
-        return prefix + tuple(x.astype(dt) for x in arrays)
-
     def sides(r, prefix, arrays):
         """Both sides of relation r, each in the least shape its arrays
         broadcast to."""
         one = np.ones((1,) * arrays[0].ndim, dtype)
-        return _monomial_sides(r, cast(prefix, arrays, dtype), one)
+        return _monomial_sides(r, prefix + tuple(x.astype(dtype) for x in arrays), one)
 
-    def holds(r, prefix, arrays):
-        num, den = sides(r, prefix, arrays)
-        return num == den
-
-    def prefix_ok(depth, values):
-        for r in checks.get(depth - 1, []):
-            num, den = _monomial_sides(r, values)
-            if num != den:
-                return False
-        if hdata and depth < w:
-            floor_pt = tuple(values) + (1,) * (w - depth)
-            if _eval_terms_int(terms, floor_pt) > limit:
-                return False
-        return True
-
-    def row_ok(prefix, rv):
-        """Mask of the row values rv that pass the relations ending at the
-        row coordinate and the height floor."""
-        ok = np.ones(len(rv), dtype=bool)
-        for r in checks.get(row, []):
-            ok &= holds(r, prefix, (rv,))
-        if hdata:
-            ones = (1,) * (w - row - 1)
-            ok &= _height_mask(terms, limit, prefix + (box,) + ones,
-                               lambda dt: cast(prefix, (rv,), dt) + ones)
+    def holds(rels, prefix, arrays, ok):
+        """ok, cut to the cells where every relation of rels holds."""
+        for r in rels:
+            num, den = sides(r, prefix, arrays)
+            ok &= num == den
         return ok
 
-    def unsolved(prefix, g, lo, hi):
-        """The block of rows [lo, hi) by x_w."""
-        keep = _coprime_block(g, lo, hi - lo, box, primes=primes)
-        rv = vec[lo - 1:hi - 1]
-        ok = row_ok(prefix, rv)
-        if not ok.all():
-            keep, rv = keep[ok], rv[ok]
-        blk = (rv[:, None], vec[None, :])
-        if hdata:
-            keep &= _height_mask(terms, limit, prefix + (box, box),
-                                 lambda dt: cast(prefix, blk, dt))
-        return batch(prefix, blk, keep)
+    def admit(values):  # the relations that end at the last prefix coordinate
+        return all(num == den for num, den in
+                   (_monomial_sides(r, values) for r in checks.get(len(values) - 1, [])))
 
     if solving:  # x_w^e times the monomial `head` of the other columns
         head, (_, e) = solving[0][:-1], solving[0][-1]
@@ -665,12 +694,9 @@ def _enumerate_relations(rows, w, box, hdata, threads, batch, start):
         num, den = sides(head, prefix, blk)
         if e < 0:
             num, den = den, num
-        ok = np.broadcast_to(den, shape) % num == 0
-        for r in checks.get(col, []):
-            ok &= holds(r, prefix, blk)
+        ok = holds(checks.get(col, []), prefix, blk, np.broadcast_to(den, shape) % num == 0)
         if hdata:
-            ok &= _height_mask(terms, limit, prefix + (box,) * len(blk) + (1,),
-                               lambda dt: cast(prefix, blk, dt) + (1,))
+            ok &= _height_mask(terms, limit, prefix + blk + (1,))
         flat = np.flatnonzero(ok)
         ri = flat // shape[1]
         ci = flat - ri * shape[1]
@@ -683,55 +709,36 @@ def _enumerate_relations(rows, w, box, hdata, threads, batch, start):
             return x[0].take(ci)
 
         val = pick(den) // pick(num)
-        if k == 1:
-            ms = val
-        elif dtype is object:
-            ms = np.array([_iroot(v, k) for v in val.tolist()], dtype=object)
-        else:  # a float estimate, confirmed exactly below
-            ms = np.rint(val.astype(np.float64) ** (1.0 / k)).astype(np.int64)
+        ms = _int_roots(val, k)
         fit = (ms >= 1) & (ms <= box)
         if k > 1:  # k <= side, so a clipped root's k-th power fits the dtype
             fit &= np.where(fit, ms, 1).astype(dtype) ** k == val
         cells = [cv.take(ci[fit]), ms[fit].astype(np.int64)]
         if rv is not None:
             cells.insert(0, rv.take(ri[fit]))
-        keep = functools.reduce(np.gcd, cells, g) == 1
-        for r in solving[1:]:
-            keep &= holds(r, prefix, cells)
+        keep = holds(solving[1:], prefix, cells, functools.reduce(np.gcd, cells, g) == 1)
         if hdata:
-            keep &= _height_mask(terms, limit, prefix + (box,) * len(cells),
-                                 lambda dt: cast(prefix, cells, dt))
+            keep &= _height_mask(terms, limit, prefix + tuple(cells))
         return batch(prefix, tuple(cells), keep)
 
-    def blocks(prefix, g, lo, hi):
-        """The rows [lo, hi) after the prefix, a run at a time."""
+    def block(prefix, g, lo, hi):
+        """The rows [lo, hi) after the prefix (with no row coordinate, the
+        columns [lo, hi) of the one row)."""
+        rv = vec[lo - 1:hi - 1]
         if row < 0:
-            return solve(prefix, g, None, vec[lo - 1:hi - 1])
-        total = start()
-        for a in range(lo, hi, run):
-            b = min(a + run, hi)
-            if solving:
-                rv = vec[a - 1:b - 1]
-                total += solve(prefix, g, rv[row_ok(prefix, rv)], vec)
-            else:
-                total += unsolved(prefix, g, a, b)
-        return total
+            return solve(prefix, g, None, rv)
+        ok = holds(checks.get(row, []), prefix, (rv,), np.ones(len(rv), dtype=bool))
+        if solving:
+            return solve(prefix, g, rv[ok], vec)
+        keep = _coprime_block(g, lo, hi - lo, box, primes=primes)
+        if not ok.all():
+            keep, rv = keep[ok], rv[ok]
+        blk = (rv[:, None], vec[None, :])
+        if hdata:
+            keep &= _height_mask(terms, limit, prefix + blk)
+        return batch(prefix, blk, keep)
 
-    def rec(depth, values, g, lo, hi):
-        """Coordinate depth + 1 over [lo, hi) after the prefix values."""
-        if depth == max(row, 0):
-            return blocks(values, g, lo, hi)
-        total = start()
-        for m in range(lo, hi):
-            vals = values + (m,)
-            if prefix_ok(depth + 1, vals):
-                total += rec(depth + 1, vals, gcd(g, m), 1, box + 1)
-        return total
-
-    def chunk(lo):
-        return rec(0, (), 0, lo, min(lo + CHUNK, box + 1))
-
-    return sum(_chunk_map(chunk, range(1, box + 1, CHUNK), threads), start())
+    return _walk_prefixes(max(row, 0), box, hdata, w, run, block, threads, admit, start)
 
 
 def _two_var_powers(a):
@@ -816,8 +823,7 @@ def _count_two_var(a, box, hdata, budget, threads) -> int:
 
     def reduce(rows, cols, cop):
         if hdata:
-            cop &= _height_mask(terms, limit, (w1max, w2max), lambda dtype: (
-                v1[rows, None].astype(dtype), v2[None, cols].astype(dtype)))
+            cop &= _height_mask(terms, limit, (v1[rows, None], v2[None, cols]))
         return int(np.count_nonzero(cop))
     return sum(_pair_grid(w1max, w2max, reduce, threads))
 
@@ -826,20 +832,19 @@ def _count_prefix_solve(a, box, hdata, budget, threads) -> int:
     """x_1^a1 ... x_n^an = x_(n+1)^q for n >= 3, solved through valuations
     in 2-D blocks: m_(n-2) rows by m_(n-1) columns, m_n solved per cell.
 
-    Python walks m_1..m_(n-3), then the blocks of rows. The product is a
-    q-th power iff m_n = base * j^step for a j >= 1, where base is the least
-    m_n that makes every prime's valuation a multiple of q. Each prime's
-    factor of the base depends only on its valuation mod q, so one table
-    per prime gives the base of every column value m alone (`own`). A
-    row's valuations, with the prefix's, change it at the primes p whose
-    valuation is no multiple of q: the rows of a block that share p and
-    that valuation's residue r divide p out of m before `own` is read and
-    then take one column vector of p's factors for r. Bases saturate at
+    `_walk_prefixes` walks m_1..m_(n-3), then the blocks of rows. The
+    product is a q-th power iff m_n = base * j^step for a j >= 1, where base
+    is the least m_n that makes every prime's valuation a multiple of q.
+    Each prime's factor of the base depends only on its valuation mod q, so
+    one table per prime gives the base of every column value m alone
+    (`own`). A row's valuations, with the prefix's, change it at the primes
+    p whose valuation is no multiple of q: the rows of a block that share p
+    and that valuation's residue r divide p out of m before `own` is read
+    and then take one column vector of p's factors for r. Bases saturate at
     box + 1, which stands for no solution. Once per block follow the j per
     cell, the gcd mask, the exact q-th root check (a float root confirmed
     in int64 while (box + 1)^q fits, else an integer root of Python ints)
-    and the height mask. A block holds about 8 BLOCK_CELLS cells; the
-    chunks of CHUNK m_1 values are a fixed partition over the workers.
+    and the height mask. A block holds about 8 BLOCK_CELLS cells.
     """
     n = len(a)
     q = sum(a)
@@ -855,7 +860,6 @@ def _count_prefix_solve(a, box, hdata, budget, threads) -> int:
     dtype = np.int64 if cap ** q < 2 ** 63 else object
     vec = np.arange(1, box + 1, dtype=np.int64)
     jpow = np.array([j ** step for j in range(1, _iroot(box, step) + 1)], dtype=np.int64)
-    run = max(1, BLOCK_CELLS * 8 // box)  # rows per block
 
     def factor(p, s):
         """min(p^e, cap) for the least e >= 0 with s + a_n e = 0 mod q, and
@@ -879,21 +883,22 @@ def _count_prefix_solve(a, box, hdata, budget, threads) -> int:
     for p, (_, res, fac) in tables.items():
         own[p - 1::p] = np.minimum(own[p - 1::p] * fac.take(res), cap)
 
-    def block(values, g, rval, rfac, lo, hi):
+    def block(values, g, lo, hi):
         """Solutions with m_(n-2) in [lo, hi) after the prefix values with
-        gcd g, product rval and valuations rfac."""
+        gcd g."""
+        # the prefix's product, and its valuations as (p, a_i v_p(m_i)) terms
+        rval = math.prod(m ** e for m, e in zip(values, a))
+        rfac = [(p, e * v) for m, e in zip(values, a) for p, v in _factorize(m).items()]
         rv = vec[lo - 1:hi - 1]
         ncols = box
         if hdata:  # no column past the first row's height floor passes
-            ncols = int(np.count_nonzero(_height_mask(
-                terms, limit, values + (lo, box, 1, 1),
-                lambda dt: values + (lo, vec.astype(dt), 1, 1))))
+            ncols = int(np.count_nonzero(_height_mask(terms, limit, values + (lo, vec, 1, 1))))
         cv = vec[:ncols]
         groups = {}  # (p, residue) -> the rows of the block
         for i, m in enumerate(rv.tolist()):
-            vals = dict(rfac)
-            for p, v in _factorize(m).items():
-                vals[p] = vals.get(p, 0) + a[-3] * v
+            vals = {}  # p -> its valuation in the product of the prefix and row
+            for p, v in rfac + [(p, a[-3] * v) for p, v in _factorize(m).items()]:
+                vals[p] = vals.get(p, 0) + v
             for p, v in vals.items():
                 if v % q:  # else `own` already has p's exponent
                     groups.setdefault((p, v % q), []).append(i)
@@ -911,9 +916,7 @@ def _count_prefix_solve(a, box, hdata, budget, threads) -> int:
             fix[p - 1::p] = fac.take((res[:ncols // p] + r) % q)
             base[rows] = np.minimum(base[rows] * fix, cap)
         if hdata:
-            base[~_height_mask(terms, limit, values + (box, box, 1, 1),
-                               lambda dt: values + (rv[:, None].astype(dt),
-                                                    cv[None, :].astype(dt), 1, 1))] = cap
+            base[~_height_mask(terms, limit, values + (rv[:, None], cv[None, :], 1, 1))] = cap
         cell = np.flatnonzero(base <= box)
         base = base.ravel().take(cell)
         reps = np.searchsorted(jpow, box // base, side="right")  # the j per cell
@@ -926,48 +929,18 @@ def _count_prefix_solve(a, box, hdata, budget, threads) -> int:
         mr, mc, mn = mr[ok], mc[ok], mn[ok]
         prod = (rval * mr.astype(dtype) ** a[-3] * mc.astype(dtype) ** a[-2]
                 * mn.astype(dtype) ** a[-1])
-        if dtype is object:
-            y = np.array([_iroot(x, q) for x in prod.tolist()], dtype=object)
-        else:  # a float estimate, confirmed exactly below
-            y = np.rint(prod.astype(np.float64) ** (1.0 / q)).astype(np.int64)
+        y = _int_roots(prod, q)
         bad = (y ** q != prod).nonzero()[0]
         if len(bad):
             raise InvariantError(f"valuation solve gave {mn[bad[0]]}, but the "
                                  f"product is no {q}-th power")
         if hdata is None:
             return len(mn)
-        y = y.astype(np.int64)
         return int(np.count_nonzero(_height_mask(
-            terms, limit, values + (box,) * 4,
-            lambda dt: values + (mr.astype(dt), mc.astype(dt), mn.astype(dt),
-                                 y.astype(dt)))))
+            terms, limit, values + (mr, mc, mn, y.astype(np.int64)))))
 
-    def rec(idx, values, g, rval, rfac, lo, hi):
-        """m_(idx+1) over [lo, hi) after the prefix values."""
-        if idx == n - 3:
-            if hdata:  # the rows whose height floor passes come first
-                rv = vec[lo - 1:hi - 1]
-                hi = lo + int(np.count_nonzero(_height_mask(
-                    terms, limit, values + (box,) + (1,) * 3,
-                    lambda dt: values + (rv.astype(dt),) + (1,) * 3)))
-            return sum(block(values, g, rval, rfac, b, min(b + run, hi))
-                       for b in range(lo, hi, run))
-        total = 0
-        for m in range(lo, hi):
-            if hdata is not None:
-                floor_pt = values + (m,) + (1,) * (n - idx)
-                if _eval_terms_int(terms, floor_pt) > limit:
-                    break
-            nf = dict(rfac)
-            for p, v in _factorize(m).items():
-                nf[p] = nf.get(p, 0) + a[idx] * v
-            total += rec(idx + 1, values + (m,), gcd(g, m), rval * m ** a[idx], nf, 1, box + 1)
-        return total
-
-    def chunk(lo):
-        return rec(0, (), 0, 1, {}, lo, min(lo + CHUNK, box + 1))
-
-    return sum(_chunk_map(chunk, range(1, box + 1, CHUNK), threads))
+    return _walk_prefixes(n - 3, box, hdata, n + 1, max(1, BLOCK_CELLS * 8 // box), block,
+                          threads)
 
 
 @dataclass(frozen=True)

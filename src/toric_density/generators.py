@@ -21,7 +21,6 @@ from typing import Optional
 
 from .hull import dual_rays, upward_hull
 from .model import UniformMultiplicativeSpec
-from .vectors import dot
 
 
 class CapTooSmall(ValueError):
@@ -107,24 +106,6 @@ def minimal_generators(spec: UniformMultiplicativeSpec, cap: Optional[int] = Non
     if not pts and cap < 2 * spec.default_cap:
         raise CapTooSmall(f"no support points with |v| <= {cap}")
     return LatticePointSet(points=tuple(pts), cap=cap, stabilized=False, spec=spec)
-
-
-def compact_face_members(gens: LatticePointSet) -> frozenset:
-    """The points of gens on at least one compact face of their upward hull
-    conv(gens) + R_+^n.
-
-    The smallest face containing a point is cut out by its tight facets;
-    it is compact exactly when no coordinate direction is orthogonal to all
-    of them. Points interior to the hull lie on no face and are excluded.
-    """
-    n = gens.spec.arity
-    facets, _ = upward_hull(gens.points, n)
-    members = set()
-    for p in gens.points:
-        tight = [w for w, m in facets if dot(w, p) == m]
-        if tight and all(any(w[i] != 0 for w in tight) for i in range(n)):
-            members.add(tuple(p))
-    return frozenset(members)
 
 
 def stabilization_check(spec: UniformMultiplicativeSpec, current: LatticePointSet) -> LatticePointSet:

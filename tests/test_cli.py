@@ -328,6 +328,22 @@ class TestZeta:
             assert cli.main(command + tail) == cli.EXIT_BAD_INPUT
             assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("problem", [
+        ["--projective-torus", "1", "--polynomial", "X1^2+X2^2"],          # pair grid
+        ["--projective-torus", "2", "--polynomial", "X1^2+X2^2+X3^2"],     # relations
+    ])
+    def test_huge_s_sums_to_zero_quietly(self, problem):
+        # s log P overflows to -inf, whose exp is the exact 0; numpy's
+        # overflow warning must not reach stderr
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "toric_density.cli", "zeta", *problem,
+             "--s", "1e308", "--budget", "1000000"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert done.returncode == 0 and done.stderr == ""
+        assert json.loads(done.stdout)["samples"] == [
+            {"partial": 0.0, "probe": 0.0, "s": 1e308, "tail_estimate": 0.0, "value": 0.0}]
+
     def test_default_budget(self):
         args = cli.build_parser().parse_args(["zeta", "--projective-torus", "1",
                                               "--s", "2.5"])

@@ -59,14 +59,14 @@ def brute_count(rows, width, t, height, sign):
     return sign * total
 
 
-def enumerator_count(problem, height, t, mode):
+def enumerator_count(problem, height, t, mode, threads=1):
     """count_points on the relation enumerator, whatever the shape of the
     relations: the engine that count_points takes for problems that are no
     hypersurface."""
     w = problem.width
     _, box, hdata = counting._count_setup(height, t, w, mode)
     total = counting._count_relations(problem.rows, w, box, hdata,
-                                      counting.DEFAULT_BUDGET, 1)
+                                      counting.DEFAULT_BUDGET, threads)
     return sign_count(problem).value * total
 
 
@@ -197,6 +197,38 @@ class TestValuationBlocks:
         monkeypatch.setattr(counting, "BLOCK_CELLS", 5)
         counts = [count_points(prob, None, t, "sup", threads=k).count for k in (1, 2)]
         assert counts == [slow, slow]
+
+
+class TestRelationBlocks:
+    """The relation enumerator's prefix walk: chunks of CHUNK x_1 values,
+    the rows after a prefix cut at the height floor, and runs of
+    BLOCK_CELLS // box rows (8 times as many with neither a height mask nor
+    a solved coordinate)."""
+
+    # a solved x_4 after a prefix; a solved x_3 with rows x_1; no relation;
+    # a relation that ends at the rows; one that ends in the prefix
+    CASES = [([(1, 1, -1, -1)], 4, 11), ([(1, 2, -3)], 3, 15), ([], 3, 13),
+             ([(1, -1, 0, 0), (0, 0, 1, -1)], 4, 11),
+             ([(1, -1, 0, 0, 0), (0, 0, 1, 1, -2)], 5, 7)]
+
+    @pytest.mark.parametrize("rows,w,t", CASES)
+    @pytest.mark.parametrize("mode", ["sup", "squares"])
+    def test_tiny_chunks_and_runs(self, rows, w, t, mode, monkeypatch):
+        # chunks of 3 values give the two workers several chunks each, and
+        # 5 cells make runs of one row (3 in the P^2 torus's sup blocks,
+        # which hold 8 times as many cells)
+        prob = validate_toric_matrix(rows, width=w)
+        sign = sign_count(prob).value
+        if mode == "sup":
+            height, oracle = None, brute_count(prob.rows, w, t, lambda m: max(m) <= t, sign)
+        else:
+            height, mode = squares(w), "polynomial"
+            oracle = brute_count(prob.rows, w, t, lambda m: sum(x * x for x in m) <= t * t,
+                                 sign)
+        monkeypatch.setattr(counting, "CHUNK", 3)
+        monkeypatch.setattr(counting, "BLOCK_CELLS", 5)
+        counts = [enumerator_count(prob, height, t, mode, threads=k) for k in (1, 2)]
+        assert counts == [oracle, oracle]
 
 
 class TestInvariants:
