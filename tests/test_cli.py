@@ -25,6 +25,15 @@ GOLDEN_COMMANDS = {
     "analyze_matrix_1_1_-2": ["analyze", "--matrix", "1,1,-2"],
     "analyze_hypersurface_1_1_1": ["analyze", "--hypersurface", "1,1,1"],
     "analyze_matrix_1_2_-3": ["analyze", "--matrix", "1,2,-3"],
+    # a polar LP with four face points, and one in eight coordinates: the
+    # Segre cube, the rows of test_acceptance.TestSegreCubeGenerators
+    "analyze_matrix_1_1_-1_-1": ["analyze", "--matrix", "1,1,-1,-1"],
+    "analyze_segre_cube": [
+        "analyze", "--matrix",
+        "1,0,-1,0,-1,0,1,0;0,1,0,-1,0,-1,0,1;1,-1,0,0,-1,1,0,0;1,-1,-1,1,0,0,0,0"],
+    # the log series of a rho = 2 face
+    "euler_matrix_1_1_-1_-1": ["constants", "--euler", "--matrix", "1,1,-1,-1",
+                               "--prime-cutoff", "200"],
     "euler_hypersurface_1_1": ["constants", "--euler", "--hypersurface", "1,1",
                                "--prime-cutoff", "200", "--euler-tol", "1e-6"],
     "euler_hypersurface_1_1_1": ["constants", "--euler", "--hypersurface", "1,1,1",
