@@ -204,11 +204,7 @@ def cmd_constants(args) -> int:
             spec, df.c, df.face_point_count, cutoff=args.prime_cutoff,
             tol=args.euler_tol, precision=args.precision, generators=gens,
             keep_factors=args.full_factors)
-        payload = {"value": float(rep.value), "value_str": format_digits(rep.value),
-                   "cutoff": rep.cutoff, "K": rep.K,
-                   "epsilon_gap": rep.epsilon_gap,
-                   "error_bound": rep.error_bound, "precision": rep.precision,
-                   "c": list(df.c)}
+        payload = {**_euler_json(rep), "precision": rep.precision, "c": list(df.c)}
         if rep.factors is not None:
             payload["factors"] = [{"p": f.p, "value": format_digits(f.value),
                                    "tail_bound": f.tail_bound}
@@ -226,6 +222,12 @@ def cmd_constants(args) -> int:
     return EXIT_FLAGGED if flagged and not args.allow_flags else EXIT_OK
 
 
+def _euler_json(rep: eulermod.EulerReport) -> dict:
+    return {"value": float(rep.value), "value_str": format_digits(rep.value),
+            "cutoff": rep.cutoff, "K": rep.K, "epsilon_gap": rep.epsilon_gap,
+            "error_bound": rep.error_bound}
+
+
 def _manin_json(rep: counting.ManinReport) -> dict:
     return {
         "iota": rep.iota, "rho": rep.rho, "c": list(rep.c),
@@ -233,11 +235,7 @@ def _manin_json(rep: counting.ManinReport) -> dict:
         "volume_constant": {"value": rep.volume.value,
                             "abs_error": rep.volume.abs_error,
                             "method": rep.volume.method},
-        "euler": {"value": float(rep.euler.value),
-                  "value_str": format_digits(rep.euler.value),
-                  "cutoff": rep.euler.cutoff, "K": rep.euler.K,
-                  "epsilon_gap": rep.euler.epsilon_gap,
-                  "error_bound": rep.euler.error_bound},
+        "euler": _euler_json(rep.euler),
         "leading_constant": rep.leading_constant,
         "zeta_constant": rep.zeta_constant,
         "rel_error": rep.rel_error,

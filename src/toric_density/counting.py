@@ -73,8 +73,7 @@ import os
 import pickle
 import signal
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -125,7 +124,6 @@ class CountResult:
     count: int
     box: tuple
     mode: str
-    elapsed: float = field(compare=False, default=0.0)
 
 
 @dataclass(frozen=True)
@@ -143,7 +141,6 @@ class ManinReport:
     compact: bool
     dimension_ok: bool
     stabilized: bool
-    face_points: tuple
 
 
 def _iroot(x: int, k: int) -> int:
@@ -488,7 +485,6 @@ def count_points(problem: ToricProblem, poly: Optional[GeneralizedPolynomial],
     w = problem.width
     t, box, hdata = _count_setup(poly, t, w, height_mode)
     a = _hypersurface_exponents(problem)
-    started = time.monotonic()
     if a is None:
         total = _count_relations(problem.rows, w, box, hdata, budget, threads)
     elif len(a) == 2:
@@ -496,7 +492,7 @@ def count_points(problem: ToricProblem, poly: Optional[GeneralizedPolynomial],
     else:
         total = _count_prefix_solve(a, box, hdata, budget, threads)
     return CountResult(t=t, count=sign_count(problem).value * total, box=(box,) * w,
-                       mode=height_mode, elapsed=time.monotonic() - started)
+                       mode=height_mode)
 
 
 def _hypersurface_exponents(problem: ToricProblem):
@@ -956,8 +952,9 @@ class ZetaSample:
         return self.partial + self.tail_estimate
 
     def probe(self, iota: float, rho: int) -> float:
-        """(s - iota)^rho times the estimated zeta value."""
-        return (self.s - iota) ** rho * self.value
+        """(s - iota)^rho times the estimated zeta value; 0.0 for a zero
+        value, where the power alone can overflow."""
+        return (self.s - iota) ** rho * self.value if self.value else 0.0
 
 
 def manin_constant(problem: ToricProblem | UniformMultiplicativeSpec,
@@ -1015,7 +1012,7 @@ def manin_constant(problem: ToricProblem | UniformMultiplicativeSpec,
                        volume=volume, euler=euler, leading_constant=lead,
                        zeta_constant=lead * float(iota) * math.factorial(rho - 1),
                        rel_error=rel, compact=df.compact, dimension_ok=dim_ok,
-                       stabilized=gens.stabilized, face_points=tuple(pts))
+                       stabilized=gens.stabilized)
 
 
 def sup_norm_prediction(problem: ToricProblem):
@@ -1095,6 +1092,8 @@ def _log_power_tail(lam: float, rho: int, h: float) -> float:
     where Gamma(rho, x) = (rho-1)! e^(-x) sum_(k<rho) x^k / k! for integer
     rho."""
     x = lam * math.log(h)
+    if math.exp(-x) == 0.0:     # past here x^k or lam^rho can overflow
+        return 0.0
     series = math.fsum(x ** k / math.factorial(k) for k in range(rho))
     return math.factorial(rho - 1) * math.exp(-x) * series / lam ** rho
 

@@ -11,15 +11,19 @@ keep a truncated walk with a certified geometric-polynomial tail bound.
 
 The regularized factors (1 - 1/p)^K W(x_p) tend to 1 like p^(-(1+eps)), and
 the product over primes beyond the cutoff is corrected through the prime zeta
-function applied to the exponent expansion of log[(1 - x)^K W(x)]. One pass
-over the primes (`_prime_pass`), in one thread and in fixed-point integers,
-evaluates every factor and the partial prime sums that correction needs;
-`local_factor` and `keep_factors` read the same pass. The terms of an exact
-kind are read once, before the loop; a custom weight is truncated per prime.
+function applied to log[(1 - x)^K W(x)] = sum_j b_j x^(j/D), over the integer
+exponents j <= EXPANSION_DEPTH D. With a_j the coefficients of W in x^(1/D),
+the b_j follow from the power-series recurrence j b_j = j a_j -
+sum_(0<i<j) i b_i a_(j-i), which never reads a_0 = W(0) = 1, less K/m at
+j = m D (`_log_factor_expansion`). One pass over the primes (`_prime_pass`),
+in one thread and in fixed-point integers, evaluates every factor and the
+partial prime sums that correction needs; `local_factor` and `keep_factors`
+read the same pass. The terms of an exact kind are read once, before the
+loop; a custom weight is truncated per prime.
 
 The assembly stays exact as far as it can: the block products and the
-partial sums are dyadic integers, the correction sum_e coef_e (P(e) -
-partial_e) is a Fraction, and one exp in a local decimal context, about
+partial sums are dyadic integers, the correction sum_j b_j (P(j/D) -
+partial_j) is a Fraction, and one exp in a local decimal context, about
 `precision` bits wide, gives the value. So `LocalFactor.value` is the exact
 Fraction of the fixed-point pass and `EulerReport.value` a Decimal. The
 prime zeta values P(n) at integer n = 2..6 come from a table kept to
@@ -46,7 +50,7 @@ from .vectors import fracvec
 
 DEFAULT_CUTOFF = 100_000
 DEFAULT_PRECISION = 160
-EXPANSION_DEPTH = Fraction(6)   # exponents kept in the log-factor expansion
+EXPANSION_DEPTH = 6             # exponents kept in the log-factor expansion
 MAX_LEVEL = 100_000             # required_level gives up beyond this |v|
 # log partial sums are taken per block of primes, then added up: the block
 # size fixes the rounding of every reported value
@@ -125,9 +129,6 @@ class EulerReport:
     error_bound: float
     precision: int
     factors: Optional[tuple] = None
-
-    def __float__(self):
-        return float(self.value)
 
 
 @dataclass(frozen=True)
@@ -460,42 +461,30 @@ def _prime_zeta(e: Fraction, precision: int) -> Fraction:
     return _dyadic(man, -exp)
 
 
-def _log_factor_expansion(weights: dict, k_reg: int, depth: Fraction) -> dict:
-    """Exponent expansion of log[(1 - x)^K (1 + sum w_e x^e)], exponents <= depth.
+def _log_factor_expansion(coeffs: list, k_reg: int, scale: int) -> dict:
+    """{j: b_j} with log[(1 - x)^K W(x)] = sum_j b_j x^(j/D), D = scale.
 
-    Exact rational coefficients; the x^1 terms must cancel (the face weight
-    equals K), otherwise the product has no finite regularized limit.
+    coeffs holds a_0..a_top of W in y = x^(1/D), and j runs over the
+    integers 1..top. The log of W comes from the power-series recurrence
+    j b_j = j a_j - sum_(0<i<j) i b_i a_(j-i), in integers i b_i and over
+    the nonzero a only; a_0 = W(0) = 1 is not read. Then K/m leaves b_j at
+    j = m D. Only nonzero b_j are kept. The b_j with j <= D must vanish
+    (the face weight equals K), otherwise the product has no finite
+    regularized limit.
     """
-    def mul(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                if e <= depth:
-                    out[e] = out.get(e, Fraction(0)) + ca * cb
-        return out
-
-    u = {e: Fraction(w) for e, w in weights.items()}
-    series: dict = {}
-    power = dict(u)
-    sign = 1
-    k = 1
-    while power and k <= depth:
-        for e, coef in power.items():
-            series[e] = series.get(e, Fraction(0)) + sign * coef / k
-        power = mul(power, u)
-        sign = -sign
-        k += 1
-    j = 1
-    while j <= depth:
-        series[Fraction(j)] = series.get(Fraction(j), Fraction(0)) - Fraction(k_reg, j)
-        j += 1
-    series = {e: c for e, c in series.items() if c != 0}
-    bad = [e for e in series if e <= 1]
+    terms = [(k, a) for k, a in enumerate(coeffs) if k and a]
+    jb = [0] * len(coeffs)          # jb[j] = j b_j of log W, an integer
+    out = {}
+    for j in range(1, len(coeffs)):
+        jb[j] = j * coeffs[j] - sum(jb[j - k] * a for k, a in terms if k < j)
+        b = Fraction(jb[j] - (0 if j % scale else k_reg * scale), j)
+        if b:
+            out[j] = b
+    bad = [Fraction(j, scale) for j in out if j <= scale]
     if bad:
         raise ValueError(
             f"face weight inconsistent with K={k_reg}: surviving exponents {bad}")
-    return series
+    return out
 
 
 def euler_constant(spec: UniformMultiplicativeSpec, c, k_reg: int,
@@ -518,24 +507,23 @@ def euler_constant(spec: UniformMultiplicativeSpec, c, k_reg: int,
     source, truncation = _series_source(spec, c, tol_pp, generators)
     scale = source.scale
     gap = epsilon_gap(generators, c) if generators is not None else Fraction(1)
-    weights = {Fraction(j, scale): w for j, w in
-               enumerate(source.series(int(EXPANSION_DEPTH * scale))) if j and w}
-    series = _log_factor_expansion(weights, k_reg, EXPANSION_DEPTH)
-    # the prime zeta correction reads sum_(p <= cutoff) x_p^j, j = D e
-    zeta_powers = sorted(int(e * scale) for e in series)
+    coeffs = source.series(EXPANSION_DEPTH * scale)
+    series = _log_factor_expansion(coeffs, k_reg, scale)
+    # the prime zeta correction reads sum_(p <= cutoff) x_p^j
+    zeta_powers = sorted(series)
     layout = _layout(scale, truncation, precision, zeta_powers)
     bits, ops = layout[0], layout[3]
     blocks, partial, tail_sum, factors = _prime_pass(
         source, truncation, plist, k_reg, layout, zeta_powers, keep_factors)
     product = _dyadic(math.prod(m for m, _ in blocks), sum(s for _, s in blocks))
-    correction = sum((coef * (_prime_zeta(e, precision)
-                              - _dyadic(partial[int(e * scale)], bits))
-                      for e, coef in sorted(series.items())), Fraction(0))
+    correction = sum((coef * (_prime_zeta(Fraction(j, scale), precision)
+                              - _dyadic(partial[j], bits))
+                      for j, coef in sorted(series.items())), Fraction(0))
     ctx = decimal.Context(prec=math.ceil(precision * math.log10(2)) + GUARD_DIGITS)
     value = ctx.multiply(_to_decimal(product, ctx), ctx.exp(_to_decimal(correction, ctx)))
     # everything past the expansion depth is bounded by a crude integral
     depth_f = float(EXPANSION_DEPTH)
-    mass = 1.0 + float(sum(abs(w) for w in weights.values())) + k_reg
+    mass = 1.0 + float(sum(abs(a) for a in coeffs[1:])) + k_reg
     remainder = (mass ** 2) * cutoff ** (1.0 - depth_f) / (depth_f - 1.0)
     rounding = nprimes * ops * math.ldexp(1.0, -precision + 4)
     err = float(value) * (tail_sum + remainder + rounding) + remainder

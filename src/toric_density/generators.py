@@ -36,12 +36,6 @@ class LatticePointSet:
     stabilized: bool
     spec: UniformMultiplicativeSpec
 
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
 
 def _support_cone_rays(spec: UniformMultiplicativeSpec) -> list:
     """The extremal rays of the support's cone, primitive in its lattice.

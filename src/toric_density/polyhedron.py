@@ -67,26 +67,18 @@ def build_polyhedron(points, dim_cap: int = 10) -> NewtonPolyhedron:
                             vertices=tuple(vertices), facets=tuple(facets))
 
 
-def _face_from_polar(e: NewtonPolyhedron, a) -> tuple:
-    a = fracvec(a)
-    m = e.min_support(a)
-    gens = tuple(p for p in e.points if dot(a, p) == m)
-    rec = frozenset(i for i, ai in enumerate(a) if ai == 0)
-    base = gens[0]
-    span = [vsub(p, base) for p in gens[1:]]
-    span += [tuple(Fraction(1 if j == i else 0) for j in range(e.n)) for i in sorted(rec)]
-    dim = rank(span)
-    return Face(polar=a, offset=m, generators=gens, recession=rec,
-                dim=dim, compact=not rec), m
-
-
 def support_face(e: NewtonPolyhedron, a):
     """(m(a), face) for a nonzero nonnegative direction a."""
     a = fracvec(a)
     if all(x == 0 for x in a) or any(x < 0 for x in a):
         raise ValueError("polar direction must be nonnegative and nonzero")
-    face, m = _face_from_polar(e, a)
-    return m, face
+    m = e.min_support(a)
+    gens = tuple(p for p in e.points if dot(a, p) == m)
+    rec = frozenset(i for i, ai in enumerate(a) if ai == 0)
+    span = [vsub(p, gens[0]) for p in gens[1:]]
+    span += [tuple(Fraction(1 if j == i else 0) for j in range(e.n)) for i in sorted(rec)]
+    return m, Face(polar=a, offset=m, generators=gens, recession=rec,
+                   dim=rank(span), compact=not rec)
 
 
 def diagonal_hit(facets) -> Fraction:
@@ -113,49 +105,38 @@ def diagonal_block(facets, points) -> tuple:
     return t0, active, on_face, recession, span
 
 
+def _polar_system(e: NewtonPolyhedron, face_gens, recession):
+    """(a_eq, b_eq, a_ge, b_ge) of the face's normalized polar set in c.
+
+    Equalities: <c, g> = 1 at every face point g, then c_i = 0 along every
+    recession direction i. Inequalities: <c, v> >= 1 at every off-face
+    vertex v, then c_i >= 0 at every other coordinate.
+    """
+    units = [[int(j == i) for j in range(e.n)] for i in range(e.n)]
+    rec = [units[i] for i in sorted(recession)]
+    free = [units[i] for i in range(e.n) if i not in recession]
+    off = [list(v) for v in e.vertices if v not in face_gens]
+    return ([list(g) for g in face_gens] + rec, [1] * len(face_gens) + [0] * len(rec),
+            off + free, [1] * len(off) + [0] * len(free))
+
+
 def _interior_polar(e: NewtonPolyhedron, face_gens, recession):
     """A normalized polar vector in the relative interior of the face's polar set.
 
-    Maximizes the minimal slack: off-face vertices stay strictly above 1 and,
-    outside the face's recession directions, all coordinates stay strictly
-    positive. Any vertex-of-the-LP choice can sit on the boundary of the
-    polar set (selecting a larger face), which breaks strict positivity, so
-    the interior point is the safe canonical representative.
+    Solves the rows of `_polar_system` with a slack column delta on every
+    inequality (off-face vertices at <c, v> >= 1 + delta, free coordinates
+    at c_i >= delta) and the row delta <= 1, maximizing delta. Any
+    vertex-of-the-LP choice can sit on the boundary of the polar set
+    (selecting a larger face), which breaks strict positivity, so the
+    interior point is the safe canonical representative.
     """
-    n = e.n
-    face_set = set(face_gens)
-    off = [v for v in e.vertices if v not in face_set]
-    nvar = n + 1  # c_1..c_n, delta
-    a_eq, b_eq = [], []
-    for g in face_gens:
-        a_eq.append(list(g) + [0])
-        b_eq.append(1)
-    for i in sorted(recession):
-        row = [0] * nvar
-        row[i] = 1
-        a_eq.append(row)
-        b_eq.append(0)
-    a_ge, b_ge = [], []
-    for v in off:
-        a_ge.append(list(v) + [-1])
-        b_ge.append(1)
-    for i in range(n):
-        if i in recession:
-            continue
-        row = [0] * nvar
-        row[i] = 1
-        row[n] = -1
-        a_ge.append(row)
-        b_ge.append(0)
-    row = [0] * nvar
-    row[n] = -1
-    a_ge.append(row)
-    b_ge.append(-1)  # delta <= 1
-    objective = [0] * n + [1]
-    val, x = lp.solve_lp(objective, a_eq, b_eq, a_ge, b_ge, maximize=True)
+    a_eq, b_eq, a_ge, b_ge = _polar_system(e, face_gens, recession)
+    a_ge = [row + [-1] for row in a_ge] + [[0] * e.n + [-1]]   # delta <= 1
+    val, x = lp.solve_lp([0] * e.n + [1], [row + [0] for row in a_eq], b_eq,
+                         a_ge, b_ge + [-1], maximize=True)
     if val <= 0:
         raise ValueError("face has no normalized polar vector in the open cone")
-    return tuple(x[:n])
+    return tuple(x[:e.n])
 
 
 def diagonal_face(e: NewtonPolyhedron,
@@ -221,48 +202,29 @@ def iota_lp(e: NewtonPolyhedron):
 def polar_vectors(e: NewtonPolyhedron, face: Face, want: int = 2):
     """Distinct normalized polar vectors of a face (for invariance checks).
 
-    Returns between one and `want` vectors; a single vector means the polar
-    set is (numerically) a point.
+    The interior vector first, then midpoints between it and the vertices
+    of the polar set that minimize or maximize one free coordinate, over
+    the rows of `_polar_system`; a midpoint counts when `support_face`
+    returns the same face points. Returns between one and `want` vectors;
+    a single vector means the polar set is a point.
     """
     gens, rec = face.generators, face.recession
     center = _interior_polar(e, gens, rec)
+    system = _polar_system(e, gens, rec)
     out = [center]
-    n = e.n
-    off = [v for v in e.vertices if v not in set(gens)]
     for sense in (False, True):
-        for coord in range(n):
-            if coord in rec:
-                continue
-            objective = [0] * n
-            objective[coord] = 1
-            a_eq = [list(g) for g in gens] + [_unit_row(n, i) for i in sorted(rec)]
-            b_eq = [1] * len(gens) + [0] * len(rec)
-            a_ge = [list(v) for v in off] + [_unit_row(n, i) for i in range(n) if i not in rec]
-            b_ge = [1] * len(off) + [0] * (n - len(rec))
+        for coord in (i for i in range(e.n) if i not in rec):
+            objective = [int(j == coord) for j in range(e.n)]
             try:
-                _, x = lp.solve_lp(objective, a_eq, b_eq, a_ge, b_ge, maximize=sense)
+                _, x = lp.solve_lp(objective, *system, maximize=sense)
             except lp.Unbounded:
                 continue
             cand = tuple((a + b) / 2 for a, b in zip(center, x))
-            if cand not in out and _face_of(e, cand) == gens:
+            if cand not in out and support_face(e, cand)[1].generators == gens:
                 out.append(cand)
             if len(out) >= want:
                 return out
     return out
-
-
-def _unit_row(n, i):
-    row = [0] * n
-    row[i] = 1
-    return row
-
-
-def _face_of(e: NewtonPolyhedron, a):
-    m = e.min_support(a)
-    if m == 0:
-        return None
-    scaled = tuple(x / m for x in a)
-    return tuple(p for p in e.points if dot(scaled, p) == 1)
 
 
 def lemma1_check(e: NewtonPolyhedron, face: Face, c) -> bool:

@@ -353,6 +353,20 @@ class TestZeta:
         assert json.loads(done.stdout)["samples"] == [
             {"partial": 0.0, "probe": 0.0, "s": 1e308, "tail_estimate": 0.0, "value": 0.0}]
 
+    def test_huge_s_rho_above_one_sums_to_zero(self):
+        # rho = 7: the log-power tail and the probe's (s - iota)^rho would
+        # overflow where the value is already 0
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "toric_density.cli", "zeta", "--hypersurface", "1,1,1",
+             "--polynomial", "X1^2+X2^2+X3^2+X4^2", "--budget", "1000000",
+             "--s", "1e60,1e200,1e308"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert done.returncode == 0 and done.stderr == ""
+        assert json.loads(done.stdout)["samples"] == [
+            {"partial": 0.0, "probe": 0.0, "s": s, "tail_estimate": 0.0, "value": 0.0}
+            for s in (1e60, 1e200, 1e308)]
+
     def test_default_budget(self):
         args = cli.build_parser().parse_args(["zeta", "--projective-torus", "1",
                                               "--s", "2.5"])

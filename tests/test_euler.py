@@ -188,6 +188,65 @@ class TestEulerConstant:
             euler_constant(spec, (1, 1), 5, cutoff=1000)
 
 
+def truncated_log_expansion(weights: dict, k_reg: int, depth: Fraction) -> dict:
+    """log[(1 - x)^K (1 + sum w_e x^e)] over Fraction exponents e <= depth,
+    from the truncated powers of log(1 + u) = sum_k (-1)^(k+1) u^k / k."""
+    def mul(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                if ea + eb <= depth:
+                    out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
+        return out
+
+    u = {e: Fraction(w) for e, w in weights.items()}
+    series: dict = {}
+    power, sign, k = dict(u), 1, 1
+    while power and k <= depth:
+        for e, coef in power.items():
+            series[e] = series.get(e, Fraction(0)) + sign * coef / k
+        power, sign, k = mul(power, u), -sign, k + 1
+    for j in range(1, int(depth) + 1):
+        series[Fraction(j)] = series.get(Fraction(j), Fraction(0)) - Fraction(k_reg, j)
+    series = {e: c for e, c in series.items() if c != 0}
+    bad = [e for e in series if e <= 1]
+    if bad:
+        raise ValueError(
+            f"face weight inconsistent with K={k_reg}: surviving exponents {bad}")
+    return series
+
+
+@st.composite
+def local_series(draw):
+    """(coefficients a_0..a_6D of W in x^(1/D), K, D) with a_0 = 1 and
+    a_j = 0 for 0 < j < D, as at a normalized polar vector."""
+    scale = draw(st.integers(1, 4))
+    k_reg = draw(st.integers(0, 3))
+    coeffs = [1] + [0] * (scale - 1) + draw(st.lists(
+        st.integers(-3, 3), min_size=5 * scale + 1, max_size=5 * scale + 1))
+    if draw(st.booleans()):
+        coeffs[scale] = k_reg
+    return coeffs, k_reg, scale
+
+
+class TestLogFactorExpansion:
+    @settings(max_examples=300, deadline=None)
+    @given(local_series())
+    def test_matches_the_truncated_powers(self, case):
+        coeffs, k_reg, scale = case
+        weights = {Fraction(j, scale): a for j, a in enumerate(coeffs) if j and a}
+        try:
+            want = truncated_log_expansion(weights, k_reg, Fraction(euler.EXPANSION_DEPTH))
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                euler._log_factor_expansion(coeffs, k_reg, scale)
+            assert str(got.value) == str(err)
+            return
+        got = euler._log_factor_expansion(coeffs, k_reg, scale)
+        assert {Fraction(j, scale): b for j, b in got.items()} == want
+        assert all(type(j) is int for j in got)
+
+
 class TestPrimeZeta:
     def test_stored_values(self):
         assert sorted(euler.PRIME_ZETA) == list(range(2, int(euler.EXPANSION_DEPTH) + 1))

@@ -1,10 +1,13 @@
+import ast
 import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import toric_density
 from toric_density.counting import count_points
 from toric_density.model import (DependentRows, GeneralizedPolynomial,
                                  NonZeroRowSum, NotElliptic,
@@ -324,3 +327,14 @@ class TestWeights:
         prob = hypersurface_problem((1, 1))
         assert prob.rows == ((1, 1, -2),)
         assert sign_count(prob).value == 2
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so an invariant of the package
+    # must raise (InvariantError or a ValueError) instead
+    package = pathlib.Path(toric_density.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
