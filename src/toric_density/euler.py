@@ -467,8 +467,8 @@ def _log_factor_expansion(coeffs: list, k_reg: int, scale: int) -> dict:
     coeffs holds a_0..a_top of W in y = x^(1/D), and j runs over the
     integers 1..top. The log of W comes from the power-series recurrence
     j b_j = j a_j - sum_(0<i<j) i b_i a_(j-i), in integers i b_i and over
-    the nonzero a only; a_0 = W(0) = 1 is not read. Then K/m leaves b_j at
-    j = m D. Only nonzero b_j are kept. The b_j with j <= D must vanish
+    the nonzero a only; a_0 = W(0) = 1 is not read. Then log (1 - x)^K
+    takes K/m off b_j at j = m D. Only nonzero b_j are kept. The b_j with j <= D must vanish
     (the face weight equals K), otherwise the product has no finite
     regularized limit.
     """
