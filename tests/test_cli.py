@@ -108,6 +108,17 @@ GOLDEN_COMMANDS = {
     "constants_matrix_1_1_-2_squares": [
         "constants", "--matrix", "1,1,-2", "--polynomial", "X1^2+X2^2+X3^2",
         "--prime-cutoff", "1000"],
+    # the Sargos geometry: a recession face with m < n, a compact face in
+    # four variables, and the quadric's rho0 = 2 of 4 with a middle block
+    "sargos_projective_torus_1_recession": [
+        "constants", "--sargos-only", "--projective-torus", "1",
+        "--polynomial", "X1+X1*X2^2"],
+    "sargos_projective_torus_3_squares": [
+        "constants", "--sargos-only", "--projective-torus", "3",
+        "--polynomial", "X1^2+X2^2+X3^2+X4^2"],
+    "constants_matrix_1_1_-1_-1_squares": [
+        "constants", "--matrix", "1,1,-1,-1", "--polynomial", "X1^2+X2^2+X3^2+X4^2",
+        "--prime-cutoff", "100"],
 }
 
 

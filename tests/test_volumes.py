@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toric_density import quadrature, volumes
-from toric_density.hull import polytope_facets
+from toric_density.hull import polytope_facets, polytope_volume, upward_hull
 from toric_density.model import GeneralizedPolynomial
+from toric_density.polyhedron import diagonal_block
 from toric_density.quadrature import (ConstantValue, DivergentIntegral,
                                       check_tail_convergence, integrate_cube,
                                       integrate_log_orthant)
@@ -19,6 +20,7 @@ from toric_density.volumes import (MissingVariable, MixedTypeT,
                                    mixed_type_pushforward, mixed_volume_constant,
                                    newton_at_infinity, sargos_constant,
                                    volume_constant)
+from toric_density.vectors import rank
 
 
 def poly(terms):
@@ -89,6 +91,60 @@ class TestNewtonAtInfinity:
         assert newton_at_infinity(p) is first
         sargos_constant(p)
         assert calls == [3]
+
+    @settings(max_examples=100, deadline=None)
+    @given(terms=st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.tuples(st.integers(1, 5), st.tuples(*[st.sampled_from(
+            [0, 0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2)])] * n)),
+        min_size=1, max_size=n + 3)))
+    @example(terms=[(1, (1, 0)), (1, (1, 2))])                     # recession face
+    @example(terms=[(1, (2, 0)), (1, (1, 1))])                     # vertex face
+    @example(terms=[(1, (2, 0, 0)), (1, (0, 2, 0)), (1, (0, 0, 2))])
+    @example(terms=[(1, (2, 0)), (1, (3, 0))])                     # missing variable
+    def test_matches_the_greedy_block_and_the_full_polytope(self, terms):
+        p = poly(terms)
+        try:
+            expected = reference_sargos_data(p)
+        except MissingVariable:
+            with pytest.raises(MissingVariable):
+                newton_at_infinity(p)
+            return
+        assert newton_at_infinity(p) == expected
+
+
+def reference_sargos_data(p):
+    """SargosData by the direct route: the transverse block grown greedily
+    over `rank`, and Vol(Lambda) of the n-dimensional polytope spanned by 0,
+    the permuted polar vectors and the unit corners after the block."""
+    if not p.depends_on_all_variables():
+        raise MissingVariable
+    n = p.nvars
+    mirrored = [tuple(-x for x in e) for e in p.support]
+    facets, _ = upward_hull(mirrored, n)
+    u0, active, face_pts, recession, span = diagonal_block(facets, mirrored)
+    rho0 = n - rank(span)
+
+    def unit(i):
+        return tuple(Fraction(int(j == i)) for j in range(n))
+
+    transverse, current = [], list(span)
+    for i in range(n):
+        if i not in recession and rank(current + [unit(i)]) > rank(current):
+            current.append(unit(i))
+            transverse.append(i)
+    assert len(transverse) == rho0
+    middle = [i for i in range(n) if i not in transverse and i not in recession]
+    permutation = tuple(transverse + middle + recession)
+    lambdas = tuple(tuple(Fraction(x) / -Fraction(m) for x in w) for w, m in active)
+    corners = [(Fraction(0),) * n] + [tuple(lam[i] for i in permutation)
+                                      for lam in lambdas]
+    corners += [unit(i) for i in range(rho0, n)]
+    face_exps = {tuple(-x for x in v) for v in face_pts}
+    return volumes.SargosData(
+        n=n, sigma0=-1 / u0, rho0=rho0, m=n - len(recession), permutation=permutation,
+        face_support=tuple((c, e) for c, e in p.monomials if e in face_exps),
+        lambdas=lambdas, lambda_volume=polytope_volume(corners),
+        compact_face=not recession)
 
 
 class TestSargosConstant:
