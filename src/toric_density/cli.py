@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import counting, euler as eulermod, generators as genmod
+from .hull import DimensionOverflow
 from .model import (GeneralizedPolynomial, InvariantError, hypersurface_problem,
                     problem_weight, validate_toric_matrix)
 from .polyhedron import build_polyhedron, diagonal_face, iota_lp
@@ -467,7 +468,7 @@ def main(argv=None) -> int:
     except counting.NonCompactFace as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_FLAGGED
-    except counting.BoxTooLarge as exc:
+    except (counting.BoxTooLarge, DimensionOverflow) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except InvariantError as exc:

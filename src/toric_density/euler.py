@@ -277,14 +277,12 @@ def required_level(spec: UniformMultiplicativeSpec, c, tol: float) -> int:
 
 
 def _series_source(spec: UniformMultiplicativeSpec, c, tol: float,
-                   generators: Optional[LatticePointSet],
-                   profile: Optional[WeightProfile] = None):
+                   generators: Optional[LatticePointSet]):
     """The local series of spec at c and its per-prime truncation(p)."""
     if spec.kind in EXACT_KINDS:
         form = rational_weight(spec, c, generators)
         return form, form.truncation
-    if profile is None:
-        profile = WeightProfile(spec, c, required_level(spec, c, tol))
+    profile = WeightProfile(spec, c, required_level(spec, c, tol))
     return profile, lambda p: profile.truncation(p, tol)
 
 
@@ -406,14 +404,13 @@ def _prime_pass(source, truncation, plist, k_reg: int, layout,
 
 def local_factor(spec: UniformMultiplicativeSpec, c, p: int, tol: float = 1e-12,
                  precision: int = DEFAULT_PRECISION,
-                 profile: Optional[WeightProfile] = None,
                  generators: Optional[LatticePointSet] = None) -> LocalFactor:
     """The local series sum_v g(v) p^(-<v,c>) at prime p.
 
     Exact for matrix, hypersurface and free weights (tail_bound 0.0); a
     custom weight is walked to the level certified below tol.
     """
-    source, truncation = _series_source(spec, c, tol, generators, profile)
+    source, truncation = _series_source(spec, c, tol, generators)
     layout = _layout(source.scale, truncation, precision)
     [factor] = _prime_pass(source, truncation, [p], 0, layout, keep_factors=True)[3]
     return factor

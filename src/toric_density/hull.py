@@ -7,7 +7,7 @@ are tested for adjacency combinatorially (Fukuda-Prodon, "Double
 description method revisited", 1996): no other ray's tight set contains
 their common one. The central object is the upward-closed hull
 conv(points) + R_+^n, described by facets (w, m) meaning <w, x> >= m holds
-on the hull and with equality on the facet; offsets are Fractions.
+on the hull and with equality on the facet; normals and offsets are ints.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from operator import mul
 
 from .model import InvariantError
 from .vectors import fracvec, is_zero, primitive, rank
+
+
+# upward hulls in more coordinates are refused with DimensionOverflow
+DIM_CAP = 10
 
 
 class DimensionOverflow(Exception):
@@ -111,18 +115,14 @@ def _integer_facets(gens, n):
                   if not is_zero(ray[:n]))
 
 
-def _as_fractions(facets):
-    return [(tuple(map(Fraction, w)), Fraction(m)) for w, m in facets]
-
-
-def upward_hull(points, n, dim_cap=10):
+def upward_hull(points, n):
     """Facets and vertices of conv(points) + R_+^n.
 
-    Facets come back as (normal, offset) pairs with normal a primitive
-    nonnegative integer vector; vertices are a subset of the input points.
+    Facets come back as integer (normal, offset) pairs with the normal
+    nonnegative; vertices are a subset of the input points.
     """
-    if n > dim_cap:
-        raise DimensionOverflow(f"hull dimension {n} exceeds cap {dim_cap}")
+    if n > DIM_CAP:
+        raise DimensionOverflow(f"hull dimension {n} exceeds cap {DIM_CAP}")
     pts = _dedup([fracvec(p) for p in points])
     if not pts:
         raise ValueError("empty point set")
@@ -140,13 +140,13 @@ def upward_hull(points, n, dim_cap=10):
         if rank(tightnormals) == n:
             vertices.append(p)
     vertices.sort()
-    return _as_fractions(facets), vertices
+    return facets, vertices
 
 
 def polytope_facets(points, n):
-    """Facets (w, m) of the bounded hull conv(points), assumed full dimensional."""
+    """Integer facets (w, m) of the bounded hull conv(points), assumed full dimensional."""
     pts = _dedup([fracvec(p) for p in points])
-    return _as_fractions(_integer_facets([p + (1,) for p in pts], n))
+    return _integer_facets([p + (1,) for p in pts], n)
 
 
 def _triangulate_map(proj, idx, n):

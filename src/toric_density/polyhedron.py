@@ -53,16 +53,15 @@ class DiagonalFace:
     rho: int                 # support points on the face minus its dimension
     face_point_count: int
     compact: bool
-    count_exact: bool        # False when the count is a lower bound only
 
 
-def build_polyhedron(points, dim_cap: int = 10) -> NewtonPolyhedron:
+def build_polyhedron(points) -> NewtonPolyhedron:
     """Exact facet/vertex description of conv(points) + R_+^n."""
     pts = [fracvec(p) for p in points]
     if not pts:
         raise ValueError("no generating points")
     n = len(pts[0])
-    facets, vertices = upward_hull(pts, n, dim_cap=dim_cap)
+    facets, vertices = upward_hull(pts, n)
     return NewtonPolyhedron(n=n, points=tuple(sorted(set(pts))),
                             vertices=tuple(vertices), facets=tuple(facets))
 
@@ -165,16 +164,14 @@ def diagonal_face(e: NewtonPolyhedron,
         # weights beyond {0,1} count with multiplicity, matching the pole
         # order of the associated local series
         count = sum(spec.g(v) for v in face_points(spec, c))
-        exact = True
     else:
         count = len(gens)
-        exact = compact
     # the log power subtracts the dimension spanned by the face's lattice
     # points; for compact faces this is the face dimension itself, and the
     # count always exceeds it (k points span at most an affine (k-1)-space)
     rho = count - point_dim
     return DiagonalFace(t0=t0, face=face, c=c, iota=iota, rho=rho,
-                        face_point_count=count, compact=compact, count_exact=exact)
+                        face_point_count=count, compact=compact)
 
 
 def face_points(spec: UniformMultiplicativeSpec, c):

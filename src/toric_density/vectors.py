@@ -31,15 +31,18 @@ def is_zero(v) -> bool:
     return all(x == 0 for x in v)
 
 
-def rank(rows) -> int:
-    """Rank of a list of rational vectors (exact, fraction-free elimination).
+def pivot_columns(rows) -> list:
+    """Ascending pivot columns of a list of rational vectors (exact,
+    fraction-free elimination): the first coordinates on which the rows
+    are independent.
 
     Each row is scaled to a primitive integer vector first, and each
     eliminated row again, so the entries stay small integers.
     """
     mat = [primitive(r) for r in rows]
-    r = 0
+    pivots = []
     for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
         piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
@@ -49,10 +52,15 @@ def rank(rows) -> int:
             f = mat[i][col]
             if f != 0:
                 mat[i] = primitive([top[col] * a - f * b for a, b in zip(mat[i], top)])
-        r += 1
-        if r == len(mat):
+        pivots.append(col)
+        if len(pivots) == len(mat):
             break
-    return r
+    return pivots
+
+
+def rank(rows) -> int:
+    """Rank of a list of rational vectors."""
+    return len(pivot_columns(rows))
 
 
 def primitive(v) -> tuple:

@@ -9,6 +9,8 @@ facets (at infinity) meeting the diagonal, and the unit vectors outside the
 transverse block, and I integrates P restricted to the diagonal face, raised
 to the power -sigma0, ones in the transverse slots, over the positive
 orthant in the face directions and over [1, oo) in the recession directions.
+The unit vectors complement the polar vectors' span, so n! Vol(Lambda) is
+rho0! times the volume of conv(0, polar vectors) in the transverse block.
 
 A compact face of any dimension first tries `exact_face_integral`, which
 needs no quadrature. On a simplex face with monomials c_i x^(e_i),
@@ -54,7 +56,7 @@ from .model import GeneralizedPolynomial, InvariantError
 from .polyhedron import diagonal_block
 from .quadrature import (ConstantValue, DivergentIntegral, check_tail_convergence,
                          integrate_cube, integrate_log_orthant)
-from .vectors import dot, frac, fracvec, rank
+from .vectors import dot, frac, fracvec, pivot_columns, rank
 
 
 class MissingVariable(Exception):
@@ -116,38 +118,27 @@ def newton_at_infinity(p: GeneralizedPolynomial) -> SargosData:
     sigma0 = -1 / u0
     face_exps = {tuple(-x for x in v) for v in face_pts}
     face_support = tuple((c, e) for c, e in p.monomials if e in face_exps)
-    rho0 = n - rank(span)
-    m_index = n - len(recession)
-
-    # transverse block: greedy coordinates whose axes complement the face directions
-    transverse = []
-    current = list(span)
-    for i in range(n):
-        if i in recession:
-            continue
-        cand = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        if rank(current + [cand]) > rank(current):
-            current.append(cand)
-            transverse.append(i)
-        if len(transverse) == rho0:
-            break
-    if len(transverse) != rho0:
+    # normalized polar vectors of the facets through the diagonal point;
+    # -m is the max of <w, .> over the un-mirrored hull. They span the
+    # face's normal space and vanish on the recession coordinates.
+    lambdas = tuple(tuple(Fraction(x, -m) for x in w) for w, m in active)
+    # x -> (<lambda, x>) embeds R^n / span(face), so the first axes that
+    # complement the face directions are the pivot columns of the lambdas
+    transverse = pivot_columns(lambdas)
+    rho0 = len(transverse)
+    if rho0 + rank(span) != n:
         raise InvariantError("axes must complement the face directions")
     middle = [i for i in range(n) if i not in transverse and i not in recession]
     permutation = tuple(transverse + middle + recession)
+    # Lambda is the free sum of conv(0, lambdas) in the normal space and the
+    # unit simplex on the other axes, which complement it
+    vol = polytope_volume([(0,) * rho0] + [tuple(lam[i] for i in transverse)
+                                           for lam in lambdas])
+    vol = vol * math.factorial(rho0) / math.factorial(n)
 
-    # normalized polar vectors of facets at infinity meeting the diagonal
-    # -m is the max of <w, .> over the un-mirrored hull
-    lambdas = [tuple(frac(x) / -frac(m) for x in w) for w, m in active if m < 0]
-    perm_lambdas = [tuple(lam[permutation[i]] for i in range(n)) for lam in lambdas]
-    corners = [tuple(Fraction(0) for _ in range(n))] + perm_lambdas
-    for i in range(rho0, n):
-        corners.append(tuple(Fraction(1 if j == i else 0) for j in range(n)))
-    vol = polytope_volume(corners)
-
-    return SargosData(n=n, sigma0=sigma0, rho0=rho0, m=m_index,
+    return SargosData(n=n, sigma0=sigma0, rho0=rho0, m=n - len(recession),
                       permutation=permutation, face_support=face_support,
-                      lambdas=tuple(lambdas), lambda_volume=vol,
+                      lambdas=lambdas, lambda_volume=vol,
                       compact_face=not recession)
 
 
@@ -180,12 +171,13 @@ SERIES_MAX_RATIO = 0.9
 def exact_face_integral(coeffs, exps, sigma0) -> ConstantValue | None:
     """The integral of (sum_e c_e x^e)^(-sigma0) over (0, oo)^k, without quadrature.
 
-    Covers a simplex ("gamma-simplex"), a simplex plus one monomial inside
-    it ("mellin-barnes"), and a product of such faces in disjoint variables
-    ("gamma-product", or "mellin-barnes-product" when a factor takes the
-    series). Returns None for any other face, for a series whose ratio
-    exceeds SERIES_MAX_RATIO, and where the integral diverges. Exponents and coefficients are exact; the error bar is the
-    series truncation plus an estimate of the lgamma and exp rounding.
+    Covers a simplex, a vertex included ("gamma-simplex"), a simplex plus
+    one monomial inside it ("mellin-barnes"), and a product of such faces in
+    disjoint variables ("gamma-product", or "mellin-barnes-product" when a
+    factor takes the series). Returns None for any other face, for a series
+    whose ratio exceeds SERIES_MAX_RATIO, and where the integral diverges.
+    Exponents and coefficients are exact; the error bar is the series
+    truncation plus an estimate of the lgamma and exp rounding.
     """
     k = len(exps[0])
     if len(exps) == k + 1:
@@ -313,13 +305,8 @@ def sargos_constant(p: GeneralizedPolynomial, tol: float = 1e-9,
     data = newton_at_infinity(p)
     scale = float(math.factorial(data.n) * data.lambda_volume)
     inner = data.m - data.rho0        # positive-orthant axes
-    compact = data.m == data.n
-    if compact and inner == 0:
-        const = sum(float(c) for c, _ in data.face_support)
-        return ConstantValue(value=scale * const ** (-float(data.sigma0)),
-                             abs_error=1e-15, method="closed-form")
     result = None
-    if compact:
+    if data.compact_face:
         perm = data.permutation
         coeffs = [c for c, _ in data.face_support]
         exps = [tuple(e[perm[data.rho0 + j]] for j in range(inner))

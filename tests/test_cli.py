@@ -507,6 +507,23 @@ class TestInternalErrors:
         assert "Traceback" not in captured.err and captured.out == ""
 
 
+class TestHullDimensionCap:
+    SQUARES_5 = "X1^2+X2^2+X3^2+X4^2+X5^2"
+
+    @pytest.mark.parametrize("argv, dim", [
+        # the (1,1,1,1) volume constant's auxiliary polynomial has K = 34 variables
+        (["constants", "--hypersurface", "1,1,1,1", "--polynomial", SQUARES_5], 34),
+        (["verify", "--hypersurface", "1,1,1,1", "--polynomial", SQUARES_5, "--t", "16"], 34),
+        (["constants", "--sargos-only", "--projective-torus", "10",
+          "--polynomial", "+".join(f"X{i}" for i in range(1, 12))], 11)])
+    def test_refused_with_exit_2(self, capsys, argv, dim):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_BAD_INPUT == 2 and captured.out == ""
+        assert captured.err == f"refused: hull dimension {dim} exceeds cap 10\n"
+        assert "Traceback" not in captured.err
+
+
 class TestProblemFiles:
     def test_round_trip(self, tmp_path, capsys):
         from toric_density.cli import load_problem_file

@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_density.hull import dual_rays, polytope_volume, upward_hull
 from toric_density.lp import Infeasible, Unbounded, solve_lp
 from toric_density.model import GeneralizedPolynomial
-from toric_density.vectors import dot, primitive, rank
+from toric_density.vectors import dot, pivot_columns, primitive, rank
 from toric_density.volumes import newton_at_infinity
 
 
@@ -100,6 +101,26 @@ class TestUpwardHull:
         facets, _ = upward_hull([(3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0)], 3)
         for w, _ in facets:
             assert all(x >= 0 for x in w)
+
+    def test_facets_are_integers(self):
+        # offsets on half-integral points are integral after the normal's scaling
+        facets, _ = upward_hull([(Fraction(1, 2), 0), (0, Fraction(3, 2))], 2)
+        assert facets == [((0, 1), 0), ((1, 0), 0), ((6, 2), 3)]
+        assert all(type(x) is int for w, m in facets for x in w + (m,))
+
+
+class TestPivotColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 6).flatmap(lambda width: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]),
+                 min_size=width, max_size=width), max_size=6)))
+    @example(rows=[])
+    @example(rows=[[0, 0, 0]])
+    @example(rows=[[0, 1, 2], [0, 2, 4], [0, 0, 0], [0, 1, 3]])
+    def test_against_sympy_rref(self, rows):
+        pivots = sympy.Matrix(rows).rref()[1]     # sympy takes Fractions exactly
+        assert pivot_columns(rows) == list(pivots)
+        assert rank(rows) == len(pivots)
 
 
 class TestDualRays:

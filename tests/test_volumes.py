@@ -161,6 +161,13 @@ class TestSargosConstant:
         oracle, _ = si.quad(lambda x: (1 + x ** 2 + x ** 4) ** -0.5, 0, math.inf)
         assert abs(cv.value - oracle / 4) < 1e-8
 
+    def test_vertex_face_error_bar_scales_with_the_value(self):
+        # the diagonal meets the polyhedron at infinity in the vertex (1, 1)
+        cv = sargos_constant(poly([(1, (2, 0)), (Fraction(1, 10 ** 6), (1, 1))]))
+        assert cv.method == "gamma-simplex"
+        assert cv.abs_error >= math.ulp(cv.value)
+        assert abs(cv.value - 500000) <= cv.abs_error
+
     def test_single_monomial_recession(self):
         cv = sargos_constant(poly([(1, (1, 5))]))
         assert abs(cv.value - 0.25) < 1e-10
