@@ -145,8 +145,8 @@ def diagonal_face(e: NewtonPolyhedron,
     When the weight spec is supplied, the face point count enumerates every
     supported lattice point on the face (possible exactly when the face is
     compact: the polar vector is then strictly positive and bounds the
-    search). Otherwise generating points on the face are counted and the
-    result is flagged as a lower bound.
+    search). Otherwise generating points on the face are counted, a lower
+    bound.
     """
     t0, _, gens, rec, span = diagonal_block(e.facets, e.points)
     gens, rec = tuple(gens), frozenset(rec)
