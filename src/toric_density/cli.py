@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import counting, euler as eulermod, generators as genmod
-from .hull import DimensionOverflow
+from .hull import DimensionOverflow, check_dimension
 from .model import (GeneralizedPolynomial, InvariantError, hypersurface_problem,
                     problem_weight, validate_toric_matrix)
 from .polyhedron import build_polyhedron, diagonal_face, iota_lp
@@ -136,8 +136,10 @@ def _resolve_problem(args):
 
 def _analysis(problem):
     """(weight, support generators, Newton polyhedron, diagonal face) of
-    the problem's presentation."""
+    the problem's presentation. A weight of more coordinates than the hull
+    takes is refused before its generators are walked."""
     spec = problem_weight(problem)
+    check_dimension(spec.arity)
     gens = genmod.generators_with_check(spec)
     e = build_polyhedron(gens.points)
     return spec, gens, e, diagonal_face(e, spec)
@@ -224,9 +226,19 @@ def cmd_constants(args) -> int:
 
 
 def _euler_json(rep: eulermod.EulerReport) -> dict:
-    return {"value": float(rep.value), "value_str": format_digits(rep.value),
+    """The Euler payload. Its error_bound is the bar of value_str: a zeta
+    product's bound plus the rounding to 30 digits, rounded up to a float;
+    a prime pass's bound is kept as it is, far wider than that rounding."""
+    text = format_digits(rep.value)
+    bound = rep.error_bound
+    if rep.method == "zeta-product":
+        exact = Fraction(bound) + abs(Fraction(text) - Fraction(rep.value))
+        bound = float(exact)
+        if bound < exact:
+            bound = math.nextafter(bound, math.inf)
+    return {"value": float(rep.value), "value_str": text,
             "cutoff": rep.cutoff, "K": rep.K, "epsilon_gap": rep.epsilon_gap,
-            "error_bound": rep.error_bound}
+            "error_bound": bound, "method": rep.method}
 
 
 def _manin_json(rep: counting.ManinReport) -> dict:
@@ -367,7 +379,11 @@ def _common(p):
                    help="accepted for compatibility: matrix and "
                         "hypersurface Euler factors are exact; only custom "
                         "weights of the library API truncate to it")
-    p.add_argument("--prime-cutoff", type=int, default=100_000)
+    p.add_argument("--prime-cutoff", type=int, default=100_000,
+                   help="largest prime of the Euler product's prime pass "
+                        "(default 100000); a weight whose product is a "
+                        "finite product of zeta values ignores it, except "
+                        "to list --full-factors")
     p.add_argument("--precision", type=int, default=160,
                    help="working precision in bits")
     p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)

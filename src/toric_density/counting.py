@@ -82,6 +82,7 @@ import numpy as np
 
 from .euler import EulerReport, _odd_sieve, euler_constant, zeta_float
 from .generators import generators_with_check
+from .hull import check_dimension
 from .model import (GeneralizedPolynomial, InvariantError, ToricProblem,
                     UniformMultiplicativeSpec, ellipticity_witness,
                     hypersurface_problem, problem_weight,
@@ -981,6 +982,7 @@ def manin_constant(problem: ToricProblem | UniformMultiplicativeSpec,
             weight_poly = restrict_to_hypersurface(poly, problem.exponents)
     if weight_poly is None or not weight_poly.is_homogeneous:
         raise ValueError("a homogeneous height polynomial is required")
+    check_dimension(spec.arity)
     gens = generators_with_check(spec)
     e = build_polyhedron(gens.points)
     df = diagonal_face(e, spec)

@@ -9,11 +9,22 @@ Commutative Algebra, ch. 12). N comes from a short support walk times Q, and
 the local factor at p is N(x_p)/Q(x_p) with x_p = p^(-1/D). Custom weights
 keep a truncated walk with a certified geometric-polynomial tail bound.
 
-The regularized factors (1 - 1/p)^K W(x_p) tend to 1 like p^(-(1+eps)), and
-the product over primes beyond the cutoff is corrected through the prime zeta
-function applied to log[(1 - x)^K W(x)] = sum_j b_j x^(j/D), over the integer
-exponents j <= EXPANSION_DEPTH D. With a_j the coefficients of W in x^(1/D),
-the b_j follow from the power-series recurrence j b_j = j a_j -
+The product of the regularized factors (1 - 1/p)^K W(x_p) takes one of two
+routes. Write (1 - x)^K W(x) = prod_j (1 - y^j)^(c_j), y = x^(1/D), with
+the integer Witt exponents c_j. When finitely many are nonzero, all at
+j = k D, the product is exactly prod_k zeta(k)^(-c_(kD)) (Euler's product
+for zeta): `_zeta_exponents` finds and proves them, and `_zeta_product`
+evaluates it with a proven rounding bound. No prime is read. Every full
+torus, two-variable hypersurface, (1,1,-2), (1,2,-3) and the quadric
+(1,1,-1,-1) take this route.
+
+Every other weight (infinitely many c_j, as for (1,1,1), an exponent at a
+non-integer j/D, or a custom weight) takes the prime pass. The regularized
+factors tend to 1 like p^(-(1+eps)), and the product over primes beyond
+the cutoff is corrected through the prime zeta function applied to
+log[(1 - x)^K W(x)] = sum_j b_j x^(j/D), over the integer exponents
+j <= EXPANSION_DEPTH D. With a_j the coefficients of W in x^(1/D), the b_j
+follow from the power-series recurrence j b_j = j a_j -
 sum_(0<i<j) i b_i a_(j-i), which never reads a_0 = W(0) = 1, less K/m at
 j = m D (`_log_factor_expansion`). One pass over the primes (`_prime_pass`),
 in one thread and in fixed-point integers, evaluates every factor and the
@@ -61,8 +72,6 @@ EXACT_KINDS = ("toric", "hypersurface", "free")
 GUARD_BITS = 32
 # extra decimal digits of the final exp beyond `precision` bits
 GUARD_DIGITS = 8
-# terms of the integer zeta series: its error is below 2^-150 at every k >= 2
-ZETA_TERMS = 64
 # P(n) = sum_p p^(-n) at the integer exponents 2 <= n <= EXPANSION_DEPTH,
 # the only ones the log expansion of every problem tried so far reads:
 # mp.primezeta at 700 bits, kept to 200 digits, so good to PRIME_ZETA_BITS
@@ -129,6 +138,7 @@ class EulerReport:
     error_bound: float
     precision: int
     factors: Optional[tuple] = None
+    method: str = "prime-pass"      # or "zeta-product"
 
 
 @dataclass(frozen=True)
@@ -484,26 +494,150 @@ def _log_factor_expansion(coeffs: list, k_reg: int, scale: int) -> dict:
     return out
 
 
+def _witt_candidates(form: RationalWeight, k_reg: int) -> Optional[dict]:
+    """{j: c_j} over j <= L with (1 - y^D)^K N/Q = prod_j (1 - y^j)^(c_j), or None.
+
+    y = x^(1/D) and L = deg (1 - y^D)^K N Q. The c_j follow from the log
+    series (`_log_factor_expansion`) by j b_j = -sum_(d|j) d c_d. The sum of
+    j |c_j| over the exponents found so far only grows, so the walk gives
+    up (None) once it passes L. The window only decides whether the zeta
+    product is tried; `_witt_identity` is the proof.
+    """
+    scale = form.scale
+    top = k_reg * scale + form.numerator[-1][0] + sum(form.denominator)
+    jc = [0] * (top + 1)      # -j b_j less sum_(d|j, d<j) d c_d: j c_j once reached
+    for j, b in _log_factor_expansion(form.series(top), k_reg, scale).items():
+        jc[j] = -int(j * b)
+    total = 0
+    for j in range(1, top + 1):
+        if jc[j]:
+            for m in range(2 * j, top + 1, j):
+                jc[m] -= jc[j]
+            total += abs(jc[j])
+            if total > top:
+                return None
+    return {j: x // j for j, x in enumerate(jc) if x}
+
+
+def _witt_identity(form: RationalWeight, k_reg: int, exponents: dict) -> bool:
+    """Whether (1 - y^D)^K N prod_(c_j<0) (1 - y^j)^(-c_j) equals
+    Q prod_(c_j>0) (1 - y^j)^(c_j) as integer polynomials."""
+    def times(poly, factors):       # poly times prod (1 - y^j) over factors
+        for j in factors:
+            poly = poly + [0] * j
+            for i in range(len(poly) - 1, j - 1, -1):
+                poly[i] -= poly[i - j]
+        return poly
+
+    coeffs = [0] * (form.numerator[-1][0] + 1)
+    for e, a in form.numerator:
+        coeffs[e] = a
+    lower = [form.scale] * k_reg + [j for j, x in exponents.items() for _ in range(-x)]
+    upper = list(form.denominator) + [j for j, x in exponents.items() for _ in range(x)]
+    return times(coeffs, lower) == times([1], upper)
+
+
+def _zeta_exponents(form: RationalWeight, k_reg: int) -> Optional[dict]:
+    """{k: c_(kD)} with E = prod_k zeta(k)^(-c_(kD)) exactly, or None when
+    the candidates fail or one sits at a non-integer j/D."""
+    exponents = _witt_candidates(form, k_reg)
+    scale = form.scale
+    if (exponents is None or not _witt_identity(form, k_reg, exponents)
+            or any(j % scale for j in exponents)):
+        return None
+    return {j // scale: x for j, x in exponents.items()}
+
+
+def _zeta_fixed(k: int, bits: int) -> int:
+    """An integer within 3 of 2^bits zeta(k), at an integer k >= 2.
+
+    P. Borwein's alternating series (An efficient algorithm for the Riemann
+    zeta function, 2000): zeta(k) (1 - 2^(1-k)) d_n = sum_(i<n)
+    (-1)^i (d_n - d_i) / (i+1)^k with d_i = n sum_(j<=i) (n+j-1)! 4^j /
+    ((n-j)! (2j)!), up to 3 (3 + sqrt 8)^(-n) / (1 - 2^(1-k)) in zeta(k):
+    one unit once 2^(2.54 n) >= 2^(bits+3). The n floored terms cost under
+    2n / d_n < 1 unit after the division, and its floor one more.
+    """
+    n = -(-(bits + 3) * 50 // 127)
+    d, total, term = [], 0, 1
+    for j in range(n + 1):
+        total += term
+        d.append(total)
+        # exact: term_(j+1) (2j+1)(j+1) = term_j 2(n+j)(n-j)
+        term = term * 2 * (n + j) * (n - j) // ((2 * j + 1) * (j + 1))
+    series = 0
+    for i in range(n):
+        term = ((d[n] - d[i]) << bits) // (i + 1) ** k
+        series += -term if i & 1 else term
+    return (series << (k - 1)) // (d[n] * ((1 << (k - 1)) - 1))
+
+
+def _zeta_product(zetas: dict, precision: int):
+    """(E, error bound) of E = prod_k zeta(k)^(-c_k) over zetas = {k: c_k}.
+
+    Each zeta(k) >= 1 is read to bits = precision + GUARD_BITS, within a
+    relative 3 2^-bits, so the m = sum |c_k| factors are within 6 m 2^-bits
+    of E relatively (as long as 3 m 2^-bits <= 1/2). Rounding to the
+    decimal context adds below 10^(1-digits) / 2 relatively; the bound takes
+    10^(1-digits), whose other half covers the cross terms and the float
+    evaluation of the bound. Past about 1000 bits that bound underflows,
+    and the smallest positive float stands for it.
+    """
+    bits = precision + GUARD_BITS
+    num = den = 1
+    for k, x in zetas.items():
+        if x > 0:
+            den *= _zeta_fixed(k, bits) ** x
+        else:
+            num *= _zeta_fixed(k, bits) ** -x
+    ctx = _context(precision)
+    value = _to_decimal(Fraction(num, den) * _dyadic(1, -bits * sum(zetas.values())), ctx)
+    rel = math.ldexp(6 * sum(map(abs, zetas.values())), -bits) + 10.0 ** (1 - ctx.prec)
+    return value, max(float(value) * rel, math.ulp(0.0))
+
+
+def _context(precision: int) -> decimal.Context:
+    """The decimal context of a reported value: `precision` bits and GUARD_DIGITS."""
+    return decimal.Context(prec=math.ceil(precision * math.log10(2)) + GUARD_DIGITS)
+
+
 def euler_constant(spec: UniformMultiplicativeSpec, c, k_reg: int,
                    cutoff: int = DEFAULT_CUTOFF, tol: float = 1e-10,
                    precision: int = DEFAULT_PRECISION,
                    generators: Optional[LatticePointSet] = None,
                    keep_factors: bool = False) -> EulerReport:
-    """Regularized product over primes with a prime-zeta tail correction.
+    """The regularized product over primes, from zeta values or a prime pass.
 
-    The reported error combines the correction remainder beyond the
-    expansion depth, a rounding envelope scaled to the operations per
-    factor, and, for custom weights only, the per-prime truncation budget
-    tol/(4 #primes). With keep_factors, every regularized local factor is
-    kept in the same pass over the primes.
+    A matrix, hypersurface or free weight with a finite zeta product
+    (`_zeta_exponents`) reports it (method "zeta-product"), and the cutoff
+    only limits the factors listed with keep_factors. Every other weight
+    takes the prime pass with a prime-zeta tail correction (method
+    "prime-pass"). Its reported error combines the correction remainder
+    beyond the expansion depth, a rounding envelope scaled to the
+    operations per factor, and, for custom weights only, the per-prime
+    truncation budget tol/(4 #primes). With keep_factors, every regularized
+    local factor is kept in the same pass over the primes.
     """
+    gap = epsilon_gap(generators, c) if generators is not None else Fraction(1)
+    form = rational_weight(spec, c, generators) if spec.kind in EXACT_KINDS else None
+    zetas = _zeta_exponents(form, k_reg) if form is not None else None
+    if zetas is not None:
+        value, err = _zeta_product(zetas, precision)
+        factors = None
+        if keep_factors:
+            layout = _layout(form.scale, form.truncation, precision)
+            factors = tuple(_prime_pass(form, form.truncation, primes_up_to(cutoff),
+                                        k_reg, layout, keep_factors=True)[3])
+        return EulerReport(value=value, cutoff=cutoff, K=k_reg, epsilon_gap=gap,
+                           error_bound=err, precision=precision, factors=factors,
+                           method="zeta-product")
+
     plist = primes_up_to(cutoff)
     nprimes = len(plist)
     tol_pp = tol / (4 * max(nprimes, 1))
-
-    source, truncation = _series_source(spec, c, tol_pp, generators)
+    source, truncation = ((form, form.truncation) if form is not None
+                          else _series_source(spec, c, tol_pp, generators))
     scale = source.scale
-    gap = epsilon_gap(generators, c) if generators is not None else Fraction(1)
     coeffs = source.series(EXPANSION_DEPTH * scale)
     series = _log_factor_expansion(coeffs, k_reg, scale)
     # the prime zeta correction reads sum_(p <= cutoff) x_p^j
@@ -516,7 +650,7 @@ def euler_constant(spec: UniformMultiplicativeSpec, c, k_reg: int,
     correction = sum((coef * (_prime_zeta(Fraction(j, scale), precision)
                               - _dyadic(partial[j], bits))
                       for j, coef in sorted(series.items())), Fraction(0))
-    ctx = decimal.Context(prec=math.ceil(precision * math.log10(2)) + GUARD_DIGITS)
+    ctx = _context(precision)
     value = ctx.multiply(_to_decimal(product, ctx), ctx.exp(_to_decimal(correction, ctx)))
     # everything past the expansion depth is bounded by a crude integral
     depth_f = float(EXPANSION_DEPTH)
@@ -527,26 +661,16 @@ def euler_constant(spec: UniformMultiplicativeSpec, c, k_reg: int,
 
     return EulerReport(value=value, cutoff=cutoff, K=k_reg, epsilon_gap=gap,
                        error_bound=err, precision=precision,
-                       factors=tuple(factors) if factors is not None else None)
+                       factors=tuple(factors) if factors is not None else None,
+                       method="prime-pass")
 
 
 def zeta_float(k: int) -> float:
     """The Riemann zeta value zeta(k) at an integer k >= 2, rounded to a float once.
 
-    P. Borwein's alternating series (An efficient algorithm for the Riemann
-    zeta function, 2000) on integers: zeta(k) (1 - 2^(1-k)) d_n =
-    sum_(i<n) (-1)^i (d_n - d_i) / (i+1)^k up to 3 (3 + sqrt 8)^(-n) d_n,
-    with d_i = n sum_(j<=i) (n+j-1)! 4^j / ((n-j)! (2j)!). With n =
-    ZETA_TERMS the sum is good to about 150 bits before the one rounding.
+    `_zeta_fixed` at DEFAULT_PRECISION bits, within 3 of them, then one
+    correctly rounded integer division.
     """
     if k < 2:
         raise ValueError("zeta_float needs an integer k >= 2")
-    n = ZETA_TERMS
-    d, total = [], 0
-    for j in range(n + 1):
-        total += n * math.factorial(n + j - 1) * 4 ** j \
-            // (math.factorial(n - j) * math.factorial(2 * j))
-        d.append(total)
-    fixed = 192     # bits of each term: their floors cost far less than the series error
-    series = sum((-1) ** i * (((d[n] - d[i]) << fixed) // (i + 1) ** k) for i in range(n))
-    return (series << (k - 1)) / ((d[n] * ((1 << (k - 1)) - 1)) << fixed)
+    return _zeta_fixed(k, DEFAULT_PRECISION) / (1 << DEFAULT_PRECISION)

@@ -28,6 +28,12 @@ class DimensionOverflow(Exception):
     pass
 
 
+def check_dimension(n: int):
+    """Refuse an upward hull in more than DIM_CAP coordinates."""
+    if n > DIM_CAP:
+        raise DimensionOverflow(f"hull dimension {n} exceeds cap {DIM_CAP}")
+
+
 def _dedup(vectors):
     seen = set()
     out = []
@@ -121,8 +127,7 @@ def upward_hull(points, n):
     Facets come back as integer (normal, offset) pairs with the normal
     nonnegative; vertices are a subset of the input points.
     """
-    if n > DIM_CAP:
-        raise DimensionOverflow(f"hull dimension {n} exceeds cap {DIM_CAP}")
+    check_dimension(n)
     pts = _dedup([fracvec(p) for p in points])
     if not pts:
         raise ValueError("empty point set")

@@ -452,8 +452,8 @@ def mahler_constant(p: GeneralizedPolynomial, tol: float = 1e-9,
         return w * half_pi ** (k - 1)
 
     if k == 1:
-        return ConstantValue(value=sum(float(c) for c in top.coefficients) ** power,
-                             abs_error=1e-15, method="closed-form")
+        value = sum(float(c) for c in top.coefficients) ** power
+        return ConstantValue(value=value, abs_error=EPS * value, method="closed-form")
     result = integrate_cube(integrand, k - 1, tol=tol, seed=seed)
     return ConstantValue(value=result.value / k, abs_error=result.abs_error / k,
                          method="sphere-" + result.method)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_density import cli, counting
+from toric_density import cli, counting, euler as eulermod
 from toric_density.counting import zeta_partial
 from toric_density.vectors import format_digits
 
@@ -41,7 +41,7 @@ GOLDEN_COMMANDS = {
     "euler_matrix_1_2_-3_full": ["constants", "--euler", "--matrix", "1,2,-3",
                                  "--prime-cutoff", "50", "--euler-tol", "1e-6",
                                  "--full-factors"],
-    # past the stored prime zeta values: mp.primezeta at 700 bits
+    # a zeta product at 700 bits, and the factors its prime pass lists
     "euler_hypersurface_1_1_precision_700": [
         "constants", "--euler", "--hypersurface", "1,1", "--precision", "700",
         "--prime-cutoff", "200", "--full-factors"],
@@ -523,6 +523,47 @@ class TestHullDimensionCap:
         assert captured.err == f"refused: hull dimension {dim} exceeds cap 10\n"
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--projective-torus", "10"],
+        ["constants", "--euler", "--projective-torus", "10"],
+        ["constants", "--projective-torus", "10",
+         "--polynomial", "+".join(f"X{i}" for i in range(1, 12))]])
+    def test_refused_before_the_generator_walk(self, capsys, monkeypatch, argv):
+        def walk(spec):
+            raise AssertionError("the generator walk was reached")
+        monkeypatch.setattr(cli.genmod, "generators_with_check", walk)
+        monkeypatch.setattr(counting, "generators_with_check", walk)
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_BAD_INPUT and captured.out == ""
+        assert captured.err == "refused: hull dimension 11 exceeds cap 10\n"
+
+
+class TestZetaProductRoute:
+    """Weights with finitely many Witt exponents never sieve or pass primes."""
+
+    @staticmethod
+    def no_primes(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("entered the prime pass")
+        monkeypatch.setattr(eulermod, "_prime_pass", refuse)
+        monkeypatch.setattr(eulermod, "_odd_sieve", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--euler", "--projective-torus", "2"],
+        ["constants", "--euler", "--matrix", "1,1,-2"],
+        ["constants", "--euler", "--matrix", "1,1,-1,-1"],
+        ["constants", "--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2"]])
+    def test_no_prime_is_read(self, capsys, monkeypatch, argv):
+        self.no_primes(monkeypatch)
+        code, out = run_cli(argv, capsys)
+        assert code == 0 and json.loads(out)["euler"]["method"] == "zeta-product"
+
+    def test_111_still_enters_the_pass(self, monkeypatch):
+        self.no_primes(monkeypatch)
+        with pytest.raises(AssertionError, match="entered the prime pass"):
+            cli.main(["constants", "--euler", "--hypersurface", "1,1,1"])
+
 
 class TestProblemFiles:
     def test_round_trip(self, tmp_path, capsys):
@@ -706,8 +747,9 @@ for argv in (["constants", "--sargos-only", "--projective-torus", "3",
 
     def test_mpmath_loads_only_past_the_stored_prime_zeta_values(self):
         # the Euler assembly, the 30-digit strings and zeta(n + 1) of the
-        # sup-norm prediction take no mpmath; --precision 700 reads
-        # mp.primezeta and still prints the bytes it printed with mpmath
+        # sup-norm prediction take no mpmath; neither does the zeta product
+        # of (1,1) at --precision 700, which prints its golden bytes. The
+        # prime pass of (1,1,1) at --precision 700 reads mp.primezeta
         script = f"""
 import contextlib, io, sys
 import toric_density.cli as cli
@@ -725,9 +767,13 @@ for argv in (["constants", "--euler", "--hypersurface", "1,1,1", "--prime-cutoff
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     assert cli.main({GOLDEN_COMMANDS["euler_hypersurface_1_1_precision_700"]!r}) == 0
-assert 'mpmath' in sys.modules
+assert 'mpmath' not in sys.modules
 with open({str(GOLDEN / "euler_hypersurface_1_1_precision_700.json")!r}) as fh:
     assert out.getvalue() == fh.read()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["constants", "--euler", "--hypersurface", "1,1,1",
+                     "--precision", "700", "--prime-cutoff", "200"]) == 0
+assert 'mpmath' in sys.modules
 """
         self.run_script(script)
 

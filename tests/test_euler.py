@@ -3,10 +3,11 @@ import math
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toric_density import euler
@@ -341,8 +342,10 @@ class TestPrimePass:
             seen.append(p)
             return real(self, p)
         monkeypatch.setattr(RationalWeight, "truncation", spy)
-        spec, gens, df = diagonal("hypersurface", (1, 1))
-        euler_constant(spec, df.c, df.face_point_count, cutoff=1000, generators=gens)
+        # (1,1) is a zeta product now; (1,1,1) still takes the pass
+        spec, gens, df = diagonal("hypersurface", (1, 1, 1))
+        rep = euler_constant(spec, df.c, df.face_point_count, cutoff=1000, generators=gens)
+        assert rep.method == "prime-pass"
         assert seen and set(seen) == {2}
 
     def test_custom_weight_truncates_per_prime(self, monkeypatch):
@@ -477,3 +480,116 @@ class TestClosedForm:
                              generators=gens)
         with mp.workprec(200):
             assert abs(mpf(rep.value) - 1 / mp.zeta(2) ** 2) <= rep.error_bound
+
+
+def anchor(name):
+    """(spec, generators, c, K) of a named anchor weight at its polar vector."""
+    if name.startswith("P^"):
+        n = int(name[2:])
+        spec = toric_weight(validate_toric_matrix([], width=n + 1))
+        return spec, generators_with_check(spec), (Fraction(1),) * (n + 1), n + 1
+    kind, entries = name.split(" ")
+    spec, gens, df = diagonal(kind, tuple(int(x) for x in entries.split(",")))
+    return spec, gens, df.c, df.face_point_count
+
+
+# the anchors with finitely many Witt exponents: {k: c_kD}, E = prod zeta(k)^-c
+ZETA_ANCHORS = {
+    "P^1": {2: 1}, "P^2": {3: 1}, "P^3": {4: 1},
+    "hypersurface 1,1": {2: 1}, "hypersurface 1,2": {2: 1},
+    "matrix 1,1,-2": {2: 1}, "matrix 1,2,-3": {2: 1},
+    "matrix 1,1,-1,-1": {2: 2},
+}
+
+
+def prime_pass_only():
+    """Within this context every weight takes the prime pass."""
+    return mock.patch.object(euler, "_zeta_exponents", return_value=None)
+
+
+class TestZetaProduct:
+    @pytest.mark.parametrize("bits", [160, 700])
+    def test_zeta_fixed_within_three_units(self, bits):
+        with mp.workprec(bits + 100):
+            for k in range(2, 13):
+                got = mp.mpf(euler._zeta_fixed(k, bits))
+                assert abs(got - mp.ldexp(mp.zeta(k), bits)) <= 3
+
+    @pytest.mark.parametrize("name", sorted(ZETA_ANCHORS))
+    def test_anchor_exponents_and_values(self, name):
+        spec, gens, c, k_reg = anchor(name)
+        form = rational_weight(spec, c, gens)
+        assert euler._zeta_exponents(form, k_reg) == ZETA_ANCHORS[name]
+        for bits in (euler.DEFAULT_PRECISION, 700):
+            rep = euler_constant(spec, c, k_reg, cutoff=100, precision=bits,
+                                 generators=gens)
+            assert rep.method == "zeta-product" and rep.factors is None
+            with mp.workprec(bits + 100):
+                want = mp.fprod(mp.zeta(k) ** -x for k, x in ZETA_ANCHORS[name].items())
+                err = abs(mpf(rep.value) - want)
+            assert err <= rep.error_bound <= want * mp.ldexp(1, -bits)
+
+    def test_bound_stays_positive_past_the_float_range(self):
+        spec, gens, c, k_reg = anchor("hypersurface 1,1")
+        rep = euler_constant(spec, c, k_reg, cutoff=100, precision=4000, generators=gens)
+        assert rep.error_bound == math.ulp(0.0)
+        with mp.workprec(4100):
+            assert abs(mpf(rep.value) - 1 / mp.zeta(2)) < mp.ldexp(1, -3990)
+
+    def test_infinite_exponents_give_up_in_the_window(self):
+        # (1,1,1): (1 - x)^7 (1 + 7x + x^2) has c_2, c_3, ... = 27, -105, ...
+        spec, gens, c, k_reg = anchor("hypersurface 1,1,1")
+        form = rational_weight(spec, c, gens)
+        assert euler._witt_candidates(form, k_reg) is None
+        rep = euler_constant(spec, c, k_reg, cutoff=100, generators=gens)
+        assert rep.method == "prime-pass"
+
+    @pytest.mark.parametrize("name", sorted(ZETA_ANCHORS))
+    def test_a_dropped_factor_fails_the_identity(self, name, monkeypatch):
+        spec, gens, c, k_reg = anchor(name)
+        form = rational_weight(spec, c, gens)
+        exponents = euler._witt_candidates(form, k_reg)
+        assert euler._witt_identity(form, k_reg, exponents)
+        for j, x in exponents.items():
+            dropped = {**exponents, j: x - (1 if x > 0 else -1)}
+            dropped = {i: y for i, y in dropped.items() if y}
+            assert not euler._witt_identity(form, k_reg, dropped)
+            monkeypatch.setattr(euler, "_witt_candidates", lambda *_, d=dropped: d)
+            rep = euler_constant(spec, c, k_reg, cutoff=200, generators=gens)
+            monkeypatch.undo()
+            assert rep.method == "prime-pass"
+            with prime_pass_only():
+                plain = euler_constant(spec, c, k_reg, cutoff=200, generators=gens)
+            assert (rep.value, rep.error_bound) == (plain.value, plain.error_bound)
+
+    def test_keep_factors_lists_the_pass(self):
+        spec, gens, c, k_reg = anchor("matrix 1,2,-3")
+        rep = euler_constant(spec, c, k_reg, cutoff=200, generators=gens,
+                             keep_factors=True)
+        with prime_pass_only():
+            plain = euler_constant(spec, c, k_reg, cutoff=200, generators=gens,
+                                   keep_factors=True)
+        assert rep.method == "zeta-product" and plain.method == "prime-pass"
+        assert rep.factors == plain.factors
+        assert [f.p for f in rep.factors] == primes_up_to(200)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.just("hypersurface"), st.lists(st.integers(1, 4), min_size=2, max_size=3)),
+        st.tuples(st.just("matrix"), st.lists(st.integers(-3, 3), min_size=2, max_size=3))))
+    def test_inside_the_prime_pass_bound(self, case):
+        kind, entries = case
+        if kind == "matrix":
+            entries = entries + [-sum(entries)]
+            assume(all(entries) and abs(entries[-1]) <= 4)
+        try:
+            spec, gens, df = diagonal(kind, tuple(entries))
+        except ValueError:
+            assume(False)
+        rep = euler_constant(spec, df.c, df.face_point_count, cutoff=5000,
+                             generators=gens)
+        assume(rep.method == "zeta-product")
+        with prime_pass_only():
+            plain = euler_constant(spec, df.c, df.face_point_count, cutoff=5000,
+                                   generators=gens)
+        assert abs(rep.value - plain.value) <= plain.error_bound

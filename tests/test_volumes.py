@@ -584,6 +584,13 @@ class TestMahler:
         mc = mahler_constant(p).value
         assert abs(a0 - mc * 2 / 3) < 1e-8
 
+    def test_one_variable_error_bar_scales_with_the_value(self):
+        # 10^-12 X1^2 gives 10^6, whose ulp is about 1.2e-10
+        cv = mahler_constant(poly([(Fraction(1, 10 ** 12), (2,))]))
+        assert cv.method == "closed-form"
+        assert abs(cv.value - 1e6) <= cv.abs_error
+        assert cv.abs_error >= math.ulp(cv.value)
+
 
 class TestQuadratureGuards:
     def test_divergent_detector(self):
