@@ -380,10 +380,12 @@ def _common(p):
                         "hypersurface Euler factors are exact; only custom "
                         "weights of the library API truncate to it")
     p.add_argument("--prime-cutoff", type=int, default=100_000,
-                   help="largest prime of the Euler product's prime pass "
-                        "(default 100000); a weight whose product is a "
-                        "finite product of zeta values ignores it, except "
-                        "to list --full-factors")
+                   help="largest prime P of the Euler product's prime pass "
+                        "(default 100000); the primes past P enter through "
+                        "zeta_P(s) = zeta(s) prod_(p<=P) (1 - p^-s) at the "
+                        "Witt exponents. A weight whose product is a finite "
+                        "product of zeta values ignores it, except to list "
+                        "--full-factors")
     p.add_argument("--precision", type=int, default=160,
                    help="working precision in bits")
     p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)

@@ -9,37 +9,33 @@ Commutative Algebra, ch. 12). N comes from a short support walk times Q, and
 the local factor at p is N(x_p)/Q(x_p) with x_p = p^(-1/D). Custom weights
 keep a truncated walk with a certified geometric-polynomial tail bound.
 
-The product of the regularized factors (1 - 1/p)^K W(x_p) takes one of two
-routes. Write (1 - x)^K W(x) = prod_j (1 - y^j)^(c_j), y = x^(1/D), with
-the integer Witt exponents c_j. When finitely many are nonzero, all at
-j = k D, the product is exactly prod_k zeta(k)^(-c_(kD)) (Euler's product
-for zeta): `_zeta_exponents` finds and proves them, and `_zeta_product`
-evaluates it with a proven rounding bound. No prime is read. Every full
-torus, two-variable hypersurface, (1,1,-2), (1,2,-3) and the quadric
-(1,1,-1,-1) take this route.
+The product of the regularized factors (1 - 1/p)^K W(x_p) reads the integer
+Witt exponents c_j of (1 - x)^K W(x) = prod_j (1 - y^j)^(c_j), y = x^(1/D),
+and zeta at s = j/D > 1 from one fixed-point helper (`_zeta_fixed`, P.
+Borwein's series, exact integer roots at a non-integer s). With a_j the
+coefficients of W in y, log[(1 - x)^K W(x)] = sum_j b_j y^j follows from
+j b_j = j a_j - sum_(0<i<j) i b_i a_(j-i), which never reads a_0 = W(0) = 1,
+less K/m at j = m D (`_log_factor_expansion`), and the c_j from
+j b_j = -sum_(d|j) d c_d (`_witt_exponents`). Then one of two routes:
 
-Every other weight (infinitely many c_j, as for (1,1,1), an exponent at a
-non-integer j/D, or a custom weight) takes the prime pass. The regularized
-factors tend to 1 like p^(-(1+eps)), and the product over primes beyond
-the cutoff is corrected through the prime zeta function applied to
-log[(1 - x)^K W(x)] = sum_j b_j x^(j/D), over the integer exponents
-j <= EXPANSION_DEPTH D. With a_j the coefficients of W in x^(1/D), the b_j
-follow from the power-series recurrence j b_j = j a_j -
-sum_(0<i<j) i b_i a_(j-i), which never reads a_0 = W(0) = 1, less K/m at
-j = m D (`_log_factor_expansion`). One pass over the primes (`_prime_pass`),
-in one thread and in fixed-point integers, evaluates every factor and the
-partial prime sums that correction needs; `local_factor` and `keep_factors`
-read the same pass. The terms of an exact kind are read once, before the
-loop; a custom weight is truncated per prime.
+- finitely many c_j (`_zeta_exponents` finds and proves them): the product
+  is exactly prod_j zeta(j/D)^(-c_j), Euler's product for zeta, with a
+  proven rounding bound (`_zeta_product`), and no prime is read. Every full
+  torus, two-variable hypersurface, (1,1,-2), (1,2,-3), the quadric
+  (1,1,-1,-1) and the rows (1,-1,2,-2), (1,2,-1,-2) take it;
+- every other weight, such as (1,1,1) or a custom weight: one pass over the
+  primes p <= P (`_prime_pass`), in one thread and in fixed-point integers,
+  evaluates every factor and prod_(p<=P) (1 - p^(-j/D)) for the j <=
+  EXPANSION_DEPTH D. The primes past P give prod_j zeta_P(j/D)^(-c_j), with
+  zeta_P(s) = zeta(s) prod_(p<=P) (1 - p^(-s)). `local_factor` and
+  `keep_factors` read the same pass. The terms of an exact kind are read
+  once, before the loop; a custom weight is truncated per prime.
 
-The assembly stays exact as far as it can: the block products and the
-partial sums are dyadic integers, the correction sum_j b_j (P(j/D) -
-partial_j) is a Fraction, and one exp in a local decimal context, about
-`precision` bits wide, gives the value. So `LocalFactor.value` is the exact
-Fraction of the fixed-point pass and `EulerReport.value` a Decimal. The
-prime zeta values P(n) at integer n = 2..6 come from a table kept to
-PRIME_ZETA_BITS bits; mpmath is imported only for mp.primezeta at other
-exponents or at a higher working precision.
+The block products, the prime products and the zeta values are dyadic
+integers; the correction -sum_j c_j ln zeta_P(j/D) and one exp are taken in
+a local decimal context, about `precision` bits wide. So `LocalFactor.value`
+is the exact Fraction of the fixed-point pass and `EulerReport.value` a
+Decimal.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ import decimal
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -61,7 +56,7 @@ from .vectors import fracvec
 
 DEFAULT_CUTOFF = 100_000
 DEFAULT_PRECISION = 160
-EXPANSION_DEPTH = 6             # exponents kept in the log-factor expansion
+EXPANSION_DEPTH = 6             # Witt exponents j/D <= this correct the prime pass
 MAX_LEVEL = 100_000             # required_level gives up beyond this |v|
 # log partial sums are taken per block of primes, then added up: the block
 # size fixes the rounding of every reported value
@@ -72,34 +67,6 @@ EXACT_KINDS = ("toric", "hypersurface", "free")
 GUARD_BITS = 32
 # extra decimal digits of the final exp beyond `precision` bits
 GUARD_DIGITS = 8
-# P(n) = sum_p p^(-n) at the integer exponents 2 <= n <= EXPANSION_DEPTH,
-# the only ones the log expansion of every problem tried so far reads:
-# mp.primezeta at 700 bits, kept to 200 digits, so good to PRIME_ZETA_BITS
-# bits. At 160 bits one mp.primezeta call takes about as long as the
-# prime loop to 5000, and importing mpmath longer than that.
-PRIME_ZETA_BITS = 640
-PRIME_ZETA = {
-    2: "0.4522474200410654985065433648322479341732313432398924"
-       "217364189303511650273639108744489575443549068582228062"
-       "276669206310191740295043337534894547974809304821625666"
-       "8255972413163286426729409931685353298559",
-    3: "0.1747626392994435364231133146657067009754121219261492"
-       "898886720167016315895281295876356342005369725605467910"
-       "672277642496666845112160320244516618039306388941122020"
-       "2367732485350131983568781749342391781432",
-    4: "0.0769931397642468449426192959331578701620410597148431"
-       "902649380088592165704875642065103331067853962895420291"
-       "064188287288728654003973024769057459215026566097256010"
-       "64140610588432841102303452007363610270301",
-    5: "0.0357550174839242571328182425388557111316972767266513"
-       "316900926748239758342747279313660728064703767950896396"
-       "090984573170347370451201706643571300385368811906689046"
-       "18957015358122913191518817450057794467753",
-    6: "0.0170700868506365129541336732660593992095859418745442"
-       "447331633688369697367471724366718603500781806230288231"
-       "363175320366099991709744747411966349053193115515587652"
-       "58657749456216747408148948421877123388346",
-}
 
 
 def _odd_sieve(n: int) -> list:
@@ -296,14 +263,14 @@ def _series_source(spec: UniformMultiplicativeSpec, c, tol: float,
     return profile, lambda p: profile.truncation(p, tol)
 
 
-def _layout(scale: int, truncation, precision: int, zeta_powers=()):
+def _layout(scale: int, truncation, precision: int, witt_powers=()):
     """(bits, top, step, ops) of the fixed-point evaluation at any prime.
 
     They are read from the terms at p = 2, the most any prime keeps, and
-    from the powers zeta_powers of the prime zeta sums: the top exponent,
-    the gcd of D and every exponent, and the operations per factor. bits
-    adds the guard and the worst cancellation in N, at p = 2, where
-    N(x) >= Q(x) because W(x) >= W(0) = 1.
+    from the Witt exponents witt_powers whose prime products the pass
+    keeps: the top exponent, the gcd of D and every exponent, and the
+    operations per factor. bits adds the guard and the worst cancellation
+    in N, at p = 2, where N(x) >= Q(x) because W(x) >= W(0) = 1.
     """
     terms, den, _ = truncation(2)
     exps = [e for e, _ in terms] + list(den)
@@ -311,7 +278,7 @@ def _layout(scale: int, truncation, precision: int, zeta_powers=()):
     mass = sum(abs(a) for _, a in terms) * 2 * (top + 1)
     inv_q = -sum(math.log2(1 - 2.0 ** (-d / scale)) for d in den)
     bits = precision + GUARD_BITS + math.ceil(math.log2(mass) + inv_q)
-    return (bits, max([top, *zeta_powers]), math.gcd(scale, *exps, *zeta_powers),
+    return (bits, max([top, *witt_powers]), math.gcd(scale, *exps, *witt_powers),
             len(terms) + len(den) + 4)
 
 
@@ -340,7 +307,7 @@ def _to_decimal(x: Fraction, ctx: decimal.Context) -> decimal.Decimal:
 
 
 def _prime_pass(source, truncation, plist, k_reg: int, layout,
-                zeta_powers=(), keep_factors: bool = False):
+                witt_powers=(), keep_factors: bool = False):
     """Every regularized factor (1 - 1/p)^k_reg N(x_p)/Q(x_p) over plist.
 
     One pass in fixed-point integers, with layout = _layout(...). Per prime,
@@ -351,7 +318,8 @@ def _prime_pass(source, truncation, plist, k_reg: int, layout,
     (blocks, partial, tail_sum, factors):
     - blocks: one (m, s) per PRIME_BLOCK primes, their product m 2^-s,
       truncated to `bits` bits after every factor;
-    - partial: j -> sum_p x_p^j 2^bits for every j in zeta_powers;
+    - partial: j -> prod_p (1 - x_p^j) 2^bits for every j in witt_powers,
+      rounded to `bits` bits after every factor;
     - tail_sum: sum_p tail(p) / N(x_p), 0.0 for exact kinds;
     - factors: a LocalFactor per prime with keep_factors, else None.
     """
@@ -370,8 +338,9 @@ def _prime_pass(source, truncation, plist, k_reg: int, layout,
 
     if exact:
         terms, den, den_shift, tail = indexed(2)
-    # sum_p x_p^(i step) 2^bits, up to the last power a zeta sum reads
-    sums = [0] * (max(zeta_powers, default=0) // step + 1)
+    # prods[i] = prod_p (1 - x_p^(i step)) 2^bits for the powers i in span
+    span = sorted({j // step for j in witt_powers})
+    prods = [one] * (count + 1)
     blocks = []
     factors = [] if keep_factors else None
     tail_sum = 0.0
@@ -384,7 +353,8 @@ def _prime_pass(source, truncation, plist, k_reg: int, layout,
             for _ in range(count):
                 power = power * y >> bits
                 powers.append(power)
-            sums = list(map(operator.add, sums, powers))
+            for i in span:
+                prods[i] -= prods[i] * powers[i] >> bits
             if not exact:
                 terms, den, den_shift, tail = indexed(p)
             num = 0
@@ -408,7 +378,7 @@ def _prime_pass(source, truncation, plist, k_reg: int, layout,
                 block >>= excess
                 block_shift -= excess
         blocks.append((block, block_shift))
-    partial = {j: sums[j // step] for j in zeta_powers}
+    partial = {j: prods[j // step] for j in witt_powers}
     return blocks, partial, tail_sum, factors
 
 
@@ -439,35 +409,6 @@ def epsilon_gap(generators: LatticePointSet, c) -> Fraction:
                         default=scale), scale)
 
 
-def _round_bits(x: Fraction, bits: int) -> Fraction:
-    """x > 0 rounded to `bits` significant bits, ties to even, as mpmath rounds."""
-    n, d = x.numerator, x.denominator
-    shift = bits - n.bit_length() + d.bit_length()
-    while True:
-        num, den = (n << shift, d) if shift >= 0 else (n, d << -shift)
-        m, r = divmod(num, den)
-        if m.bit_length() <= bits:
-            break
-        shift -= 1
-    if 2 * r > den or (2 * r == den and m & 1):
-        m += 1
-    return _dyadic(m, shift)
-
-
-def _prime_zeta(e: Fraction, precision: int) -> Fraction:
-    """P(e) = sum_p p^(-e) rounded to `precision` bits.
-
-    The stored value where there is one, else mp.primezeta: the one place
-    the package imports mpmath.
-    """
-    if e.denominator == 1 and e.numerator in PRIME_ZETA and precision <= PRIME_ZETA_BITS:
-        return _round_bits(Fraction(PRIME_ZETA[e.numerator]), precision)
-    import mpmath as mp
-    with mp.workprec(precision):
-        man, exp = mp.primezeta(mp.mpf(e.numerator) / e.denominator).man_exp
-    return _dyadic(man, -exp)
-
-
 def _log_factor_expansion(coeffs: list, k_reg: int, scale: int) -> dict:
     """{j: b_j} with log[(1 - x)^K W(x)] = sum_j b_j x^(j/D), D = scale.
 
@@ -494,29 +435,36 @@ def _log_factor_expansion(coeffs: list, k_reg: int, scale: int) -> dict:
     return out
 
 
+def _witt_exponents(coeffs: list, k_reg: int, scale: int) -> dict:
+    """{j: c_j} over j <= top with (1 - y^D)^K W = prod_j (1 - y^j)^(c_j) to y^top.
+
+    coeffs holds a_0..a_top of W in y = x^(1/D). The c_j follow from the
+    log series (`_log_factor_expansion`) by j b_j = -sum_(d|j) d c_d, a
+    Moebius inversion in integers.
+    """
+    jc = [0] * len(coeffs)    # -j b_j less sum_(d|j, d<j) d c_d: j c_j once reached
+    for j, b in _log_factor_expansion(coeffs, k_reg, scale).items():
+        jc[j] = -int(j * b)
+    for j in range(1, len(jc)):
+        if jc[j]:
+            for m in range(2 * j, len(jc), j):
+                jc[m] -= jc[j]
+    return {j: x // j for j, x in enumerate(jc) if x}
+
+
 def _witt_candidates(form: RationalWeight, k_reg: int) -> Optional[dict]:
     """{j: c_j} over j <= L with (1 - y^D)^K N/Q = prod_j (1 - y^j)^(c_j), or None.
 
-    y = x^(1/D) and L = deg (1 - y^D)^K N Q. The c_j follow from the log
-    series (`_log_factor_expansion`) by j b_j = -sum_(d|j) d c_d. The sum of
-    j |c_j| over the exponents found so far only grows, so the walk gives
-    up (None) once it passes L. The window only decides whether the zeta
-    product is tried; `_witt_identity` is the proof.
+    y = x^(1/D) and L = deg (1 - y^D)^K N Q. A finite product within that
+    degree has sum_j j |c_j| <= L, so a larger sum gives up (None). The
+    window only decides whether the zeta product is tried; `_witt_identity`
+    is the proof.
     """
-    scale = form.scale
-    top = k_reg * scale + form.numerator[-1][0] + sum(form.denominator)
-    jc = [0] * (top + 1)      # -j b_j less sum_(d|j, d<j) d c_d: j c_j once reached
-    for j, b in _log_factor_expansion(form.series(top), k_reg, scale).items():
-        jc[j] = -int(j * b)
-    total = 0
-    for j in range(1, top + 1):
-        if jc[j]:
-            for m in range(2 * j, top + 1, j):
-                jc[m] -= jc[j]
-            total += abs(jc[j])
-            if total > top:
-                return None
-    return {j: x // j for j, x in enumerate(jc) if x}
+    top = k_reg * form.scale + form.numerator[-1][0] + sum(form.denominator)
+    exponents = _witt_exponents(form.series(top), k_reg, form.scale)
+    if sum(j * abs(x) for j, x in exponents.items()) > top:
+        return None
+    return exponents
 
 
 def _witt_identity(form: RationalWeight, k_reg: int, exponents: dict) -> bool:
@@ -538,61 +486,100 @@ def _witt_identity(form: RationalWeight, k_reg: int, exponents: dict) -> bool:
 
 
 def _zeta_exponents(form: RationalWeight, k_reg: int) -> Optional[dict]:
-    """{k: c_(kD)} with E = prod_k zeta(k)^(-c_(kD)) exactly, or None when
-    the candidates fail or one sits at a non-integer j/D."""
+    """{s: c_j} over s = j/D with E = prod zeta(s)^(-c_j) exactly, or None
+    when the candidates fail the identity."""
     exponents = _witt_candidates(form, k_reg)
-    scale = form.scale
-    if (exponents is None or not _witt_identity(form, k_reg, exponents)
-            or any(j % scale for j in exponents)):
+    if exponents is None or not _witt_identity(form, k_reg, exponents):
         return None
-    return {j // scale: x for j, x in exponents.items()}
+    return {Fraction(j, form.scale): x for j, x in exponents.items()}
 
 
-def _zeta_fixed(k: int, bits: int) -> int:
-    """An integer within 3 of 2^bits zeta(k), at an integer k >= 2.
-
-    P. Borwein's alternating series (An efficient algorithm for the Riemann
-    zeta function, 2000): zeta(k) (1 - 2^(1-k)) d_n = sum_(i<n)
-    (-1)^i (d_n - d_i) / (i+1)^k with d_i = n sum_(j<=i) (n+j-1)! 4^j /
-    ((n-j)! (2j)!), up to 3 (3 + sqrt 8)^(-n) / (1 - 2^(1-k)) in zeta(k):
-    one unit once 2^(2.54 n) >= 2^(bits+3). The n floored terms cost under
-    2n / d_n < 1 unit after the division, and its floor one more.
-    """
-    n = -(-(bits + 3) * 50 // 127)
+@functools.lru_cache(maxsize=8)
+def _borwein_weights(n: int) -> tuple:
+    """d_0..d_n of P. Borwein's zeta series, d_i = n sum_(j<=i) (n+j-1)! 4^j /
+    ((n-j)! (2j)!), in exact integers."""
     d, total, term = [], 0, 1
     for j in range(n + 1):
         total += term
         d.append(total)
         # exact: term_(j+1) (2j+1)(j+1) = term_j 2(n+j)(n-j)
         term = term * 2 * (n + j) * (n - j) // ((2 * j + 1) * (j + 1))
+    return tuple(d)
+
+
+# zeta at several s of one denominator reads the same roots
+_root_fixed = functools.lru_cache(maxsize=4096)(_x_fixed)
+
+
+def _power_fixed(m: int, s: Fraction, bits: int) -> int:
+    """floor(2^bits m^(-s)) at a rational s >= 0, exactly: the root of
+    m^(s - q) (`_x_fixed`), then one floored division by m^q, q = floor(s)."""
+    q, r = divmod(s.numerator, s.denominator)
+    return _root_fixed(m ** r, s.denominator, bits) // m ** q
+
+
+def _zeta_units(s) -> int:
+    """The units of 2^-bits within which `_zeta_fixed` reads zeta(s):
+    1 + max(2, ceil(1 / (1 - 2^(1-s)))), so 3 at every s >= 2, growing
+    like 1/(s - 1) towards s = 1."""
+    return 1 + max(2, math.ceil(1 / (1 - 2.0 ** (1 - s))))
+
+
+def _zeta_fixed(s, bits: int) -> int:
+    """An integer within _zeta_units(s) of 2^bits zeta(s), at a rational s > 1.
+
+    P. Borwein's alternating series (An efficient algorithm for the Riemann
+    zeta function, 2000): zeta(s) (1 - 2^(1-s)) d_n = sum_(i<n)
+    (-1)^i (d_n - d_i) / (i+1)^s (`_borwein_weights`), up to
+    3 (3 + sqrt 8)^(-n) r in zeta(s), r = 1 / (1 - 2^(1-s)): 3 r / 8 units
+    once 2^(2.54 n) >= 2^(bits+3). At an integer s the n floored terms
+    cost under n r / d_n < 1 unit after the division, and its floor one
+    more. At any other s, (i+1)^(-s) and 2^(1-s) are floored exactly
+    (`_power_fixed`) at `guard` more bits, with 2^guard > 4 (n + b) for
+    s = a/b; as zeta(s) < 1 + b, these floors cost under r / 3 units, so
+    the whole stays within 1 + 3 r / 8 + r / 3 < 1 + r.
+    """
+    s = Fraction(s)
+    n = -(-(bits + 3) * 50 // 127)
+    d = _borwein_weights(n)
+    if s.denominator == 1:
+        k = s.numerator
+        series = 0
+        for i in range(n):
+            term = ((d[n] - d[i]) << bits) // (i + 1) ** k
+            series += -term if i & 1 else term
+        return (series << (k - 1)) // (d[n] * ((1 << (k - 1)) - 1))
+    wide = bits + (n + s.denominator).bit_length() + 2
     series = 0
     for i in range(n):
-        term = ((d[n] - d[i]) << bits) // (i + 1) ** k
+        term = (d[n] - d[i]) * _power_fixed(i + 1, s, wide)
         series += -term if i & 1 else term
-    return (series << (k - 1)) // (d[n] * ((1 << (k - 1)) - 1))
+    return (series << bits) // (d[n] * ((1 << wide) - _power_fixed(2, s - 1, wide)))
 
 
 def _zeta_product(zetas: dict, precision: int):
-    """(E, error bound) of E = prod_k zeta(k)^(-c_k) over zetas = {k: c_k}.
+    """(E, error bound) of E = prod_s zeta(s)^(-c_s) over zetas = {s: c_s}.
 
-    Each zeta(k) >= 1 is read to bits = precision + GUARD_BITS, within a
-    relative 3 2^-bits, so the m = sum |c_k| factors are within 6 m 2^-bits
-    of E relatively (as long as 3 m 2^-bits <= 1/2). Rounding to the
-    decimal context adds below 10^(1-digits) / 2 relatively; the bound takes
-    10^(1-digits), whose other half covers the cross terms and the float
-    evaluation of the bound. Past about 1000 bits that bound underflows,
-    and the smallest positive float stands for it.
+    Each zeta(s) >= 1 is read to bits = precision + GUARD_BITS, within a
+    relative u_s 2^-bits with u_s = `_zeta_units`(s), so the factors are
+    within 2 m 2^-bits of E relatively, m = sum u_s |c_s| (as long as
+    m 2^-bits <= 1/2). Rounding to the decimal context adds below
+    10^(1-digits) / 2 relatively; the bound takes 10^(1-digits), whose
+    other half covers the cross terms and the float evaluation of the
+    bound. Past about 1000 bits that bound underflows, and the smallest
+    positive float stands for it.
     """
     bits = precision + GUARD_BITS
     num = den = 1
-    for k, x in zetas.items():
+    for s, x in zetas.items():
         if x > 0:
-            den *= _zeta_fixed(k, bits) ** x
+            den *= _zeta_fixed(s, bits) ** x
         else:
-            num *= _zeta_fixed(k, bits) ** -x
+            num *= _zeta_fixed(s, bits) ** -x
     ctx = _context(precision)
     value = _to_decimal(Fraction(num, den) * _dyadic(1, -bits * sum(zetas.values())), ctx)
-    rel = math.ldexp(6 * sum(map(abs, zetas.values())), -bits) + 10.0 ** (1 - ctx.prec)
+    units = sum(_zeta_units(s) * abs(x) for s, x in zetas.items())
+    rel = math.ldexp(2 * units, -bits) + 10.0 ** (1 - ctx.prec)
     return value, max(float(value) * rel, math.ulp(0.0))
 
 
@@ -611,7 +598,8 @@ def euler_constant(spec: UniformMultiplicativeSpec, c, k_reg: int,
     A matrix, hypersurface or free weight with a finite zeta product
     (`_zeta_exponents`) reports it (method "zeta-product"), and the cutoff
     only limits the factors listed with keep_factors. Every other weight
-    takes the prime pass with a prime-zeta tail correction (method
+    takes the prime pass, whose primes past the cutoff are corrected by
+    zeta_P at the Witt exponents up to the expansion depth (method
     "prime-pass"). Its reported error combines the correction remainder
     beyond the expansion depth, a rounding envelope scaled to the
     operations per factor, and, for custom weights only, the per-prime
@@ -639,19 +627,21 @@ def euler_constant(spec: UniformMultiplicativeSpec, c, k_reg: int,
                           else _series_source(spec, c, tol_pp, generators))
     scale = source.scale
     coeffs = source.series(EXPANSION_DEPTH * scale)
-    series = _log_factor_expansion(coeffs, k_reg, scale)
-    # the prime zeta correction reads sum_(p <= cutoff) x_p^j
-    zeta_powers = sorted(series)
-    layout = _layout(scale, truncation, precision, zeta_powers)
+    # the primes past the cutoff give prod_j zeta_P(j/D)^(-c_j), with
+    # zeta_P(s) = zeta(s) prod_(p <= cutoff) (1 - p^(-s)) and the pass
+    # keeping those products
+    witt = _witt_exponents(coeffs, k_reg, scale)
+    layout = _layout(scale, truncation, precision, witt)
     bits, ops = layout[0], layout[3]
     blocks, partial, tail_sum, factors = _prime_pass(
-        source, truncation, plist, k_reg, layout, zeta_powers, keep_factors)
+        source, truncation, plist, k_reg, layout, witt, keep_factors)
     product = _dyadic(math.prod(m for m, _ in blocks), sum(s for _, s in blocks))
-    correction = sum((coef * (_prime_zeta(Fraction(j, scale), precision)
-                              - _dyadic(partial[j], bits))
-                      for j, coef in sorted(series.items())), Fraction(0))
     ctx = _context(precision)
-    value = ctx.multiply(_to_decimal(product, ctx), ctx.exp(_to_decimal(correction, ctx)))
+    correction = decimal.Decimal(0)
+    for j, x in witt.items():
+        zeta_p = _dyadic(_zeta_fixed(Fraction(j, scale), bits) * partial[j], 2 * bits)
+        correction = ctx.subtract(correction, ctx.multiply(x, ctx.ln(_to_decimal(zeta_p, ctx))))
+    value = ctx.multiply(_to_decimal(product, ctx), ctx.exp(correction))
     # everything past the expansion depth is bounded by a crude integral
     depth_f = float(EXPANSION_DEPTH)
     mass = 1.0 + float(sum(abs(a) for a in coeffs[1:])) + k_reg

@@ -38,6 +38,8 @@ GOLDEN_COMMANDS = {
                                "--prime-cutoff", "200", "--euler-tol", "1e-6"],
     "euler_hypersurface_1_1_1": ["constants", "--euler", "--hypersurface", "1,1,1",
                                  "--prime-cutoff", "100", "--euler-tol", "1e-4"],
+    # zeta(3/2)^2 / (zeta(2) zeta(3)): a zeta product at a non-integer exponent
+    "euler_matrix_1_-1_2_-2": ["constants", "--euler", "--matrix", "1,-1,2,-2"],
     "euler_matrix_1_2_-3_full": ["constants", "--euler", "--matrix", "1,2,-3",
                                  "--prime-cutoff", "50", "--euler-tol", "1e-6",
                                  "--full-factors"],
@@ -744,14 +746,15 @@ for argv in (["constants", "--sargos-only", "--projective-torus", "3",
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+        return done.stdout
 
-    def test_mpmath_loads_only_past_the_stored_prime_zeta_values(self):
+    def test_no_command_loads_mpmath(self):
         # the Euler assembly, the 30-digit strings and zeta(n + 1) of the
         # sup-norm prediction take no mpmath; neither does the zeta product
-        # of (1,1) at --precision 700, which prints its golden bytes. The
-        # prime pass of (1,1,1) at --precision 700 reads mp.primezeta
+        # of (1,1) at --precision 700, which prints its golden bytes, nor
+        # the prime pass of (1,1,1) or zeta(3/2) of (1,-1,2,-2) at 700 bits
         script = f"""
-import contextlib, io, sys
+import contextlib, io, json, sys
 import toric_density.cli as cli
 assert 'mpmath' not in sys.modules, 'import'
 for argv in (["constants", "--euler", "--hypersurface", "1,1,1", "--prime-cutoff", "2000"],
@@ -773,9 +776,23 @@ with open({str(GOLDEN / "euler_hypersurface_1_1_precision_700.json")!r}) as fh:
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["constants", "--euler", "--hypersurface", "1,1,1",
                      "--precision", "700", "--prime-cutoff", "200"]) == 0
-assert 'mpmath' in sys.modules
+assert 'mpmath' not in sys.modules
+reports = []
+for bits in ("160", "700"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["constants", "--euler", "--matrix", "1,-1,2,-2",
+                         "--precision", bits]) == 0
+    assert 'mpmath' not in sys.modules, bits
+    reports.append(json.loads(out.getvalue())["euler"])
+print(json.dumps(reports))
 """
-        self.run_script(script)
+        reports = json.loads(self.run_script(script))
+        for rep in reports:
+            assert rep["method"] == "zeta-product"
+            with mp.workprec(rep["precision"] + 100):
+                want = mp.zeta(mp.mpf(3) / 2) ** 2 / (mp.zeta(2) * mp.zeta(3))
+                assert abs(mp.mpf(rep["value_str"]) - want) <= rep["error_bound"]
 
 
 def nstr30(x: Fraction) -> str:

@@ -29,12 +29,6 @@ def mpf(x):
     return mp.mpf(x.numerator) / x.denominator
 
 
-def dyadic(x) -> Fraction:
-    """An mpf as the exact Fraction it stands for."""
-    man, exp = x.man_exp
-    return Fraction(man) * Fraction(2) ** exp
-
-
 class TestPrimes:
     def test_small(self):
         assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -248,48 +242,6 @@ class TestLogFactorExpansion:
         assert all(type(j) is int for j in got)
 
 
-class TestPrimeZeta:
-    def test_stored_values(self):
-        assert sorted(euler.PRIME_ZETA) == list(range(2, int(euler.EXPANSION_DEPTH) + 1))
-        with mp.workprec(700):
-            for n, digits in euler.PRIME_ZETA.items():
-                want = mp.primezeta(n)
-                bound = want * mp.ldexp(1, -euler.PRIME_ZETA_BITS)
-                assert abs(mp.mpf(digits) - want) <= bound
-
-    def test_stored_values_round_like_primezeta(self):
-        for bits in (53, 160, euler.PRIME_ZETA_BITS):
-            with mp.workprec(bits):
-                for n in euler.PRIME_ZETA:
-                    assert euler._prime_zeta(Fraction(n), bits) == dyadic(mp.primezeta(n))
-
-    def test_other_exponents_and_precisions_call_primezeta(self, monkeypatch):
-        calls = []
-        real = mp.primezeta
-
-        def spy(x):
-            calls.append((x, mp.mp.prec))
-            return real(x)
-        monkeypatch.setattr(mp, "primezeta", spy)
-        euler._prime_zeta(Fraction(3), 160)
-        assert calls == []
-        with mp.workprec(160):
-            want = dyadic(real(mp.mpf(5) / 2))
-        assert euler._prime_zeta(Fraction(5, 2), 160) == want
-        euler._prime_zeta(Fraction(3), euler.PRIME_ZETA_BITS + 1)
-        assert calls == [(2.5, 160), (3, euler.PRIME_ZETA_BITS + 1)]
-
-    def test_products_unchanged_without_the_table(self, monkeypatch):
-        spec, gens, df = diagonal("hypersurface", (1, 1, 1))
-        stored = euler_constant(spec, df.c, df.face_point_count, cutoff=1000,
-                                generators=gens)
-        monkeypatch.setattr(euler, "PRIME_ZETA", {})
-        computed = euler_constant(spec, df.c, df.face_point_count, cutoff=1000,
-                                  generators=gens)
-        assert stored.value == computed.value
-        assert stored.error_bound == computed.error_bound
-
-
 class TestAssembly:
     def test_zeta_float_is_mpmath_rounded_once(self):
         assert [euler.zeta_float(k) for k in range(2, 81)] == \
@@ -306,16 +258,6 @@ class TestAssembly:
                          for bits in (euler.DEFAULT_PRECISION, 400))
         assert isinstance(default.value, Decimal)
         assert abs(default.value / wide.value - 1) < Decimal("1e-45")
-
-    def test_round_bits_ties_to_even(self):
-        assert euler._round_bits(Fraction(9, 8), 2) == 1
-        assert euler._round_bits(Fraction(11, 8), 2) == Fraction(3, 2)
-        assert euler._round_bits(Fraction(5, 4), 2) == 1
-        assert euler._round_bits(Fraction(7, 4), 2) == 2
-        # mpmath parses p/q with one correct rounding
-        with mp.workprec(20):
-            for x in (Fraction(1, 3), Fraction(10 ** 9 + 7, 3 ** 25), Fraction(2 ** 40 - 1)):
-                assert euler._round_bits(x, 20) == dyadic(mp.mpf(f"{x.numerator}/{x.denominator}"))
 
 
 class TestPrimePass:
@@ -493,12 +435,16 @@ def anchor(name):
     return spec, gens, df.c, df.face_point_count
 
 
-# the anchors with finitely many Witt exponents: {k: c_kD}, E = prod zeta(k)^-c
+# the anchors with finitely many Witt exponents: {s: c_j} at s = j/D,
+# E = prod zeta(s)^-c_j
 ZETA_ANCHORS = {
     "P^1": {2: 1}, "P^2": {3: 1}, "P^3": {4: 1},
     "hypersurface 1,1": {2: 1}, "hypersurface 1,2": {2: 1},
     "matrix 1,1,-2": {2: 1}, "matrix 1,2,-3": {2: 1},
     "matrix 1,1,-1,-1": {2: 2},
+    # zeta(3/2)^2 / (zeta(2) zeta(3)): an exponent at a non-integer j/D
+    "matrix 1,-1,2,-2": {Fraction(3, 2): -2, 2: 1, 3: 1},
+    "matrix 1,2,-1,-2": {Fraction(3, 2): -2, 2: 1, 3: 1},
 }
 
 
@@ -515,6 +461,39 @@ class TestZetaProduct:
                 got = mp.mpf(euler._zeta_fixed(k, bits))
                 assert abs(got - mp.ldexp(mp.zeta(k), bits)) <= 3
 
+    @pytest.mark.parametrize("bits", [160, 700])
+    def test_zeta_fixed_at_rational_s_within_its_units(self, bits):
+        with mp.workprec(bits + 100):
+            for s in map(Fraction, ("3/2", "4/3", "5/3", "5/4", "7/4", "9/4")):
+                got = mp.mpf(euler._zeta_fixed(s, bits))
+                assert abs(got - mp.ldexp(mp.zeta(mpf(s)), bits)) <= euler._zeta_units(s)
+
+    def test_zeta_fixed_at_integers_is_pinned(self):
+        # the integer series, unchanged since zeta_float first read it
+        assert [euler._zeta_fixed(k, 64) for k in range(2, 7)] == [
+            30343677749275472432, 22174036054620902275, 19965339697299096427,
+            19127940922055908218, 18766667099591166199]
+        assert all(euler._zeta_fixed(Fraction(k), 200) == euler._zeta_fixed(k, 200)
+                   for k in range(2, 7))
+
+    def test_zeta_units_grow_towards_one(self):
+        assert {euler._zeta_units(s) for s in (2, 3, 12, Fraction(9, 4), Fraction(5, 2))} == {3}
+        assert [euler._zeta_units(Fraction(s)) for s in ("7/4", "3/2", "4/3", "5/4")] == \
+            [4, 5, 6, 8]
+        # 1 / (1 - 2^(1-s)) lies within 1/2 above 1 / ((s - 1) ln 2)
+        for b in (10, 100, 1000):
+            units = euler._zeta_units(1 + Fraction(1, b))
+            assert 1 + b / math.log(2) <= units <= 3 + b / math.log(2)
+
+    def test_product_bound_counts_the_units_of_each_s(self):
+        for zetas in ({2: 1}, {Fraction(11, 10): -1}, {Fraction(3, 2): -2, 2: 1, 3: 1}):
+            value, bound = euler._zeta_product(zetas, 160)
+            with mp.workprec(300):
+                want = mp.fprod(mp.zeta(mpf(s)) ** -x for s, x in zetas.items())
+                assert abs(mpf(value) - want) <= bound
+            units = sum(euler._zeta_units(s) * abs(x) for s, x in zetas.items())
+            assert bound >= float(value) * math.ldexp(2 * units, -160 - euler.GUARD_BITS)
+
     @pytest.mark.parametrize("name", sorted(ZETA_ANCHORS))
     def test_anchor_exponents_and_values(self, name):
         spec, gens, c, k_reg = anchor(name)
@@ -525,7 +504,7 @@ class TestZetaProduct:
                                  generators=gens)
             assert rep.method == "zeta-product" and rep.factors is None
             with mp.workprec(bits + 100):
-                want = mp.fprod(mp.zeta(k) ** -x for k, x in ZETA_ANCHORS[name].items())
+                want = mp.fprod(mp.zeta(mpf(s)) ** -x for s, x in ZETA_ANCHORS[name].items())
                 err = abs(mpf(rep.value) - want)
             assert err <= rep.error_bound <= want * mp.ldexp(1, -bits)
 
@@ -593,3 +572,84 @@ class TestZetaProduct:
             plain = euler_constant(spec, df.c, df.face_point_count, cutoff=5000,
                                    generators=gens)
         assert abs(rep.value - plain.value) <= plain.error_bound
+        # every Witt exponent is within the expansion depth, so the pass's
+        # zeta_P correction is complete: only its rounding envelope is left
+        form = rational_weight(spec, df.c, gens)
+        assert max(euler._witt_candidates(form, df.face_point_count)) <= \
+            euler.EXPANSION_DEPTH * form.scale
+        ops = euler._layout(form.scale, form.truncation, plain.precision)[3]
+        envelope = len(primes_up_to(5000)) * ops * math.ldexp(1.0, 4 - plain.precision)
+        assert abs(rep.value - plain.value) <= float(plain.value) * envelope + rep.error_bound
+
+
+# the reference Euler products of TestTailCorrection: the Witt form
+# prod_(p <= P) f(p) prod_(j/D <= J) zeta_P(j/D)^(-c_j) at P and J far
+# past any cutoff tried, in mpmath at ORACLE_BITS
+ORACLE_BITS, ORACLE_CUTOFF, ORACLE_DEPTH = 400, 20_000, 40
+
+
+@functools.cache
+def witt_oracle(entries):
+    """The Euler product of the hypersurface weight `entries` at its
+    diagonal polar vector, as an mpf at ORACLE_BITS."""
+    spec, gens, df = diagonal("hypersurface", entries)
+    form = rational_weight(spec, df.c, gens)
+    k_reg, scale = df.face_point_count, form.scale
+    top = ORACLE_DEPTH * scale
+    a = form.series(top)
+    jb = [0] * (top + 1)            # j b_j of log W, in integers
+    for j in range(1, top + 1):
+        jb[j] = j * a[j] - sum(jb[i] * a[j - i] for i in range(1, j))
+    # log (1 - x)^K adds -K D to j b_j at j = m D; then j b_j = -sum_(d|j) d c_d
+    witt: dict = {}
+    for j in range(1, top + 1):
+        jc = -jb[j] + (k_reg * scale if j % scale == 0 else 0)
+        jc -= sum(d * c for d, c in witt.items() if j % d == 0)
+        if jc:
+            witt[j] = Fraction(jc, j)
+    assert all(c.denominator == 1 for c in witt.values())
+    step = math.gcd(scale, *witt, *(e for e, _ in form.numerator), *form.denominator)
+    with mp.workprec(ORACLE_BITS):
+        value = mp.mpf(1)
+        prods = {j: mp.mpf(1) for j in witt}
+        for p in primes_up_to(ORACLE_CUTOFF):
+            y = mp.power(p, -mp.mpf(step) / scale)
+            powers = [mp.mpf(1)]
+            for _ in range(top // step):
+                powers.append(powers[-1] * y)
+            num = mp.fsum(coef * powers[e // step] for e, coef in form.numerator)
+            den = mp.fprod(1 - powers[d // step] for d in form.denominator)
+            value *= (1 - mp.mpf(1) / p) ** k_reg * num / den
+            for j in witt:
+                prods[j] *= 1 - powers[j // step]
+        for j, c in witt.items():
+            value *= (mp.zeta(mp.mpf(j) / scale) * prods[j]) ** -int(c)
+        return value
+
+
+# the true errors of the log-series correction through the prime zeta
+# function that the zeta_P correction replaced, at cutoffs 100, 1000, 5000
+LOG_SERIES_ERRORS = {
+    (1, 1, 1): (5.378e-12, 3.171e-18, 1.623e-22),
+    (1, 1, 2): (6.192e-12, 3.626e-18, 1.855e-22),
+    (1, 2, 3): (2.923e-12, 1.688e-18, 8.623e-23),
+    (1, 1, 3): (1.064e-8, 1.236e-14, 1.226e-18),
+}
+
+
+class TestTailCorrection:
+    def test_oracle_is_the_anchor(self):
+        with mp.workprec(ORACLE_BITS):
+            assert abs(witt_oracle((1, 1, 1)) - mp.mpf("0.00131764115485317810981735")) < 1e-26
+
+    @pytest.mark.parametrize("entries", sorted(LOG_SERIES_ERRORS))
+    def test_within_the_bound_and_the_log_series_error(self, entries):
+        spec, gens, df = diagonal("hypersurface", entries)
+        for cutoff, before in zip((100, 1000, 5000), LOG_SERIES_ERRORS[entries]):
+            rep = euler_constant(spec, df.c, df.face_point_count, cutoff=cutoff,
+                                 generators=gens)
+            assert rep.method == "prime-pass"
+            with mp.workprec(ORACLE_BITS):
+                err = abs(mpf(rep.value) - witt_oracle(entries))
+            assert err <= rep.error_bound
+            assert err <= 1.1 * before

@@ -338,3 +338,20 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_module_of_the_package_imports_mpmath():
+    # mpmath is a test dependency only: zeta comes from euler._zeta_fixed
+    package = pathlib.Path(toric_density.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "mpmath" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
