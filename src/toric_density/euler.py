@@ -15,7 +15,7 @@ and zeta at s = j/D > 1 from one fixed-point helper (`_zeta_fixed`, P.
 Borwein's series, exact integer roots at a non-integer s). With a_j the
 coefficients of W in y, log[(1 - x)^K W(x)] = sum_j b_j y^j follows from
 j b_j = j a_j - sum_(0<i<j) i b_i a_(j-i), which never reads a_0 = W(0) = 1,
-less K/m at j = m D (`_log_factor_expansion`), and the c_j from
+less K/m at j = m D (`_log_terms`), and the c_j from
 j b_j = -sum_(d|j) d c_d (`_witt_exponents`). Then one of two routes:
 
 - finitely many c_j (`_zeta_exponents` finds and proves them): the product
@@ -409,44 +409,48 @@ def epsilon_gap(generators: LatticePointSet, c) -> Fraction:
                         default=scale), scale)
 
 
-def _log_factor_expansion(coeffs: list, k_reg: int, scale: int) -> dict:
-    """{j: b_j} with log[(1 - x)^K W(x)] = sum_j b_j x^(j/D), D = scale.
+def _log_terms(coeffs: list, k_reg: int, scale: int):
+    """Yield (j, j b_j) in integers, j = D+1..top, one at a time, with
+    log[(1 - x)^K W(x)] = sum_j b_j x^(j/D), D = scale.
 
-    coeffs holds a_0..a_top of W in y = x^(1/D), and j runs over the
-    integers 1..top. The log of W comes from the power-series recurrence
-    j b_j = j a_j - sum_(0<i<j) i b_i a_(j-i), in integers i b_i and over
-    the nonzero a only; a_0 = W(0) = 1 is not read. Then log (1 - x)^K
-    takes K/m off b_j at j = m D. Only nonzero b_j are kept. The b_j with j <= D must vanish
-    (the face weight equals K), otherwise the product has no finite
-    regularized limit.
+    coeffs holds a_0..a_top of W in y = x^(1/D). The log of W comes from the
+    power-series recurrence j b_j = j a_j - sum_(0<i<j) i b_i a_(j-i), in
+    integers i b_i and over the nonzero a only; a_0 = W(0) = 1 is not read.
+    Then log (1 - x)^K takes K/m off b_j at j = m D. The b_j with j <= D must
+    vanish (the face weight equals K), otherwise the product has no finite
+    regularized limit: that raises before the first yield.
     """
     terms = [(k, a) for k, a in enumerate(coeffs) if k and a]
     jb = [0] * len(coeffs)          # jb[j] = j b_j of log W, an integer
-    out = {}
+    bad = []
     for j in range(1, len(coeffs)):
         jb[j] = j * coeffs[j] - sum(jb[j - k] * a for k, a in terms if k < j)
-        b = Fraction(jb[j] - (0 if j % scale else k_reg * scale), j)
-        if b:
-            out[j] = b
-    bad = [Fraction(j, scale) for j in out if j <= scale]
-    if bad:
-        raise ValueError(
-            f"face weight inconsistent with K={k_reg}: surviving exponents {bad}")
-    return out
+        x = jb[j] - (0 if j % scale else k_reg * scale)
+        if j > scale:
+            yield j, x
+        elif x:
+            bad.append(Fraction(j, scale))
+        if bad and j == min(scale, len(coeffs) - 1):
+            raise ValueError(
+                f"face weight inconsistent with K={k_reg}: surviving exponents {bad}")
 
 
-def _witt_exponents(coeffs: list, k_reg: int, scale: int) -> dict:
+def _witt_exponents(coeffs: list, k_reg: int, scale: int, limit=math.inf) -> Optional[dict]:
     """{j: c_j} over j <= top with (1 - y^D)^K W = prod_j (1 - y^j)^(c_j) to y^top.
 
     coeffs holds a_0..a_top of W in y = x^(1/D). The c_j follow from the
-    log series (`_log_factor_expansion`) by j b_j = -sum_(d|j) d c_d, a
-    Moebius inversion in integers.
+    log series (`_log_terms`) by j b_j = -sum_(d|j) d c_d, a Moebius
+    inversion in integers, one j at a time. With a limit, None as soon as
+    sum_j j |c_j| passes it.
     """
     jc = [0] * len(coeffs)    # -j b_j less sum_(d|j, d<j) d c_d: j c_j once reached
-    for j, b in _log_factor_expansion(coeffs, k_reg, scale).items():
-        jc[j] = -int(j * b)
-    for j in range(1, len(jc)):
+    weight = 0
+    for j, x in _log_terms(coeffs, k_reg, scale):
+        jc[j] -= x
         if jc[j]:
+            weight += abs(jc[j])
+            if weight > limit:
+                return None
             for m in range(2 * j, len(jc), j):
                 jc[m] -= jc[j]
     return {j: x // j for j, x in enumerate(jc) if x}
@@ -456,15 +460,12 @@ def _witt_candidates(form: RationalWeight, k_reg: int) -> Optional[dict]:
     """{j: c_j} over j <= L with (1 - y^D)^K N/Q = prod_j (1 - y^j)^(c_j), or None.
 
     y = x^(1/D) and L = deg (1 - y^D)^K N Q. A finite product within that
-    degree has sum_j j |c_j| <= L, so a larger sum gives up (None). The
-    window only decides whether the zeta product is tried; `_witt_identity`
-    is the proof.
+    degree has sum_j j |c_j| <= L, so the series gives up (None) once the
+    sum passes L. The window only decides whether the zeta product is
+    tried; `_witt_identity` is the proof.
     """
     top = k_reg * form.scale + form.numerator[-1][0] + sum(form.denominator)
-    exponents = _witt_exponents(form.series(top), k_reg, form.scale)
-    if sum(j * abs(x) for j, x in exponents.items()) > top:
-        return None
-    return exponents
+    return _witt_exponents(form.series(top), k_reg, form.scale, limit=top)
 
 
 def _witt_identity(form: RationalWeight, k_reg: int, exponents: dict) -> bool:

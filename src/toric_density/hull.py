@@ -8,6 +8,9 @@ description method revisited", 1996): no other ray's tight set contains
 their common one. The central object is the upward-closed hull
 conv(points) + R_+^n, described by facets (w, m) meaning <w, x> >= m holds
 on the hull and with equality on the facet; normals and offsets are ints.
+A polytope's volume takes one double description too: on the lifted points
+(p, 1) the tight sets are the facets' point sets, and a pulling
+triangulation recurses on these bitmasks, with no hull of any face.
 """
 
 from __future__ import annotations
@@ -48,12 +51,10 @@ def _idot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
-def dual_rays(gens, dim):
-    """Extreme rays of the cone {z : <g, z> >= 0 for every g in gens}.
-
-    Returns primitive integer tuples. Raises ValueError if the dual cone
-    still contains a line (the primal cone is not full dimensional).
-    """
+def _tight_rays(gens, dim):
+    """(rays, tight) of `dual_rays`: tight[i] is the bitmask of the gens
+    vanishing on rays[i], bit j for the j-th of the nonzero gens after
+    scaling to primitive vectors and dropping repeats."""
     gens = _dedup([primitive(g) for g in gens if not is_zero(g)])
     lineality = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     # rays[i] with tight[i], the bitmask of processed gens vanishing on it
@@ -108,7 +109,16 @@ def dual_rays(gens, dim):
 
     if lineality:
         raise ValueError("dual cone contains a line (degenerate input)")
-    return rays
+    return rays, tight
+
+
+def dual_rays(gens, dim):
+    """Extreme rays of the cone {z : <g, z> >= 0 for every g in gens}.
+
+    Returns primitive integer tuples. Raises ValueError if the dual cone
+    still contains a line (the primal cone is not full dimensional).
+    """
+    return _tight_rays(gens, dim)[0]
 
 
 def _integer_facets(gens, n):
@@ -154,36 +164,21 @@ def polytope_facets(points, n):
     return _integer_facets([p + (1,) for p in pts], n)
 
 
-def _triangulate_map(proj, idx, n):
-    """Triangulate the full-dimensional hull of n-coordinate integer points.
+def _face_simplices(mask, dim, facet_masks):
+    """The simplices, as bitmasks of their points, of a pulling triangulation
+    of the face of dimension dim whose points are the bits of mask.
 
-    Coordinates are carried in a dict keyed by original index so that the
-    recursion (apex over opposite facets, facets projected one coordinate
-    down) can return index tuples referring to the caller's point list.
+    A face with dim + 1 points is a simplex. Otherwise its lowest point is
+    coned over each of its facets that misses it; those are the maximal
+    proper intersections of mask with the polytope's facets.
     """
-    pts = {i: proj[i] for i in idx}
-
-    if n == 1:
-        lo = min(idx, key=lambda i: pts[i])
-        hi = max(idx, key=lambda i: pts[i])
-        return [(lo, hi)]
-    if len(idx) == n + 1:
-        return [tuple(idx)]
-    local = [pts[i] for i in idx]
-    facets = _integer_facets([p + (1,) for p in local], n)
-    apex_local = min(range(len(idx)), key=lambda k: local[k])
-    apex = idx[apex_local]
-    out = []
-    for w, m in facets:
-        if _idot(w, local[apex_local]) == m:
-            continue
-        face_idx = [idx[k] for k in range(len(idx)) if _idot(w, local[k]) == m]
-        drop = next(j for j in range(n) if w[j] != 0)
-        sub = _triangulate_map({i: tuple(x for j, x in enumerate(pts[i]) if j != drop)
-                                for i in face_idx}, face_idx, n - 1)
-        for s in sub:
-            out.append((apex,) + s)
-    return out
+    if mask.bit_count() == dim + 1:
+        return [mask]
+    apex = mask & -mask
+    cuts = {mask & f for f in facet_masks} - {mask, 0}
+    facets = [c for c in cuts if not any(c != o and c & o == c for o in cuts)]
+    return [apex | s for face in facets if not face & apex
+            for s in _face_simplices(face, dim - 1, facet_masks)]
 
 
 def _det(mat) -> int:
@@ -210,21 +205,26 @@ def _det(mat) -> int:
 def polytope_volume(points) -> Fraction:
     """Exact Lebesgue volume of conv(points); 0 for lower-dimensional hulls.
 
-    The points are scaled by the common denominator L of their coordinates,
-    the integer simplices summed, and the total divided once by n! L^n.
+    The points are scaled by the common denominator L of their coordinates
+    and sorted. One double description of the lifted points (p, 1) gives
+    the facet-point incidences, which the pulling triangulation
+    (`_face_simplices`) recurses on; the |det| of its simplices are summed
+    and the total divided once by n! L^n.
     """
     pts = _dedup([fracvec(p) for p in points])
     if not pts:
         return Fraction(0)
     n = len(pts[0])
     den = lcm(*(x.denominator for p in pts for x in p))
-    ipts = [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
+    ipts = sorted(tuple(x.numerator * (den // x.denominator) for x in p) for p in pts)
     base = ipts[0]
     if rank([tuple(a - b for a, b in zip(p, base)) for p in ipts[1:]]) < n:
         return Fraction(0)
-    simplices = _triangulate_map(dict(enumerate(ipts)), list(range(len(ipts))), n)
+    # (p, 1) is primitive and the points distinct, so bit i is ipts[i], and
+    # the lowest bit of a face is its lowest point, one of its vertices
+    _, facet_masks = _tight_rays([p + (1,) for p in ipts], n + 1)
     total = 0
-    for s in simplices:
-        p0 = ipts[s[0]]
-        total += abs(_det([tuple(a - b for a, b in zip(ipts[i], p0)) for i in s[1:]]))
+    for simplex in _face_simplices((1 << len(ipts)) - 1, n, facet_masks):
+        p0, *rest = (p for i, p in enumerate(ipts) if simplex >> i & 1)
+        total += abs(_det([tuple(a - b for a, b in zip(p, p0)) for p in rest]))
     return Fraction(total, factorial(n) * den ** n)

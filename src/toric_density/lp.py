@@ -1,12 +1,17 @@
-"""Dense two-phase simplex over exact rationals.
+"""Dense two-phase simplex over exact rationals, in integers.
 
-Small problems only (tens of variables); every pivot is exact, Bland's rule
-guarantees termination. Variables are nonnegative.
+Small problems only (tens of variables); Bland's rule guarantees
+termination. Variables are nonnegative. The tableau is an integer matrix T
+over one denominator d > 0, pivoted by the integer-preserving update of
+Edmonds (1967) and Bareiss (1968) and reduced by the gcd of T and d.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 
 from .vectors import frac
 
@@ -19,45 +24,42 @@ class Unbounded(Exception):
     pass
 
 
-def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    tab[row] = [x / piv for x in tab[row]]
-    prow = tab[row]
+def _pivot(tab, basis, d, row, col) -> int:
+    """Pivot tab/d on (row, col) in place; returns the new denominator."""
+    p, prow = tab[row][col], tab[row]
     for i, line in enumerate(tab):
-        if i != row and line[col] != 0:
-            f = line[col]
-            tab[i] = [a - f * b for a, b in zip(line, prow)]
+        f = line[col]
+        tab[i] = ([a * d for a in prow] if i == row else
+                  [a * p - f * b for a, b in zip(line, prow)] if f else [a * p for a in line])
+    d *= p
+    g = gcd(d, *chain.from_iterable(tab)) * (1 if d > 0 else -1)  # a drive-out p can be < 0
+    if g != 1:
+        tab[:] = [[a // g for a in line] for line in tab]
     basis[row] = col
+    return d // g
 
 
-def _run_simplex(tab, basis, cost, width, banned=frozenset()):
-    """Minimize cost over the tableau; cost has `width` entries (one per column)."""
-    m = len(tab)
+def _run_simplex(tab, basis, d, cost, width, banned=frozenset()):
+    """Minimize the integer cost over tab/d; cost has `width` entries (one per
+    column). Returns (d, the objective times d)."""
     while True:
-        # reduced costs r_j = c_j - c_B . column_j
-        cb = [cost[basis[i]] for i in range(m)]
-        entering = -1
-        for j in range(width):
-            if j in basis or j in banned:
-                continue
-            r = cost[j] - sum(cb[i] * tab[i][j] for i in range(m))
-            if r < 0:
-                entering = j
-                break  # Bland: smallest index
+        # z_j = c_B . T_j, so d times the reduced cost r_j is d c_j - z_j
+        cb = [cost[b] for b in basis]
+        z = [sum(map(mul, cb, col)) for col in zip(*tab)] or [0] * (width + 1)
+        skip = banned.union(basis)          # Bland: the first column with r_j < 0
+        entering = next((j for j in range(width) if j not in skip and d * cost[j] < z[j]), -1)
         if entering < 0:
-            obj = sum(cb[i] * tab[i][-1] for i in range(m))
-            return obj
-        ratio = None
+            return d, z[-1]
+        # least ratio rhs/a over a > 0, cross-multiplied; ties to the least basis index
         leave = -1
-        for i in range(m):
-            a = tab[i][entering]
-            if a > 0:
-                t = tab[i][-1] / a
-                if ratio is None or t < ratio or (t == ratio and basis[i] < basis[leave]):
-                    ratio, leave = t, i
+        for i, line in enumerate(tab):
+            if line[entering] > 0 and (leave < 0 or (
+                    line[-1] * tab[leave][entering], basis[i])
+                    < (tab[leave][-1] * line[entering], basis[leave])):
+                leave = i
         if leave < 0:
             raise Unbounded()
-        _pivot(tab, basis, leave, entering)
+        d = _pivot(tab, basis, d, leave, entering)
 
 
 def solve_lp(objective, a_eq=(), b_eq=(), a_ge=(), b_ge=(), maximize=False):
@@ -65,37 +67,29 @@ def solve_lp(objective, a_eq=(), b_eq=(), a_ge=(), b_ge=(), maximize=False):
 
     Returns (optimal value, x) as exact Fractions.
     """
-    obj = [frac(c) for c in objective]
+    obj = [-frac(c) if maximize else frac(c) for c in objective]
     n = len(obj)
-    if maximize:
-        obj = [-c for c in obj]
 
-    rows = []
-    for a, b in zip(a_eq, b_eq):
-        rows.append(([frac(x) for x in a], frac(b), 0))
-    for a, b in zip(a_ge, b_ge):
-        rows.append(([frac(x) for x in a], frac(b), -1))  # surplus coefficient
-
+    rows = [([frac(x) for x in a], frac(b)) for a, b in zip(a_eq, b_eq)]
+    neq = len(rows)
+    rows += [([frac(x) for x in a], frac(b)) for a, b in zip(a_ge, b_ge)]
     m = len(rows)
-    nslack = sum(1 for r in rows if r[2] != 0)
+    nslack = m - neq
     width = n + nslack + m  # structural + surplus + artificial
+    d = lcm(1, *(x.denominator for a, b in rows for x in a + [b]))
     tab = []
-    sidx = 0
-    for a, b, s in rows:
-        line = list(a) + [Fraction(0)] * (nslack + m) + [b]
-        if s:
-            line[n + sidx] = Fraction(s)
-            sidx += 1
+    for i, (a, b) in enumerate(rows):
+        sign = -1 if b < 0 else 1       # make rhs nonnegative
+        line = [sign * x.numerator * (d // x.denominator) for x in a + [b]]
+        line[n:n] = [0] * (nslack + m)
+        if i >= neq:
+            line[n + i - neq] = -sign * d   # surplus
+        line[n + nslack + i] = d        # artificials are the starting basis
         tab.append(line)
-    # make rhs nonnegative, then attach artificials as the starting basis
-    for i in range(m):
-        if tab[i][-1] < 0:
-            tab[i] = [-x for x in tab[i]]
-        tab[i][n + nslack + i] = Fraction(1)
     basis = [n + nslack + i for i in range(m)]
 
-    phase1 = [Fraction(0)] * (n + nslack) + [Fraction(1)] * m
-    art_sum = _run_simplex(tab, basis, phase1, width)
+    phase1 = [0] * (n + nslack) + [1] * m
+    d, art_sum = _run_simplex(tab, basis, d, phase1, width)
     if art_sum != 0:
         raise Infeasible()
     # pivot any lingering artificial out of the basis (or drop a redundant row)
@@ -103,18 +97,17 @@ def solve_lp(objective, a_eq=(), b_eq=(), a_ge=(), b_ge=(), maximize=False):
         if basis[i] >= n + nslack:
             col = next((j for j in range(n + nslack) if tab[i][j] != 0), None)
             if col is None:
-                del tab[i]
-                del basis[i]
+                del tab[i], basis[i]
             else:
-                _pivot(tab, basis, i, col)
+                d = _pivot(tab, basis, d, i, col)
 
-    phase2 = list(obj) + [Fraction(0)] * (nslack + m)
+    scale = lcm(1, *(c.denominator for c in obj))
+    phase2 = [c.numerator * (scale // c.denominator) for c in obj] + [0] * (nslack + m)
     banned = frozenset(range(n + nslack, width))
-    val = _run_simplex(tab, basis, phase2, width, banned)
+    d, val = _run_simplex(tab, basis, d, phase2, width, banned)
     x = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = tab[i][-1]
-    if maximize:
-        val = -val
-    return val, tuple(x)
+            x[b] = Fraction(tab[i][-1], d)
+    val = Fraction(val, d * scale)
+    return (-val if maximize else val), tuple(x)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from . import lp
@@ -93,11 +95,15 @@ def diagonal_block(facets, points) -> tuple:
     its points from the first and then the recession units."""
     n = len(points[0])
     t0 = diagonal_hit(facets)
-    diag = (t0,) * n
-    active = [(w, m) for w, m in facets if dot(w, diag) == m]
+    active = [(w, m) for w, m in facets if t0.numerator * sum(w) == m * t0.denominator]
     if not active:
         raise InvariantError("diagonal ray must exit through some facet")
-    on_face = [p for p in points if all(dot(w, p) == m for w, m in active)]
+    on_face = []
+    for p in points:        # <w, p> = m as <w, q> = m den, q = den p integral
+        den = lcm(*(x.denominator for x in p))
+        q = [x.numerator * (den // x.denominator) for x in p]
+        if all(sum(map(mul, w, q)) == m * den for w, m in active):
+            on_face.append(p)
     recession = [i for i in range(n) if all(w[i] == 0 for w, _ in active)]
     span = [vsub(p, on_face[0]) for p in on_face[1:]]
     span += [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in recession]

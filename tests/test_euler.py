@@ -234,10 +234,10 @@ class TestLogFactorExpansion:
             want = truncated_log_expansion(weights, k_reg, Fraction(euler.EXPANSION_DEPTH))
         except ValueError as err:
             with pytest.raises(ValueError) as got:
-                euler._log_factor_expansion(coeffs, k_reg, scale)
+                list(euler._log_terms(coeffs, k_reg, scale))
             assert str(got.value) == str(err)
             return
-        got = euler._log_factor_expansion(coeffs, k_reg, scale)
+        got = {j: Fraction(x, j) for j, x in euler._log_terms(coeffs, k_reg, scale) if x}
         assert {Fraction(j, scale): b for j, b in got.items()} == want
         assert all(type(j) is int for j in got)
 
