@@ -74,7 +74,7 @@ def _list(x) -> list:
 
 def _ints(x) -> tuple:
     ints = tuple(int(y) for y in _list(x))
-    if ints != tuple(x):
+    if ints != tuple(x) or any(isinstance(y, bool) for y in x):
         raise ValueError("not integers")
     return ints
 

@@ -89,7 +89,7 @@ from .model import (GeneralizedPolynomial, InvariantError, ToricProblem,
                     restrict_to_hypersurface, sign_count)
 from .polyhedron import build_polyhedron, diagonal_face, face_points
 from .quadrature import ConstantValue
-from .vectors import frac, rank
+from .vectors import frac, iroot, rank
 from .volumes import MixedTypeT, mixed_volume_constant
 
 
@@ -144,23 +144,6 @@ class ManinReport:
     stabilized: bool
 
 
-def _iroot(x: int, k: int) -> int:
-    """Floor integer k-th root, Newton on integers."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0 or k == 1:
-        return x
-    r = 1 << ((x.bit_length() + k - 1) // k)
-    while True:
-        nr = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nr >= r:
-            break
-        r = nr
-    while r ** k > x:
-        r -= 1
-    return r
-
-
 def _height_data(poly: GeneralizedPolynomial, t: Fraction):
     """(integer terms, limit): height <= t iff the terms sum to at most limit."""
     if not poly.has_integer_exponents:
@@ -211,12 +194,12 @@ def _height_mask(terms, limit, coords):
 
 def _int_roots(x, k):
     """Integer k-th roots of the array x: x itself for k = 1, exact roots
-    (`_iroot`) of an object array, else the int64 rounding of the float
+    (`iroot`) of an object array, else the int64 rounding of the float
     root, which the caller confirms exactly."""
     if k == 1:
         return x
     if x.dtype == object:
-        return np.array([_iroot(v, k) for v in x.tolist()], dtype=object)
+        return np.array([iroot(v, k) for v in x.tolist()], dtype=object)
     return np.rint(x.astype(np.float64) ** (1.0 / k)).astype(np.int64)
 
 
@@ -810,7 +793,7 @@ def _count_two_var(a, box, hdata, budget, threads) -> int:
     """Coprime (w1, w2) on the pair grid, with the height's integer terms
     pulled back to (w1, w2) for the exact mask."""
     powers = _two_var_powers(a)
-    w1max, w2max = _iroot(box, powers[0][0]), _iroot(box, powers[1][1])
+    w1max, w2max = iroot(box, powers[0][0]), iroot(box, powers[1][1])
     if w1max * w2max > budget:
         raise BoxTooLarge(f"pair grid {w1max} x {w2max} exceeds budget {budget:.3g}")
     v1 = np.arange(1, w1max + 1, dtype=np.int64)
@@ -856,7 +839,7 @@ def _count_prefix_solve(a, box, hdata, budget, threads) -> int:
         raise BoxTooLarge(f"box {box} is beyond the int64 valuation solve")
     dtype = np.int64 if cap ** q < 2 ** 63 else object
     vec = np.arange(1, box + 1, dtype=np.int64)
-    jpow = np.array([j ** step for j in range(1, _iroot(box, step) + 1)], dtype=np.int64)
+    jpow = np.array([j ** step for j in range(1, iroot(box, step) + 1)], dtype=np.int64)
 
     def factor(p, s):
         """min(p^e, cap) for the least e >= 0 with s + a_n e = 0 mod q, and

@@ -12,8 +12,8 @@ keep a truncated walk with a certified geometric-polynomial tail bound.
 The product of the regularized factors (1 - 1/p)^K W(x_p) reads the integer
 Witt exponents c_j of (1 - x)^K W(x) = prod_j (1 - y^j)^(c_j), y = x^(1/D),
 and zeta at s = j/D > 1 from one fixed-point helper (`_zeta_fixed`, P.
-Borwein's series, exact integer roots at a non-integer s). With a_j the
-coefficients of W in y, log[(1 - x)^K W(x)] = sum_j b_j y^j follows from
+Borwein's series, exact roots `vectors.iroot` at a non-integer s). With a_j
+the coefficients of W in y, log[(1 - x)^K W(x)] = sum_j b_j y^j follows from
 j b_j = j a_j - sum_(0<i<j) i b_i a_(j-i), which never reads a_0 = W(0) = 1,
 less K/m at j = m D (`_log_terms`), and the c_j from
 j b_j = -sum_(d|j) d c_d (`_witt_exponents`). Then one of two routes:
@@ -52,7 +52,7 @@ from .generators import LatticePointSet, generators_with_check
 # NonPositivePolar is raised by the support walk and importable from here
 from .model import (InvariantError, NonPositivePolar,  # noqa: F401
                     UniformMultiplicativeSpec, polar_scale)
-from .vectors import fracvec
+from .vectors import dot, fracvec, iroot, scaled
 
 DEFAULT_CUTOFF = 100_000
 DEFAULT_PRECISION = 160
@@ -145,8 +145,8 @@ def rational_weight(spec: UniformMultiplicativeSpec, c,
                     generators: Optional[LatticePointSet] = None) -> RationalWeight:
     """The exact N/Q of a matrix, hypersurface or free weight at polar vector c.
 
-    Q comes from the unit vectors (free) or from the support generators,
-    computed when none are given. N is the support walk to
+    Q comes from the support generators, computed when none are given (the
+    unit vectors for a free weight). N is the support walk to
     2 deg Q + D times Q; its coefficients past deg Q must vanish. A zero
     window of length L past deg Q makes W Q a polynomial of degree <= deg Q
     even if generators whose degrees add up to at most L were missing, so
@@ -155,22 +155,15 @@ def rational_weight(spec: UniformMultiplicativeSpec, c,
     if spec.kind not in EXACT_KINDS:
         raise ValueError(f"no closed form for a {spec.kind} weight")
     scale = polar_scale(c)
-    steps = [int(x * scale) for x in fracvec(c)]
-    if spec.kind == "free":
-        points = [tuple(int(i == j) for j in range(spec.arity)) for i in range(spec.arity)]
-    elif generators is not None:
-        points = generators.points
-    else:
-        points = _generator_points(spec)
-    denominator = tuple(sorted(sum(s * x for s, x in zip(steps, h)) for h in points))
+    steps = scaled(c)[1]
+    points = generators.points if generators is not None else _generator_points(spec)
+    denominator = tuple(sorted(dot(steps, h) for h in points))
     deg_q = sum(denominator)
     top = 2 * deg_q + scale
     coeffs = [0] * (top + 1)
     for _, w, _, e in spec.support(c, max_expo=top):
         coeffs[e] += w
-    for d in denominator:
-        for k in range(top, d - 1, -1):
-            coeffs[k] -= coeffs[k - d]
+    coeffs = _times_one_minus(coeffs, denominator, top + 1)
     extra = [k for k in range(deg_q + 1, top + 1) if coeffs[k]]
     if extra:
         raise InvariantError(
@@ -283,17 +276,17 @@ def _layout(scale: int, truncation, precision: int, witt_powers=()):
 
 
 def _x_fixed(p: int, scale: int, bits: int) -> int:
-    """floor(2^bits p^(-1/scale)), exactly, by integer Newton steps from above."""
-    if scale == 1:
-        return (1 << bits) // p
-    target = (1 << (bits * scale)) // p
-    head = int(math.ldexp(p ** (-1.0 / scale), 60))
-    x = (head + (head >> 30) + 1) << max(bits - 60, 0) >> max(60 - bits, 0)
-    while True:
-        y = ((scale - 1) * x + target // x ** (scale - 1)) // scale
-        if y >= x:
-            return x
-        x = y
+    """floor(2^bits p^(-1/scale)) = iroot(floor(2^(bits scale) / p), scale)."""
+    return iroot((1 << bits * scale) // p, scale)
+
+
+def _times_one_minus(poly: list, powers, size: int) -> list:
+    """The first size coefficients of poly prod_j (1 - y^j) over j in powers."""
+    poly = poly[:size] + [0] * (size - len(poly))
+    for j in powers:
+        for i in range(size - 1, j - 1, -1):
+            poly[i] -= poly[i - j]
+    return poly
 
 
 def _dyadic(m: int, shift: int) -> Fraction:
@@ -471,19 +464,13 @@ def _witt_candidates(form: RationalWeight, k_reg: int) -> Optional[dict]:
 def _witt_identity(form: RationalWeight, k_reg: int, exponents: dict) -> bool:
     """Whether (1 - y^D)^K N prod_(c_j<0) (1 - y^j)^(-c_j) equals
     Q prod_(c_j>0) (1 - y^j)^(c_j) as integer polynomials."""
-    def times(poly, factors):       # poly times prod (1 - y^j) over factors
-        for j in factors:
-            poly = poly + [0] * j
-            for i in range(len(poly) - 1, j - 1, -1):
-                poly[i] -= poly[i - j]
-        return poly
-
     coeffs = [0] * (form.numerator[-1][0] + 1)
     for e, a in form.numerator:
         coeffs[e] = a
     lower = [form.scale] * k_reg + [j for j, x in exponents.items() for _ in range(-x)]
     upper = list(form.denominator) + [j for j, x in exponents.items() for _ in range(x)]
-    return times(coeffs, lower) == times([1], upper)
+    size = max(len(coeffs) + sum(lower), 1 + sum(upper))
+    return _times_one_minus(coeffs, lower, size) == _times_one_minus([1], upper, size)
 
 
 def _zeta_exponents(form: RationalWeight, k_reg: int) -> Optional[dict]:

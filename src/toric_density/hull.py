@@ -10,17 +10,17 @@ conv(points) + R_+^n, described by facets (w, m) meaning <w, x> >= m holds
 on the hull and with equality on the facet; normals and offsets are ints.
 A polytope's volume takes one double description too: on the lifted points
 (p, 1) the tight sets are the facets' point sets, and a pulling
-triangulation recurses on these bitmasks, with no hull of any face.
+triangulation recurses on these bitmasks, with no hull of any face. The
+integer kernels (dot, rank, det) are the shared ones of `vectors`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from operator import mul
 
 from .model import InvariantError
-from .vectors import fracvec, is_zero, primitive, rank
+from .vectors import det, dot, fracvec, is_zero, primitive, rank
 
 
 # upward hulls in more coordinates are refused with DimensionOverflow
@@ -37,25 +37,11 @@ def check_dimension(n: int):
         raise DimensionOverflow(f"hull dimension {n} exceeds cap {DIM_CAP}")
 
 
-def _dedup(vectors):
-    seen = set()
-    out = []
-    for v in vectors:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
-
-
-def _idot(u, v) -> int:
-    return sum(map(mul, u, v))
-
-
 def _tight_rays(gens, dim):
     """(rays, tight) of `dual_rays`: tight[i] is the bitmask of the gens
     vanishing on rays[i], bit j for the j-th of the nonzero gens after
     scaling to primitive vectors and dropping repeats."""
-    gens = _dedup([primitive(g) for g in gens if not is_zero(g)])
+    gens = list(dict.fromkeys(primitive(g) for g in gens if not is_zero(g)))
     lineality = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     # rays[i] with tight[i], the bitmask of processed gens vanishing on it
     rays: list[tuple] = []
@@ -63,7 +49,7 @@ def _tight_rays(gens, dim):
 
     for j, g in enumerate(gens):
         bit = 1 << j
-        vals_l = [_idot(g, l) for l in lineality]
+        vals_l = [dot(g, l) for l in lineality]
         hit = next((i for i, v in enumerate(vals_l) if v != 0), None)
         if hit is not None:
             # g cuts the lineality space: project everything onto g = 0
@@ -77,12 +63,12 @@ def _tight_rays(gens, dim):
                          for i, (l, v) in enumerate(zip(lineality, vals_l)) if i != hit]
             new = {}
             for r, t in zip(rays, tight):
-                v = _idot(g, r)
+                v = dot(g, r)
                 rr = tuple(vstar * a - v * b for a, b in zip(r, lstar))
                 new.setdefault(primitive(rr), t | bit)
             new.setdefault(primitive(lstar), bit - 1)
         else:
-            vals = [_idot(g, r) for r in rays]
+            vals = [dot(g, r) for r in rays]
             if all(v >= 0 for v in vals):
                 tight = [t | bit if v == 0 else t for t, v in zip(tight, vals)]
                 continue
@@ -138,7 +124,7 @@ def upward_hull(points, n):
     nonnegative; vertices are a subset of the input points.
     """
     check_dimension(n)
-    pts = _dedup([fracvec(p) for p in points])
+    pts = list(dict.fromkeys(map(fracvec, points)))
     if not pts:
         raise ValueError("empty point set")
     # each point p enters as the integer vector s (p, 1), s > 0; the unit
@@ -151,7 +137,7 @@ def upward_hull(points, n):
         raise InvariantError("facet normals of an upward hull are nonnegative")
     vertices = []
     for p, sp in zip(pts, lifted):
-        tightnormals = [w for w, m in facets if _idot(w, sp) == m * sp[n]]
+        tightnormals = [w for w, m in facets if dot(w, sp) == m * sp[n]]
         if rank(tightnormals) == n:
             vertices.append(p)
     vertices.sort()
@@ -160,7 +146,7 @@ def upward_hull(points, n):
 
 def polytope_facets(points, n):
     """Integer facets (w, m) of the bounded hull conv(points), assumed full dimensional."""
-    pts = _dedup([fracvec(p) for p in points])
+    pts = list(dict.fromkeys(map(fracvec, points)))
     return _integer_facets([p + (1,) for p in pts], n)
 
 
@@ -181,37 +167,16 @@ def _face_simplices(mask, dim, facet_masks):
             for s in _face_simplices(face, dim - 1, facet_masks)]
 
 
-def _det(mat) -> int:
-    """Determinant of a square integer matrix (Bareiss elimination)."""
-    mat = [list(r) for r in mat]
-    n = len(mat)
-    sign, prev = 1, 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            sign = -sign
-        top = mat[c]
-        for i in range(c + 1, n):
-            row = mat[i]
-            mat[i] = [0] * (c + 1) + [(row[j] * top[c] - row[c] * top[j]) // prev
-                                      for j in range(c + 1, n)]
-        prev = top[c]
-    return sign * mat[n - 1][n - 1]
-
-
 def polytope_volume(points) -> Fraction:
     """Exact Lebesgue volume of conv(points); 0 for lower-dimensional hulls.
 
     The points are scaled by the common denominator L of their coordinates
     and sorted. One double description of the lifted points (p, 1) gives
     the facet-point incidences, which the pulling triangulation
-    (`_face_simplices`) recurses on; the |det| of its simplices are summed
-    and the total divided once by n! L^n.
+    (`_face_simplices`) recurses on; the |det| of its simplices
+    (`vectors.det`) are summed and the total divided once by n! L^n.
     """
-    pts = _dedup([fracvec(p) for p in points])
+    pts = list(dict.fromkeys(map(fracvec, points)))
     if not pts:
         return Fraction(0)
     n = len(pts[0])
@@ -226,5 +191,5 @@ def polytope_volume(points) -> Fraction:
     total = 0
     for simplex in _face_simplices((1 << len(ipts)) - 1, n, facet_masks):
         p0, *rest = (p for i, p in enumerate(ipts) if simplex >> i & 1)
-        total += abs(_det([tuple(a - b for a, b in zip(p, p0)) for p in rest]))
+        total += abs(det([tuple(a - b for a, b in zip(p, p0)) for p in rest]))
     return Fraction(total, factorial(n) * den ** n)

@@ -12,12 +12,12 @@ import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .vectors import frac, fracvec, rank
+from .vectors import frac, fracvec, rank, scaled
 
 
 class NonZeroRowSum(ValueError):
@@ -153,11 +153,8 @@ class GeneralizedPolynomial:
         """(scale, [(int coeff, int exponent vector)]) with scale * P integral."""
         if not self.has_integer_exponents:
             raise ValueError("integer exponents required")
-        scale = 1
-        for c, _ in self.monomials:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        terms = [(int(c * scale), tuple(int(x) for x in e)) for c, e in self.monomials]
-        return scale, terms
+        scale, coeffs = scaled([c for c, _ in self.monomials])
+        return scale, [(a, tuple(int(x) for x in e)) for a, (_, e) in zip(coeffs, self.monomials)]
 
 
 @dataclass(frozen=True)
@@ -206,7 +203,7 @@ class UniformMultiplicativeSpec:
         if max_level is None and max_expo is None:
             raise ValueError("the support walk needs max_level or max_expo")
         scale = polar_scale(c)
-        steps = [int(x * scale) for x in fracvec(c)]
+        steps = scaled(c)[1]
         if len(steps) != self.arity:
             raise ValueError(f"polar vector needs {self.arity} coordinates")
         # each bound implies one for the other, since every step is >= 1
@@ -238,7 +235,7 @@ def polar_scale(c) -> int:
     c = fracvec(c)
     if any(x <= 0 for x in c):
         raise NonPositivePolar("polar vector must be strictly positive")
-    return lcm(*(x.denominator for x in c))
+    return scaled(c)[0]
 
 
 def validate_toric_matrix(rows, width: Optional[int] = None) -> ToricProblem:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from functools import cmp_to_key
 from typing import Optional
 
 from . import lp
 from .hull import upward_hull
 from .model import InvariantError, UniformMultiplicativeSpec, polar_scale
-from .vectors import dot, frac, fracvec, rank, vsub
+from .vectors import dot, frac, fracvec, rank, scaled, vsub
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,11 @@ def support_face(e: NewtonPolyhedron, a):
 
 
 def diagonal_hit(facets) -> Fraction:
-    """Smallest t with t * (1,...,1) inside an upward hull, from its facets."""
-    return max(frac(m) / sum(w) for w, m in facets if sum(w) > 0)
+    """Smallest t with t * (1,...,1) inside an upward hull, from its facets:
+    the largest m / sum(w), compared by cross-multiplying."""
+    m, s = max(((m, sum(w)) for w, m in facets if sum(w) > 0),
+               key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+    return frac(m) / s
 
 
 def diagonal_block(facets, points) -> tuple:
@@ -100,9 +102,8 @@ def diagonal_block(facets, points) -> tuple:
         raise InvariantError("diagonal ray must exit through some facet")
     on_face = []
     for p in points:        # <w, p> = m as <w, q> = m den, q = den p integral
-        den = lcm(*(x.denominator for x in p))
-        q = [x.numerator * (den // x.denominator) for x in p]
-        if all(sum(map(mul, w, q)) == m * den for w, m in active):
+        den, q = scaled(p)
+        if all(dot(w, q) == m * den for w, m in active):
             on_face.append(p)
     recession = [i for i in range(n) if all(w[i] == 0 for w, _ in active)]
     span = [vsub(p, on_face[0]) for p in on_face[1:]]

@@ -3,24 +3,22 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, ldexp, prod
+from operator import mul
 
 
 def frac(x) -> Fraction:
     """Coerce ints, strings like '3/4', floats and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def fracvec(v) -> tuple:
     return tuple(frac(x) for x in v)
 
 
-def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def dot(u, v):
+    """Exact dot product: an int on int vectors, else a Fraction."""
+    return sum(map(mul, u, v))
 
 
 def vsub(u, v) -> tuple:
@@ -31,31 +29,56 @@ def is_zero(v) -> bool:
     return all(x == 0 for x in v)
 
 
-def pivot_columns(rows) -> list:
-    """Ascending pivot columns of a list of rational vectors (exact,
-    fraction-free elimination): the first coordinates on which the rows
-    are independent.
+def scaled(v) -> tuple:
+    """(den, ints): the least common denominator of a rational vector v and
+    the integer vector den * v."""
+    if all(type(x) is int for x in v):
+        return 1, tuple(v)
+    v = fracvec(v)
+    den = lcm(*(x.denominator for x in v))
+    return den, tuple(x.numerator * (den // x.denominator) for x in v)
 
-    Each row is scaled to a primitive integer vector first, and each
-    eliminated row again, so the entries stay small integers.
-    """
-    mat = [primitive(r) for r in rows]
-    pivots = []
+
+def primitive(v) -> tuple:
+    """Scale a rational vector to a primitive integer vector (direction kept)."""
+    v = scaled(v)[1]
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else v
+
+
+def _echelon(rows) -> tuple:
+    """(mat, pivots, sign, den) of Bareiss's fraction-free elimination (Math.
+    Comp. 22, 1968) of the rational rows, each scaled to integers, den the
+    product of their scales. mat is in echelon form: row r's pivot is in
+    column pivots[r], a column with no pivot is skipped, and each row swap
+    flips sign. Every entry below the rows done is a minor of the swapped
+    rows, so the divisions are exact; a square nonsingular mat ends on
+    sign * det(mat)."""
+    rows = [scaled(r) for r in rows]
+    mat = [list(v) for _, v in rows]
+    pivots, sign, prev = [], 1, 1
     for col in range(len(mat[0]) if mat else 0):
         r = len(pivots)
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
+        for piv in range(r, len(mat)):
+            if mat[piv][col]:
+                break
+        else:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        top = mat[r]
-        for i in range(r + 1, len(mat)):
-            f = mat[i][col]
-            if f != 0:
-                mat[i] = primitive([top[col] * a - f * b for a, b in zip(mat[i], top)])
+        if piv != r:
+            mat[r], mat[piv], sign = mat[piv], mat[r], -sign
+        top = mat[r][col:]
+        for row in mat[r + 1:]:
+            f = row[col]
+            row[col:] = [(a * top[0] - f * b) // prev for a, b in zip(row[col:], top)]
+        prev = top[0]
         pivots.append(col)
-        if len(pivots) == len(mat):
-            break
-    return pivots
+    return mat, pivots, sign, prod(d for d, _ in rows)
+
+
+def pivot_columns(rows) -> list:
+    """Ascending pivot columns of a list of rational vectors: the first
+    coordinates on which the rows are independent."""
+    return _echelon(rows)[1]
 
 
 def rank(rows) -> int:
@@ -63,14 +86,46 @@ def rank(rows) -> int:
     return len(pivot_columns(rows))
 
 
-def primitive(v) -> tuple:
-    """Scale a rational vector to a primitive integer vector (direction kept)."""
-    if not all(type(x) is int for x in v):
-        v = fracvec(v)
-        den = lcm(*(x.denominator for x in v))
-        v = [x.numerator * (den // x.denominator) for x in v]
-    g = gcd(*v)
-    return tuple(x // g for x in v) if g > 1 else tuple(v)
+def det(rows):
+    """Determinant of a square rational matrix of size >= 1: an int on int rows."""
+    mat, pivots, sign, den = _echelon(rows)
+    d = sign * mat[-1][-1] if len(pivots) == len(mat) else 0
+    return d if den == 1 else Fraction(d, den)
+
+
+def solve(columns, rhs):
+    """(x, |det|) with sum_i x_i columns[i] = rhs, exactly, for a square
+    rational system; None if the columns are singular. With d the last
+    pivot, d x is integral (Cramer), so back substitution divides exactly."""
+    size = len(rhs)
+    mat, pivots, _, den = _echelon([*row, b] for row, b in zip(zip(*columns), rhs))
+    if pivots[size - 1:] != [size - 1]:
+        return None
+    d, dx = mat[-1][-2], [0] * size
+    for i in range(size - 1, -1, -1):
+        dx[i] = (d * mat[i][-1] - dot(mat[i][i + 1:-1], dx[i + 1:])) // mat[i][i]
+    return [Fraction(x, d) for x in dx], Fraction(abs(d), den)
+
+
+def iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) for integers x >= 0 and 1 <= k < 1024. With 2^q <=
+    x^(1/k), the float root is good to about 2^-51: read in units of
+    2^(q-50) and raised by 2 units, it starts integer Newton steps above
+    the root, which decrease to the floor root and stop there."""
+    if x < 0:
+        raise ValueError("negative radicand")
+    if k == 1 or x < 2:
+        return x
+    n = x.bit_length()
+    q = (n - 1) // k
+    cut = max(n - 64, 0)
+    top = min(q, 50)
+    r = (int(ldexp(ldexp(x >> cut, cut - q * k) ** (1.0 / k), top)) + 2) << q - top
+    while True:
+        y = ((k - 1) * r + x // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y
 
 
 def format_frac(x: Fraction):

@@ -15,7 +15,7 @@ rho0! times the volume of conv(0, polar vectors) in the transverse block.
 A compact face of any dimension first tries `exact_face_integral`, which
 needs no quadrature. On a simplex face with monomials c_i x^(e_i),
 i = 0..k, solve sum alpha_i e_i = (1, ..., 1) and sum alpha_i = sigma0
-exactly in fractions. Then
+exactly (`vectors.solve`, fraction-free). Then
 
     I = prod Gamma(alpha_i) c_i^(-alpha_i) / (Gamma(sigma0) |det(e_i - e_0)|),
 
@@ -56,7 +56,7 @@ from .model import GeneralizedPolynomial, InvariantError
 from .polyhedron import diagonal_block
 from .quadrature import (ConstantValue, DivergentIntegral, check_tail_convergence,
                          integrate_cube, integrate_log_orthant)
-from .vectors import dot, frac, fracvec, pivot_columns, rank
+from .vectors import dot, frac, fracvec, pivot_columns, rank, solve
 
 
 class MissingVariable(Exception):
@@ -192,29 +192,11 @@ def exact_face_integral(coeffs, exps, sigma0) -> ConstantValue | None:
     return _product_face(coeffs, exps, sigma0)
 
 
-def _solve(columns, rhs):
-    """x with sum_i x_i columns[i] = rhs, and |det|, exactly; None if singular."""
-    size = len(rhs)
-    rows = [[frac(col[r]) for col in columns] + [frac(rhs[r])] for r in range(size)]
-    det = Fraction(1)
-    for c in range(size):
-        piv = next((r for r in range(c, size) if rows[r][c] != 0), None)
-        if piv is None:
-            return None
-        rows[c], rows[piv] = rows[piv], rows[c]
-        det *= rows[c][c]
-        for r in range(size):
-            if r != c and rows[r][c] != 0:
-                f = rows[r][c] / rows[c][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    return [rows[r][size] / rows[r][r] for r in range(size)], abs(det)
-
-
 def _simplex_series(coeffs, exps, sigma0, extra=None) -> ConstantValue | None:
     """The Gamma product on a simplex, or with extra = (c*, e*) the series."""
     k = len(exps[0])
     columns = [(1,) + tuple(e) for e in exps]
-    solved = _solve(columns, (sigma0,) + (1,) * k)
+    solved = solve(columns, (sigma0,) + (1,) * k)
     if solved is None:
         return None
     alpha, det = solved
@@ -240,7 +222,7 @@ def _simplex_series(coeffs, exps, sigma0, extra=None) -> ConstantValue | None:
         value, rounding = term(0, [0] * (k + 1), 0.0)
         return ConstantValue(value=value, abs_error=rounding + EPS * value,
                              method="gamma-simplex")
-    beta = _solve(columns, (1,) + tuple(extra[1]))[0]
+    beta = solve(columns, (1,) + tuple(extra[1]))[0]
     if any(b < 0 for b in beta):
         return None
     log_star = math.log(extra[0])

@@ -609,6 +609,20 @@ class TestProblemFiles:
         assert err.startswith("error: problem file") and field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("data,field", [
+        ({"hypersurface": [True, 1]}, "'hypersurface'"),
+        ({"matrix": [[1, True, -2]]}, "'matrix'"),
+        ({"matrix": [], "width": True}, "'width'"),
+    ])
+    def test_booleans_are_not_integers(self, tmp_path, capsys, data, field):
+        # JSON true loads as True, which equals 1
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(["analyze", "--problem", str(path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_BAD_INPUT
+        assert err.startswith("error: problem file") and field in err
+
 
     def test_width_must_match_rows(self, tmp_path, capsys):
         path = tmp_path / "p.json"

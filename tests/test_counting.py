@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toric_density import counting
+from toric_density import counting, euler
 from toric_density.counting import (BoxTooLarge, InvariantError, NonCompactFace,
                                     asymptotic_report, count_points,
                                     count_points_hypersurface, manin_constant,
@@ -21,6 +21,7 @@ from toric_density.counting import (BoxTooLarge, InvariantError, NonCompactFace,
 from toric_density.model import (GeneralizedPolynomial, ellipticity_witness,
                                  hypersurface_problem, sign_count, validate_toric_matrix)
 from toric_density.polyparse import parse_polynomial
+from toric_density.vectors import iroot
 
 
 def poly(terms):
@@ -234,12 +235,12 @@ class TestRelationBlocks:
 class TestInvariants:
     def test_integer_root(self):
         import random
-        from toric_density.counting import _iroot
+        from toric_density.vectors import iroot
         rng = random.Random(13)
         for _ in range(300):
             k = rng.randint(1, 7)
             x = rng.randint(0, 10 ** rng.randint(1, 30))
-            r = _iroot(x, k)
+            r = iroot(x, k)
             assert r ** k <= x < (r + 1) ** k
 
     def test_monotone_in_t(self):
@@ -306,6 +307,79 @@ class TestInvariants:
             with pytest.raises(BoxTooLarge):
                 count_points(validate_toric_matrix([], width=4), None, t, "sup",
                              budget=budget)
+
+
+# The two integer roots that vectors.iroot replaced, kept as references.
+def reference_iroot(x: int, k: int) -> int:
+    """counting._iroot: Newton from a power of two, then a downward fix-up."""
+    if x < 0:
+        raise ValueError("negative radicand")
+    if x == 0 or k == 1:
+        return x
+    r = 1 << ((x.bit_length() + k - 1) // k)
+    while True:
+        nr = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nr >= r:
+            break
+        r = nr
+    while r ** k > x:
+        r -= 1
+    return r
+
+
+def reference_x_fixed(p: int, scale: int, bits: int) -> int:
+    """euler._x_fixed: Newton from a float head raised by 2^-30."""
+    if scale == 1:
+        return (1 << bits) // p
+    target = (1 << (bits * scale)) // p
+    head = int(math.ldexp(p ** (-1.0 / scale), 60))
+    x = (head + (head >> 30) + 1) << max(bits - 60, 0) >> max(60 - bits, 0)
+    while True:
+        y = ((scale - 1) * x + target // x ** (scale - 1)) // scale
+        if y >= x:
+            return x
+        x = y
+
+
+class TestIntegerRoot:
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.integers(0, 2 ** 3000) | st.integers(0, 2 ** 70), k=st.integers(1, 14))
+    def test_against_the_reference(self, x, k):
+        r = iroot(x, k)
+        assert r == reference_iroot(x, k)
+        assert r ** k <= x < (r + 1) ** k
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 14), step=st.sampled_from([-1, 0, 1]))
+    @example(data=None, k=2, step=0)
+    @example(data=None, k=3, step=0)
+    def test_perfect_powers_and_their_neighbours(self, data, k, step):
+        # r^k - 1, r^k and r^k + 1, radicands up to 3000 bits: a head start
+        # below the root would return it at once, one too small, and the
+        # float root of each pinned r^k is below r
+        pinned = {2: 2252084920306007, 3: 276829180691261}
+        r = data.draw(st.integers(1, 2 ** (3000 // k)) | st.integers(1, 10 ** 4)) \
+            if data else pinned[k]
+        assert iroot(r ** k + step, k) == (r - 1 if step < 0 else r)
+
+    def test_every_small_power(self):
+        for k in range(2, 15):
+            for r in range(1, 300):
+                assert [iroot(r ** k + step, k) for step in (-1, 0, 1)] == [r - 1, r, r]
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(2, 10 ** 12), scale=st.integers(1, 12), bits=st.integers(1, 800))
+    @example(p=7919, scale=3, bits=218)     # the prime pass of (1,1,3)
+    @example(p=99991, scale=4, bits=220)    # and of (2,3,4)
+    def test_x_fixed_against_the_float_head_reference(self, p, scale, bits):
+        x = euler._x_fixed(p, scale, bits)
+        assert x ** scale * p <= 1 << bits * scale < (x + 1) ** scale * p
+        if bits >= 60:      # the reference shifts a 60-bit head, so it needs these
+            assert x == reference_x_fixed(p, scale, bits)
+
+    def test_negative_radicand(self):
+        with pytest.raises(ValueError):
+            iroot(-1, 3)
 
 
 def no_child_left():

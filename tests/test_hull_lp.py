@@ -10,13 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_density import lp
-from toric_density.hull import (_det, _idot, _integer_facets, dual_rays,
-                                polytope_volume, upward_hull)
+from toric_density.hull import _integer_facets, dual_rays, polytope_volume, upward_hull
 from toric_density.lp import Infeasible, Unbounded, solve_lp
 from toric_density.model import GeneralizedPolynomial
 from toric_density.polyhedron import (_interior_polar, _polar_system,
                                       build_polyhedron, diagonal_block)
-from toric_density.vectors import dot, fracvec, pivot_columns, primitive, rank
+from toric_density.vectors import det, dot, fracvec, pivot_columns, primitive, rank, solve
 from toric_density.volumes import newton_at_infinity
 
 
@@ -157,9 +156,9 @@ def reference_triangulate(proj, idx, n):
     apex_local = min(range(len(idx)), key=lambda k: local[k])
     out = []
     for w, m in facets:
-        if _idot(w, local[apex_local]) == m:
+        if dot(w, local[apex_local]) == m:
             continue
-        face_idx = [idx[k] for k in range(len(idx)) if _idot(w, local[k]) == m]
+        face_idx = [idx[k] for k in range(len(idx)) if dot(w, local[k]) == m]
         drop = next(j for j in range(n) if w[j] != 0)
         sub = reference_triangulate({i: tuple(x for j, x in enumerate(pts[i]) if j != drop)
                                      for i in face_idx}, face_idx, n - 1)
@@ -174,12 +173,56 @@ def reference_volume(points) -> Fraction:
     ipts = [tuple(int(x * den) for x in p) for p in pts]
     if rank([tuple(a - b for a, b in zip(p, ipts[0])) for p in ipts[1:]]) < n:
         return Fraction(0)
-    total = sum(abs(_det([tuple(a - b for a, b in zip(ipts[i], ipts[s[0]])) for i in s[1:]]))
+    total = sum(abs(det([tuple(a - b for a, b in zip(ipts[i], ipts[s[0]])) for i in s[1:]]))
                 for s in reference_triangulate(dict(enumerate(ipts)), list(range(len(ipts))), n))
     return Fraction(total, math.factorial(n) * den ** n)
 
 
+# The Fraction Gauss-Jordan that vectors.solve replaced (volumes._solve).
+def reference_solve(columns, rhs):
+    """x with sum_i x_i columns[i] = rhs, and |det|, exactly; None if singular."""
+    size = len(rhs)
+    rows = [[Fraction(col[r]) for col in columns] + [Fraction(rhs[r])] for r in range(size)]
+    total = Fraction(1)
+    for c in range(size):
+        piv = next((r for r in range(c, size) if rows[r][c] != 0), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        total *= rows[c][c]
+        for r in range(size):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [rows[r][size] / rows[r][r] for r in range(size)], abs(total)
+
+
 ENTRIES = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(3, 4)]
+
+
+@st.composite
+def square_matrices(draw, entries=ENTRIES, factors=(1, -2, Fraction(1, 3))):
+    """Square matrices of size 1-5, mostly zeros (row swaps, singular
+    cases); sometimes one row is a multiple of another (rank deficient)."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.sampled_from(entries), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, k = draw(st.permutations(range(n)))[:2]
+        f = draw(st.sampled_from(factors))
+        rows[k] = [f * x for x in rows[i]]
+    return rows
+
+
+@st.composite
+def low_rank_rows(draw):
+    """rows = B C with B of size m x r and C of size r x w: rank <= r, with
+    pivot columns skipped wherever C's echelon form skips them."""
+    m, r, w = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+    b = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=m, max_size=m))
+    c = draw(st.lists(st.lists(entry, min_size=w, max_size=w), min_size=r, max_size=r))
+    return [[sum(x * c[j][col] for j, x in enumerate(row)) for col in range(w)] for row in b]
 
 
 @st.composite
@@ -306,6 +349,52 @@ class TestPivotColumns:
     @example(rows=[[0, 1, 2], [0, 2, 4], [0, 0, 0], [0, 1, 3]])
     def test_against_sympy_rref(self, rows):
         pivots = sympy.Matrix(rows).rref()[1]     # sympy takes Fractions exactly
+        assert pivot_columns(rows) == list(pivots)
+        assert rank(rows) == len(pivots)
+
+
+class TestElimination:
+    """vectors' one fraction-free elimination, behind pivot_columns, rank,
+    det and solve, against kernels that share no code with it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=square_matrices())
+    @example(rows=[[0, 1], [1, 0]])
+    @example(rows=[[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    @example(rows=[[0, 2, 1], [3, 1, 1], [0, 4, 2]])
+    def test_det_against_leibniz(self, rows):
+        assert det(rows) == leibniz_det(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=square_matrices(entries=[0, 0, 1, -1, 2, -3, 7], factors=(1, -2)))
+    def test_det_of_int_rows_is_an_int(self, rows):
+        d = det(rows)
+        assert type(d) is int and d == leibniz_det(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(columns=square_matrices(), data=st.data())
+    @example(columns=[[0, 1], [1, 0]], data=None)
+    @example(columns=[[1, 2], [2, 4]], data=None)
+    @example(columns=[[Fraction(1, 2), 0, 1], [0, 0, 2], [1, Fraction(-5, 3), 0]], data=None)
+    def test_solve_against_the_gauss_jordan(self, columns, data):
+        n = len(columns)
+        rhs = data.draw(st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n)) \
+            if data else [1, Fraction(2, 3), -1][:n]
+        solved = solve(columns, rhs)
+        assert solved == reference_solve(columns, rhs)
+        # the columns are the matrix's columns, so |det| is the transpose's
+        assert (solved is None) == (leibniz_det(columns) == 0)
+        if solved is not None:
+            x, size = solved
+            assert size == abs(leibniz_det(columns))
+            assert [sum(xi * col[r] for xi, col in zip(x, columns)) for r in range(n)] == rhs
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=low_rank_rows())
+    @example(rows=[[1, 2, 3], [2, 4, 7]])
+    @example(rows=[[0, 0, 2, 1], [0, 0, 4, 2], [0, 3, 0, 1]])
+    def test_skipped_pivot_columns_against_sympy_rref(self, rows):
+        pivots = sympy.Matrix(rows).rref()[1]
         assert pivot_columns(rows) == list(pivots)
         assert rank(rows) == len(pivots)
 

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -355,3 +356,13 @@ def test_no_module_of_the_package_imports_mpmath():
             if any(name.split(".")[0] == "mpmath" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_readme_layout_names_every_module():
+    # the Layout block of README.md gives each module of the package its job
+    package = pathlib.Path(toric_density.__file__).parent
+    readme = (package.parents[1] / "README.md").read_text()
+    layout = readme.split("## Layout", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\w+\.py) ", layout, re.M)
+    assert sorted(listed) == sorted(p.name for p in package.glob("*.py")
+                                    if p.name != "__init__.py")

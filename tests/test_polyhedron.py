@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_density.generators import generators_with_check
 from toric_density.model import (hypersurface_weight, toric_weight,
                                  validate_toric_matrix)
-from toric_density.polyhedron import (build_polyhedron, diagonal_face,
+from toric_density.polyhedron import (build_polyhedron, diagonal_face, diagonal_hit,
                                       face_points, iota_lp, lemma1_check,
                                       polar_vectors, support_face)
 from toric_density.vectors import dot
@@ -30,6 +32,21 @@ class TestSupportFace:
         e = build_polyhedron([(2, 0, 1), (0, 2, 1)])
         m, face = support_face(e, (1, 1, 1))
         assert m == 3 and len(face.generators) == 2
+
+
+class TestDiagonalHit:
+    @settings(max_examples=200, deadline=None)
+    @given(facets=st.lists(st.tuples(
+        st.tuples(*[st.integers(0, 4)] * 3),
+        st.integers(-5, 9) | st.fractions(-5, 9, max_denominator=6))))
+    def test_against_the_fraction_maximum(self, facets):
+        # the cross-multiplied maximum, against one Fraction per facet
+        hits = [Fraction(m) / sum(w) for w, m in facets if sum(w) > 0]
+        if hits:
+            assert diagonal_hit(facets) == max(hits)
+        else:
+            with pytest.raises(ValueError):
+                diagonal_hit(facets)
 
 
 class TestDiagonalFace:
