@@ -84,8 +84,7 @@ from .euler import EulerReport, _odd_sieve, euler_constant, zeta_float
 from .generators import generators_with_check
 from .hull import check_dimension
 from .model import (GeneralizedPolynomial, InvariantError, ToricProblem,
-                    UniformMultiplicativeSpec, ellipticity_witness,
-                    hypersurface_problem, problem_weight,
+                    ellipticity_witness, hypersurface_problem, problem_weight,
                     restrict_to_hypersurface, sign_count)
 from .polyhedron import build_polyhedron, diagonal_face, face_points
 from .quadrature import ConstantValue
@@ -941,28 +940,21 @@ class ZetaSample:
         return (self.s - iota) ** rho * self.value if self.value else 0.0
 
 
-def manin_constant(problem: ToricProblem | UniformMultiplicativeSpec,
-                   poly: GeneralizedPolynomial, cutoff: int = 100_000,
-                   quad_tol: float = 1e-9, euler_tol: float = 1e-10,
+def manin_constant(problem: ToricProblem, poly: GeneralizedPolynomial,
+                   cutoff: int = 100_000, quad_tol: float = 1e-9,
                    precision: int = 160, seed: int = 0) -> ManinReport:
     """Assemble the predicted leading constant for the height density.
 
     sign * d^rho * A0 * Euler / (iota * (rho-1)!), with A0 the mixed volume
     constant of the face type against the height polynomial on the weight's
     coordinates and Euler the regularized product at the normalized polar
-    vector. A hypersurface problem's height is restricted to x_1..x_n. A raw
-    weight spec (a custom weight) is taken as it is, with sign factor 1.
+    vector. A hypersurface problem's height is restricted to x_1..x_n.
     """
+    spec, csign = problem_weight(problem), sign_count(problem).value
+    _check_arity(problem, poly)
     weight_poly = poly
-    if isinstance(problem, UniformMultiplicativeSpec):
-        spec, csign = problem, 1
-        if poly is not None and poly.nvars != spec.arity:
-            raise ValueError("height polynomial arity must match the weight")
-    else:
-        spec, csign = problem_weight(problem), sign_count(problem).value
-        _check_arity(problem, poly)
-        if poly is not None and problem.exponents is not None:
-            weight_poly = restrict_to_hypersurface(poly, problem.exponents)
+    if poly is not None and problem.exponents is not None:
+        weight_poly = restrict_to_hypersurface(poly, problem.exponents)
     if weight_poly is None or not weight_poly.is_homogeneous:
         raise ValueError("a homogeneous height polynomial is required")
     check_dimension(spec.arity)
@@ -980,8 +972,8 @@ def manin_constant(problem: ToricProblem | UniformMultiplicativeSpec,
         raise InvariantError(f"face points carry weight {k_reg}, the diagonal "
                              f"face counts {df.face_point_count}")
     volume = mixed_volume_constant(t_type, weight_poly, tol=quad_tol, seed=seed)
-    euler = euler_constant(spec, df.c, k_reg, cutoff=cutoff, tol=euler_tol,
-                           precision=precision, generators=gens)
+    euler = euler_constant(spec, df.c, k_reg, cutoff=cutoff, precision=precision,
+                           generators=gens)
     rho = df.rho
     iota = df.iota
     d = weight_poly.degree

@@ -1,13 +1,13 @@
 """Euler products of uniform multiplicative weights at the normalized polar vector.
 
-For matrix, hypersurface and free weights every local factor is exact. The
-support is a union of coordinate faces of saturated affine monoids whose
-Hilbert bases lie among the support generators, so by Hilbert--Serre
-W(x) = sum_v g(v) x^(D<c,v>) = N(x)/Q(x) with Q = prod_h (1 - x^(D<c,h>))
-over the generators h and deg N <= deg Q (Miller--Sturmfels, Combinatorial
-Commutative Algebra, ch. 12). N comes from a short support walk times Q, and
-the local factor at p is N(x_p)/Q(x_p) with x_p = p^(-1/D). Custom weights
-keep a truncated walk with a certified geometric-polynomial tail bound.
+Every weight is a matrix, hypersurface or free weight, and every local
+factor is exact. The support is a union of coordinate faces of saturated
+affine monoids whose Hilbert bases lie among the support generators, so by
+Hilbert--Serre W(x) = sum_v g(v) x^(D<c,v>) = N(x)/Q(x) with
+Q = prod_h (1 - x^(D<c,h>)) over the generators h and deg N <= deg Q
+(Miller--Sturmfels, Combinatorial Commutative Algebra, ch. 12). N comes
+from a short support walk times Q (`rational_weight`), and the local factor
+at p is N(x_p)/Q(x_p) with x_p = p^(-1/D).
 
 The product of the regularized factors (1 - 1/p)^K W(x_p) reads the integer
 Witt exponents c_j of (1 - x)^K W(x) = prod_j (1 - y^j)^(c_j), y = x^(1/D),
@@ -23,19 +23,23 @@ j b_j = -sum_(d|j) d c_d (`_witt_exponents`). Then one of two routes:
   proven rounding bound (`_zeta_product`), and no prime is read. Every full
   torus, two-variable hypersurface, (1,1,-2), (1,2,-3), the quadric
   (1,1,-1,-1) and the rows (1,-1,2,-2), (1,2,-1,-2) take it;
-- every other weight, such as (1,1,1) or a custom weight: one pass over the
-  primes p <= P (`_prime_pass`), in one thread and in fixed-point integers,
-  evaluates every factor and prod_(p<=P) (1 - p^(-j/D)) for the j <=
-  EXPANSION_DEPTH D. The primes past P give prod_j zeta_P(j/D)^(-c_j), with
+- every other weight, such as (1,1,1): one pass over the primes p <= P
+  (`_prime_pass`), in one thread and in fixed-point integers, evaluates
+  every factor and prod_(p<=P) (1 - p^(-j/D)) for the j <= EXPANSION_DEPTH D.
+  The primes past P give prod_j zeta_P(j/D)^(-c_j), with
   zeta_P(s) = zeta(s) prod_(p<=P) (1 - p^(-s)). `local_factor` and
-  `keep_factors` read the same pass. The terms of an exact kind are read
-  once, before the loop; a custom weight is truncated per prime.
+  `keep_factors` read the same pass, and the terms of N/Q are read once,
+  before the loop.
 
 The block products, the prime products and the zeta values are dyadic
 integers; the correction -sum_j c_j ln zeta_P(j/D) and one exp are taken in
 a local decimal context, about `precision` bits wide. So `LocalFactor.value`
 is the exact Fraction of the fixed-point pass and `EulerReport.value` a
 Decimal.
+
+`WeightProfile` and `required_level` keep the truncated box walk with its
+geometric tail bound. No Euler product reads them: the tests check
+`rational_weight` against them, and the benchmark's tracer wraps them.
 """
 
 from __future__ import annotations
@@ -61,8 +65,6 @@ MAX_LEVEL = 100_000             # required_level gives up beyond this |v|
 # log partial sums are taken per block of primes, then added up: the block
 # size fixes the rounding of every reported value
 PRIME_BLOCK = 1024
-# weights whose local series is N/Q in closed form; others are walked
-EXACT_KINDS = ("toric", "hypersurface", "free")
 # extra fixed-point bits beyond the precision and the cancellation in N
 GUARD_BITS = 32
 # extra decimal digits of the final exp beyond `precision` bits
@@ -93,7 +95,6 @@ def primes_up_to(n: int) -> list:
 class LocalFactor:
     p: int
     value: Fraction        # the fixed-point factor m 2^-s, exactly
-    tail_bound: float
 
 
 @dataclass(frozen=True)
@@ -131,10 +132,6 @@ class RationalWeight:
                 out[k] += out[k - d]
         return out
 
-    def truncation(self, p: int):
-        """(numerator terms, denominator exponents, tail bound) at p: exact."""
-        return self.numerator, self.denominator, 0.0
-
 
 @functools.lru_cache(maxsize=32)
 def _generator_points(spec: UniformMultiplicativeSpec) -> tuple:
@@ -152,8 +149,6 @@ def rational_weight(spec: UniformMultiplicativeSpec, c,
     even if generators whose degrees add up to at most L were missing, so
     the closed form is then exact anyway; a nonzero one raises.
     """
-    if spec.kind not in EXACT_KINDS:
-        raise ValueError(f"no closed form for a {spec.kind} weight")
     scale = polar_scale(c)
     steps = scaled(c)[1]
     points = generators.points if generators is not None else _generator_points(spec)
@@ -177,13 +172,15 @@ def rational_weight(spec: UniformMultiplicativeSpec, c,
 def _tail_bound(spec: UniformMultiplicativeSpec, min_c: float, p: int,
                 level: int) -> float:
     """Upper bound for the weight series beyond |v| = level at prime p:
-    C sum_(k>N) (1+k)^(M+n-1) p^(-k min c), summed as a geometric majorant."""
+    sum_(k>N) (1+k)^(n-1) p^(-k min c), summed as a geometric majorant. A
+    {0,1}-valued weight, as every problem's is, has at most (1+k)^(n-1)
+    points of level k."""
     x = float(p) ** (-min_c)
-    d = spec.growth_m + spec.arity - 1
+    d = spec.arity - 1
     r = x * math.exp(d / (level + 2))
     if r >= 1:
         return math.inf
-    return spec.growth_c * (level + 2) ** d * x ** (level + 1) / (1 - r)
+    return (level + 2) ** d * x ** (level + 1) / (1 - r)
 
 
 def _first_level(spec: UniformMultiplicativeSpec, min_c: float, p: int,
@@ -196,10 +193,10 @@ def _first_level(spec: UniformMultiplicativeSpec, min_c: float, p: int,
 class WeightProfile:
     """Support weight keyed by (|v| level, D<c,v>), D = polar_scale(c).
 
-    The box walk of custom weights. The level drives the certified
-    truncation: per prime only levels up to N(p) are summed and the
-    remainder is bounded by C sum_(k>N) (1+k)^(M+n-1) p^(-k min c).
-    Exponents stay integers in units of 1/D until they are evaluated.
+    The truncated box walk, kept as the reference that the tests check
+    `rational_weight` against, and wrapped by the benchmark's tracer. Per
+    prime, the levels up to `level_for` are summed and the remainder is
+    bounded by `tail_bound`. Exponents stay integers in units of 1/D.
     """
 
     def __init__(self, spec: UniformMultiplicativeSpec, c, max_level: int):
@@ -222,23 +219,10 @@ class WeightProfile:
         level = _first_level(self.spec, self.min_c, p, tol, self.max_level)
         return self.max_level if level is None else level
 
-    def truncation(self, p: int, tol: float):
-        """(terms with |v| <= level, no denominator, tail bound) at p."""
-        level = self.level_for(p, tol)
-        terms = [(expo, w) for (lvl, expo), w in self.entries if lvl <= level]
-        return terms, (), self.tail_bound(p, level)
-
-    def series(self, top: int) -> list:
-        """Total weight per D<c,v> up to top, over the whole profile."""
-        out = [0] * (top + 1)
-        for (_, expo), w in self.entries:
-            if expo <= top:
-                out[expo] += w
-        return out
-
 
 def required_level(spec: UniformMultiplicativeSpec, c, tol: float) -> int:
-    """Smallest truncation level certified below tol at p = 2."""
+    """Smallest truncation level certified below tol at p = 2: the depth of
+    the reference walk (`WeightProfile`)."""
     polar_scale(c)  # rejects a polar vector that is not strictly positive
     level = _first_level(spec, float(min(fracvec(c))), 2, tol, MAX_LEVEL)
     if level is None:
@@ -246,32 +230,22 @@ def required_level(spec: UniformMultiplicativeSpec, c, tol: float) -> int:
     return level
 
 
-def _series_source(spec: UniformMultiplicativeSpec, c, tol: float,
-                   generators: Optional[LatticePointSet]):
-    """The local series of spec at c and its per-prime truncation(p)."""
-    if spec.kind in EXACT_KINDS:
-        form = rational_weight(spec, c, generators)
-        return form, form.truncation
-    profile = WeightProfile(spec, c, required_level(spec, c, tol))
-    return profile, lambda p: profile.truncation(p, tol)
-
-
-def _layout(scale: int, truncation, precision: int, witt_powers=()):
+def _layout(form: RationalWeight, precision: int, witt_powers=()):
     """(bits, top, step, ops) of the fixed-point evaluation at any prime.
 
-    They are read from the terms at p = 2, the most any prime keeps, and
-    from the Witt exponents witt_powers whose prime products the pass
-    keeps: the top exponent, the gcd of D and every exponent, and the
-    operations per factor. bits adds the guard and the worst cancellation
-    in N, at p = 2, where N(x) >= Q(x) because W(x) >= W(0) = 1.
+    They are read from the terms of form and from the Witt exponents
+    witt_powers whose prime products the pass keeps: the top exponent, the
+    gcd of D and every exponent, and the operations per factor. bits adds
+    the guard and the worst cancellation in N, at p = 2, where
+    N(x) >= Q(x) because W(x) >= W(0) = 1.
     """
-    terms, den, _ = truncation(2)
+    terms, den = form.numerator, form.denominator
     exps = [e for e, _ in terms] + list(den)
     top = max(exps + [1])
     mass = sum(abs(a) for _, a in terms) * 2 * (top + 1)
-    inv_q = -sum(math.log2(1 - 2.0 ** (-d / scale)) for d in den)
+    inv_q = -sum(math.log2(1 - 2.0 ** (-d / form.scale)) for d in den)
     bits = precision + GUARD_BITS + math.ceil(math.log2(mass) + inv_q)
-    return (bits, max([top, *witt_powers]), math.gcd(scale, *exps, *witt_powers),
+    return (bits, max([top, *witt_powers]), math.gcd(form.scale, *exps, *witt_powers),
             len(terms) + len(den) + 4)
 
 
@@ -299,44 +273,34 @@ def _to_decimal(x: Fraction, ctx: decimal.Context) -> decimal.Decimal:
     return ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
 
 
-def _prime_pass(source, truncation, plist, k_reg: int, layout,
+def _prime_pass(form: RationalWeight, plist, k_reg: int, layout,
                 witt_powers=(), keep_factors: bool = False):
     """Every regularized factor (1 - 1/p)^k_reg N(x_p)/Q(x_p) over plist.
 
     One pass in fixed-point integers, with layout = _layout(...). Per prime,
     x_p^step = p^(-step/D) is one exact root, every further power one
     truncated product, and the factor a ratio m 2^-s with m of about `bits`
-    bits. The terms of an exact kind are read once, as indices into those
-    powers; only a custom weight calls truncation(p) per prime. Returns
-    (blocks, partial, tail_sum, factors):
+    bits. The terms of form are read once, as indices into those powers.
+    Returns (blocks, partial, factors):
     - blocks: one (m, s) per PRIME_BLOCK primes, their product m 2^-s,
       truncated to `bits` bits after every factor;
     - partial: j -> prod_p (1 - x_p^j) 2^bits for every j in witt_powers,
       rounded to `bits` bits after every factor;
-    - tail_sum: sum_p tail(p) / N(x_p), 0.0 for exact kinds;
     - factors: a LocalFactor per prime with keep_factors, else None.
     """
     bits, top, step, _ = layout
-    root = source.scale // step
+    root = form.scale // step
     one = 1 << bits
     count = top // step
-    exact = isinstance(source, RationalWeight)
-
-    def indexed(p):
-        terms, den, tail = truncation(p)
-        # equal factors of Q as one power: the integer product is the same
-        return ([(e // step, a) for e, a in terms],
-                [(d // step, den.count(d)) for d in sorted(set(den))],
-                bits * len(den), tail)
-
-    if exact:
-        terms, den, den_shift, tail = indexed(2)
+    terms = [(e // step, a) for e, a in form.numerator]
+    # equal factors of Q as one power: the integer product is the same
+    den = [(d // step, form.denominator.count(d)) for d in sorted(set(form.denominator))]
+    den_shift = bits * len(form.denominator)
     # prods[i] = prod_p (1 - x_p^(i step)) 2^bits for the powers i in span
     span = sorted({j // step for j in witt_powers})
     prods = [one] * (count + 1)
     blocks = []
     factors = [] if keep_factors else None
-    tail_sum = 0.0
     for start in range(0, len(plist), PRIME_BLOCK):
         block, block_shift = 1, 0      # the block product is block 2^-block_shift
         for p in plist[start:start + PRIME_BLOCK]:
@@ -348,8 +312,6 @@ def _prime_pass(source, truncation, plist, k_reg: int, layout,
                 powers.append(power)
             for i in span:
                 prods[i] -= prods[i] * powers[i] >> bits
-            if not exact:
-                terms, den, den_shift, tail = indexed(p)
             num = 0
             for e, a in terms:
                 num += a * powers[e]
@@ -360,10 +322,8 @@ def _prime_pass(source, truncation, plist, k_reg: int, layout,
             lower = q * p ** k_reg << bits
             shift = bits + lower.bit_length() - upper.bit_length()
             m = (upper << shift) // lower if shift >= 0 else upper // (lower << -shift)
-            if tail:
-                tail_sum += tail / (num / one)
             if factors is not None:
-                factors.append(LocalFactor(p=p, value=_dyadic(m, shift), tail_bound=tail))
+                factors.append(LocalFactor(p=p, value=_dyadic(m, shift)))
             block *= m
             block_shift += shift
             excess = block.bit_length() - bits
@@ -372,21 +332,16 @@ def _prime_pass(source, truncation, plist, k_reg: int, layout,
                 block_shift -= excess
         blocks.append((block, block_shift))
     partial = {j: prods[j // step] for j in witt_powers}
-    return blocks, partial, tail_sum, factors
+    return blocks, partial, factors
 
 
-def local_factor(spec: UniformMultiplicativeSpec, c, p: int, tol: float = 1e-12,
+def local_factor(spec: UniformMultiplicativeSpec, c, p: int,
                  precision: int = DEFAULT_PRECISION,
                  generators: Optional[LatticePointSet] = None) -> LocalFactor:
-    """The local series sum_v g(v) p^(-<v,c>) at prime p.
-
-    Exact for matrix, hypersurface and free weights (tail_bound 0.0); a
-    custom weight is walked to the level certified below tol.
-    """
-    source, truncation = _series_source(spec, c, tol, generators)
-    layout = _layout(source.scale, truncation, precision)
-    [factor] = _prime_pass(source, truncation, [p], 0, layout, keep_factors=True)[3]
-    return factor
+    """The local series sum_v g(v) p^(-<v,c>) at prime p, exactly N/Q at
+    x_p (`rational_weight`) in the fixed point of the prime pass."""
+    form = rational_weight(spec, c, generators)
+    return _prime_pass(form, [p], 0, _layout(form, precision), keep_factors=True)[2][0]
 
 
 def epsilon_gap(generators: LatticePointSet, c) -> Fraction:
@@ -577,52 +532,44 @@ def _context(precision: int) -> decimal.Context:
 
 
 def euler_constant(spec: UniformMultiplicativeSpec, c, k_reg: int,
-                   cutoff: int = DEFAULT_CUTOFF, tol: float = 1e-10,
+                   cutoff: int = DEFAULT_CUTOFF,
                    precision: int = DEFAULT_PRECISION,
                    generators: Optional[LatticePointSet] = None,
                    keep_factors: bool = False) -> EulerReport:
     """The regularized product over primes, from zeta values or a prime pass.
 
-    A matrix, hypersurface or free weight with a finite zeta product
-    (`_zeta_exponents`) reports it (method "zeta-product"), and the cutoff
-    only limits the factors listed with keep_factors. Every other weight
-    takes the prime pass, whose primes past the cutoff are corrected by
-    zeta_P at the Witt exponents up to the expansion depth (method
-    "prime-pass"). Its reported error combines the correction remainder
-    beyond the expansion depth, a rounding envelope scaled to the
-    operations per factor, and, for custom weights only, the per-prime
-    truncation budget tol/(4 #primes). With keep_factors, every regularized
-    local factor is kept in the same pass over the primes.
+    A weight with a finite zeta product (`_zeta_exponents`) reports it
+    (method "zeta-product"), and the cutoff only limits the factors listed
+    with keep_factors. Every other weight takes the prime pass, whose primes
+    past the cutoff are corrected by zeta_P at the Witt exponents up to the
+    expansion depth (method "prime-pass"). Its reported error combines the
+    correction remainder beyond the expansion depth and a rounding envelope
+    scaled to the operations per factor. With keep_factors, every
+    regularized local factor is kept in the same pass over the primes.
     """
     gap = epsilon_gap(generators, c) if generators is not None else Fraction(1)
-    form = rational_weight(spec, c, generators) if spec.kind in EXACT_KINDS else None
-    zetas = _zeta_exponents(form, k_reg) if form is not None else None
+    form = rational_weight(spec, c, generators)
+    zetas = _zeta_exponents(form, k_reg)
     if zetas is not None:
         value, err = _zeta_product(zetas, precision)
         factors = None
         if keep_factors:
-            layout = _layout(form.scale, form.truncation, precision)
-            factors = tuple(_prime_pass(form, form.truncation, primes_up_to(cutoff),
-                                        k_reg, layout, keep_factors=True)[3])
+            factors = tuple(_prime_pass(form, primes_up_to(cutoff), k_reg,
+                                        _layout(form, precision), keep_factors=True)[2])
         return EulerReport(value=value, cutoff=cutoff, K=k_reg, epsilon_gap=gap,
                            error_bound=err, precision=precision, factors=factors,
                            method="zeta-product")
 
     plist = primes_up_to(cutoff)
-    nprimes = len(plist)
-    tol_pp = tol / (4 * max(nprimes, 1))
-    source, truncation = ((form, form.truncation) if form is not None
-                          else _series_source(spec, c, tol_pp, generators))
-    scale = source.scale
-    coeffs = source.series(EXPANSION_DEPTH * scale)
+    scale = form.scale
+    coeffs = form.series(EXPANSION_DEPTH * scale)
     # the primes past the cutoff give prod_j zeta_P(j/D)^(-c_j), with
     # zeta_P(s) = zeta(s) prod_(p <= cutoff) (1 - p^(-s)) and the pass
     # keeping those products
     witt = _witt_exponents(coeffs, k_reg, scale)
-    layout = _layout(scale, truncation, precision, witt)
+    layout = _layout(form, precision, witt)
     bits, ops = layout[0], layout[3]
-    blocks, partial, tail_sum, factors = _prime_pass(
-        source, truncation, plist, k_reg, layout, witt, keep_factors)
+    blocks, partial, factors = _prime_pass(form, plist, k_reg, layout, witt, keep_factors)
     product = _dyadic(math.prod(m for m, _ in blocks), sum(s for _, s in blocks))
     ctx = _context(precision)
     correction = decimal.Decimal(0)
@@ -634,8 +581,8 @@ def euler_constant(spec: UniformMultiplicativeSpec, c, k_reg: int,
     depth_f = float(EXPANSION_DEPTH)
     mass = 1.0 + float(sum(abs(a) for a in coeffs[1:])) + k_reg
     remainder = (mass ** 2) * cutoff ** (1.0 - depth_f) / (depth_f - 1.0)
-    rounding = nprimes * ops * math.ldexp(1.0, -precision + 4)
-    err = float(value) * (tail_sum + remainder + rounding) + remainder
+    rounding = len(plist) * ops * math.ldexp(1.0, -precision + 4)
+    err = float(value) * (remainder + rounding) + remainder
 
     return EulerReport(value=value, cutoff=cutoff, K=k_reg, epsilon_gap=gap,
                        error_bound=err, precision=precision,

@@ -3,11 +3,11 @@
 The support S*(g) of a uniform multiplicative weight is upward closed enough
 for convex purposes: any point dominating another contributes nothing new to
 the hull conv(S*) + R_+^n. By Dickson's lemma the componentwise-minimal
-subset is finite. For the toric, hypersurface and free kinds its size is
-bounded by a theorem (`proven_cap`), so one enumeration at that cap is
-complete. Custom weights have no such bound, and completeness is certified
-heuristically: enumerate up to a cap, then double the cap and compare the
-resulting hull vertex sets (`stabilization_check`).
+subset is finite. For every weight kind, toric, hypersurface and free, its
+size is bounded by a theorem (`proven_cap`), so one enumeration at that cap
+is complete (`generators_with_check`). `stabilization_check`, a rerun at
+twice the cap, stays as the reference that the tests hold the proven cap
+against.
 
 The enumeration reads the one support walk, `UniformMultiplicativeSpec.support`,
 over |v| <= cap, and keeps each point that dominates no point kept before it.
@@ -21,10 +21,6 @@ from typing import Optional
 
 from .hull import dual_rays, upward_hull
 from .model import UniformMultiplicativeSpec
-
-
-class CapTooSmall(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -54,8 +50,8 @@ def _support_cone_rays(spec: UniformMultiplicativeSpec) -> list:
     return [tuple(q // gcd(a, q) * x for x in e) for a, e in zip(spec.payload, units)]
 
 
-def proven_cap(spec: UniformMultiplicativeSpec) -> Optional[int]:
-    """A cap |v| <= cap that every minimal generator obeys, or None (custom).
+def proven_cap(spec: UniformMultiplicativeSpec) -> int:
+    """A cap |v| <= cap that every minimal generator obeys.
 
     The toric and hypersurface supports are unions over i of the saturated
     monoids M_i of the lattice points with v_i = 0 in a cone, and a minimal
@@ -70,8 +66,6 @@ def proven_cap(spec: UniformMultiplicativeSpec) -> Optional[int]:
     """
     if spec.kind == "free":
         return 1
-    if spec.kind not in ("toric", "hypersurface"):
-        return None
     rays = _support_cone_rays(spec)
     return max(sum(sum(r) for r in rays if r[i] == 0) for i in range(spec.arity))
 
@@ -82,32 +76,27 @@ def minimal_generators(spec: UniformMultiplicativeSpec, cap: Optional[int] = Non
     The support walk runs in lexicographic order, which puts every point
     after all the points it dominates, so a point is kept when it dominates
     none kept before. The origin is skipped, since g(0) = 1 would make it
-    the only generator. The cap defaults to the proven one, or to
-    `default_cap` for a custom weight.
+    the only generator. The cap defaults to the proven one.
     """
     if spec.arity < 1:
         raise ValueError("arity must be at least 1")
     if cap is None:
         cap = proven_cap(spec)
-        if cap is None:
-            cap = spec.default_cap
     if cap < 1:
         raise ValueError("cap must be positive")
     pts: list[tuple] = []
     for v, _, level, _ in spec.support((1,) * spec.arity, max_level=cap):
         if level and not any(all(a >= b for a, b in zip(v, h)) for h in pts):
             pts.append(v)
-    if not pts and cap < 2 * spec.default_cap:
-        raise CapTooSmall(f"no support points with |v| <= {cap}")
     return LatticePointSet(points=tuple(pts), cap=cap, stabilized=False, spec=spec)
 
 
 def stabilization_check(spec: UniformMultiplicativeSpec, current: LatticePointSet) -> LatticePointSet:
     """Re-enumerate at twice the cap; stable when the hull vertices agree.
 
-    Returns the doubled-cap set carrying the flag. This is the completeness
-    check of custom weights, which have no proven cap; downstream constants
-    refuse to certify when the flag is off.
+    Returns the doubled-cap set carrying the flag. No command reads it: it
+    is the reference that the tests check `proven_cap` against, and the
+    benchmark's tracer wraps it.
     """
     doubled = minimal_generators(spec, 2 * current.cap)
     _, v1 = upward_hull(current.points, spec.arity)
@@ -115,18 +104,10 @@ def stabilization_check(spec: UniformMultiplicativeSpec, current: LatticePointSe
     return replace(doubled, stabilized=(v1 == v2))
 
 
-def generators_with_check(spec: UniformMultiplicativeSpec, cap: Optional[int] = None) -> LatticePointSet:
-    """The minimal generators with their completeness flag.
-
-    The toric, hypersurface and free kinds are enumerated once at their
-    proven cap and are stabilized by theorem; `cap` is for custom weights,
-    which enumerate and then run `stabilization_check`.
-    """
+def generators_with_check(spec: UniformMultiplicativeSpec) -> LatticePointSet:
+    """The minimal generators, enumerated once at the proven cap and so
+    stabilized by theorem."""
     proven = proven_cap(spec)
-    if proven is None:
-        return stabilization_check(spec, minimal_generators(spec, cap))
-    if cap is not None:
-        raise ValueError(f"a {spec.kind} weight has a proven cap; pass none")
     if proven == 0:
         raise ValueError("the weight support has no nonzero point")
     return replace(minimal_generators(spec, proven), stabilized=True)

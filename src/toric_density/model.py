@@ -1,6 +1,11 @@
 """Input objects: toric relation matrices, positive generalized polynomials,
 and the uniform multiplicative weights they induce.
 
+Every weight is a problem's own: the matrix weight of a relation matrix or
+the hypersurface weight of x_1^a1 ... x_n^an = x_(n+1)^q (`problem_weight`),
+each {0,1}-valued with a proven generator cap and an exact Euler factor.
+The free weight of N_0^n is the one other kind.
+
 All types are immutable after construction and safe to share across threads.
 Exponents are kept as exact rationals throughout; irrational exponents are a
 documented limitation.
@@ -161,23 +166,21 @@ class GeneralizedPolynomial:
 class UniformMultiplicativeSpec:
     """Weight on prime exponent vectors: f(p^v1, ..., p^vn) = g(v), any p.
 
-    g is {0,1,...}-valued with polynomial growth g(v) <= C (1+|v|)^M. The
-    structured `kind`/`payload` lets downstream code pick fast paths without
-    touching the generic evaluator. `last_coordinates(prefix, top)`, when
-    given, yields in increasing order the k in 0..top for which
-    prefix + (k,) can be supported; every other k must have g = 0. The
-    support walk tries only those, and g still decides each of them.
-    `default_cap` is the generator cap of custom weights; the structured
-    kinds have a proven one (`generators.proven_cap`).
+    Every weight comes from a problem (`problem_weight`), or is the free
+    weight of N_0^n, so g is {0,1}-valued. `kind` is "toric",
+    "hypersurface" or "free", and with `payload` (the relation rows or the
+    exponents) it gives the proven generator cap (`generators.proven_cap`)
+    and the exact local series (`euler.rational_weight`).
+    `last_coordinates(prefix, top)`, when given, yields in increasing order
+    the k in 0..top for which prefix + (k,) can be supported; every other k
+    must have g = 0. The support walk tries only those, and g still decides
+    each of them.
     """
 
     arity: int
     g: Callable[[tuple], int] = field(compare=False)
-    growth_c: float = 1.0
-    growth_m: float = 0.0
-    kind: str = "custom"
+    kind: str
     payload: tuple = ()
-    default_cap: int = 16
     last_coordinates: Optional[Callable[[tuple, int], Iterable[int]]] = \
         field(default=None, compare=False)
 
@@ -435,8 +438,7 @@ def toric_weight(problem: ToricProblem) -> UniformMultiplicativeSpec:
         return range(k, k + 1) if rem == 0 and 0 <= k <= top else ()
 
     return UniformMultiplicativeSpec(
-        arity=w, g=g, growth_c=1.0, growth_m=0.0,
-        kind="toric", payload=tuple(rows), last_coordinates=last_coordinates)
+        arity=w, g=g, kind="toric", payload=tuple(rows), last_coordinates=last_coordinates)
 
 
 def hypersurface_weight(a) -> UniformMultiplicativeSpec:
@@ -464,8 +466,7 @@ def hypersurface_weight(a) -> UniformMultiplicativeSpec:
         return range(-(s // d) * inverse % period, top + 1, period)
 
     return UniformMultiplicativeSpec(
-        arity=len(a), g=g, growth_c=1.0, growth_m=0.0,
-        kind="hypersurface", payload=a, last_coordinates=last_coordinates)
+        arity=len(a), g=g, kind="hypersurface", payload=a, last_coordinates=last_coordinates)
 
 
 def problem_weight(problem: ToricProblem) -> UniformMultiplicativeSpec:
@@ -477,7 +478,8 @@ def problem_weight(problem: ToricProblem) -> UniformMultiplicativeSpec:
 
 
 def free_weight(arity: int) -> UniformMultiplicativeSpec:
-    """g identically 1: the weight of the full lattice N_0^n."""
+    """g identically 1: the weight of the full lattice N_0^n. No problem
+    induces it; the tests keep it as the reference whose local factor is
+    (1 - 1/p)^-n, which the regularization turns into the unit factor."""
     return UniformMultiplicativeSpec(
-        arity=arity, g=lambda nu: 1, growth_c=1.0, growth_m=0.0,
-        kind="free", payload=())
+        arity=arity, g=lambda nu: 1, kind="free")

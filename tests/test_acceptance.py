@@ -396,8 +396,7 @@ class TestExactFaceAnchors:
             value = series / (mp.gamma(mp.mpf(1) / 2) * 12 * 4608)
             digits = mp.nstr(value, 30)
         squares = poly([(1, tuple(2 * (j == i) for j in range(4))) for i in range(4)])
-        cv = manin_constant(hypersurface_problem((1, 1, 1)), squares, cutoff=100,
-                            euler_tol=1e-3).volume
+        cv = manin_constant(hypersurface_problem((1, 1, 1)), squares, cutoff=100).volume
         err = float(abs(Fraction(cv.value) - Fraction(digits)))
         ok = (digits == TestAim3VolumeErrorBar.VOLUME_111
               and cv.method == "mellin-barnes" and err <= cv.abs_error)

@@ -2,19 +2,24 @@
 
 perfbench/child.py patches spans around functions by name; a rename or a
 changed signature would break `perfbench/run.py --trace 1` without failing
-anything else. This test reads its name table and checks each name.
+anything else. These tests read its name table and check each name, and
+run one command through the traced harness.
 """
 
 import ast
 import importlib
 import inspect
+import json
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 from toric_density.euler import WeightProfile
 from toric_density.model import hypersurface_weight
 
-CHILD = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CHILD = ROOT / "perfbench" / "child.py"
 
 
 def wrapped_layers() -> dict:
@@ -45,3 +50,20 @@ def test_weight_profile_keeps_the_traced_signature():
     assert params == ["self", "spec", "c", "max_level"]
     profile = WeightProfile(hypersurface_weight((1, 1)), (Fraction(1, 2),) * 2, 4)
     assert profile.entries
+
+
+def test_traced_run_prints_the_untraced_bytes():
+    # a wrapped function whose result a COUNTERS hook cannot read fails the
+    # traced run alone, which the name checks above do not see
+    argv = ["constants", "--euler", "--hypersurface", "1,1"]
+    records = []
+    for trace in ("0", "1"):
+        done = subprocess.run([sys.executable, str(CHILD), str(ROOT / "src"), trace, *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        records.append(json.loads(done.stdout.splitlines()[-1]))
+    plain, traced = records
+    assert plain["exit"] == traced["exit"] == 0
+    assert plain["error"] is None and traced["error"] is None
+    assert traced["spans"] and "spans" not in plain
+    assert traced["output"] == plain["output"]

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -260,6 +261,87 @@ class TestConstants:
         assert abs(data["leading_constant"] - 1.02481333) < 1e-4
         assert data["flags"] == {"compact": True, "dimension_ok": True,
                                  "stabilized": True}
+
+
+class TestSwampedBar:
+    """constants prints its report as it is, then exits 1 with a
+    `check failed:` line when a bar is at least as wide as its value. The
+    bars are widened by hand: no golden comes near the gate."""
+
+    EULER = ["constants", "--euler", "--hypersurface", "1,1", "--prime-cutoff", "100"]
+    FULL = ["constants", "--hypersurface", "1,1", "--polynomial", "X1^2+X2^2+X3^2",
+            "--prime-cutoff", "100"]
+    SARGOS = ["constants", "--sargos-only", "--hypersurface", "1,1",
+              "--polynomial", "X1^2+X2^2"]
+
+    @staticmethod
+    def widen(monkeypatch, module, name, **changes):
+        """Make module.name return its report with the fields of changes,
+        each a function of that report."""
+        real = getattr(module, name)
+
+        def wide(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            return replace(rep, **{k: f(rep) for k, f in changes.items()})
+        monkeypatch.setattr(module, name, wide)
+
+    @staticmethod
+    def gated(argv, capsys):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        json.loads(captured.out)  # the report is printed in full
+        return code, captured.err
+
+    @pytest.mark.parametrize("times, want", [(1.0, 1), (2.0, 1), (0.5, 0)])
+    def test_euler(self, monkeypatch, capsys, times, want):
+        self.widen(monkeypatch, eulermod, "euler_constant",
+                   error_bound=lambda rep: times * float(rep.value))
+        code, err = self.gated(self.EULER, capsys)
+        assert code == want
+        assert err.startswith("check failed: the Euler error_bound") == bool(want)
+
+    @pytest.mark.parametrize("rel, want", [(1.0, 1), (float("nan"), 1), (0.99, 0)])
+    def test_full(self, monkeypatch, capsys, rel, want):
+        self.widen(monkeypatch, counting, "manin_constant", rel_error=lambda rep: rel)
+        code, err = self.gated(self.FULL, capsys)
+        assert code == want
+        assert err.startswith("check failed: rel_error") == bool(want)
+
+    def test_full_checks_the_flags_first(self, monkeypatch, capsys):
+        self.widen(monkeypatch, counting, "manin_constant",
+                   rel_error=lambda rep: 2.0, dimension_ok=lambda rep: False)
+        assert self.gated(self.FULL, capsys) == (cli.EXIT_FLAGGED, "")
+        code, err = self.gated(self.FULL + ["--allow-flags"], capsys)
+        assert code == cli.EXIT_CHECK_FAILED and err.startswith("check failed:")
+
+    @pytest.mark.parametrize("times, want", [(1.0, 1), (0.5, 0)])
+    def test_sargos_only(self, monkeypatch, capsys, times, want):
+        self.widen(monkeypatch, cli, "sargos_constant",
+                   abs_error=lambda cv: times * cv.value)
+        code, err = self.gated(self.SARGOS, capsys)
+        assert code == want
+        assert err.startswith("check failed: the Sargos abs_error") == bool(want)
+
+
+class TestEulerTolIgnored:
+    """--euler-tol is parsed and validated, for the commands that pass it,
+    but every Euler factor is exact, so no output byte depends on it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--euler", "--hypersurface", "1,1,1", "--prime-cutoff", "1000"],
+        ["constants", "--hypersurface", "1,1,1", "--polynomial", "X1^2+X2^2+X3^2+X4^2",
+         "--prime-cutoff", "100"]])
+    def test_same_bytes(self, capsys, argv):
+        plain = run_cli(argv, capsys)
+        assert plain[0] == 0
+        assert run_cli(argv + ["--euler-tol", "1e-3"], capsys) == plain
+
+    def test_help_says_ignored(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["constants", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--euler-tol EULER_TOL accepted for compatibility and ignored: " \
+               "every Euler factor is exact" in text
 
 
 class TestVerify:

@@ -551,47 +551,21 @@ class TestManinAssembly:
         assert rep_t.sign_factor == rep_h.sign_factor
         assert abs(rep_t.leading_constant - rep_h.leading_constant) < 1e-8
 
-    def test_multiplicity_weighted_divisor_analogue(self):
-        # weight g(v) = 3 for v >= 1 in one variable: the induced lattice sum
-        # counts 3^omega(m), with triple pole and leading constant C_ari/2!
-        # (d = 1, A0 = 1). A log-polynomial fit recovers the constant.
-        import numpy as np
-        from toric_density.model import UniformMultiplicativeSpec
-        from toric_density.generators import generators_with_check
-        from toric_density.polyhedron import build_polyhedron, diagonal_face
-        from toric_density.euler import euler_constant
-        spec = UniformMultiplicativeSpec(
-            arity=1, g=lambda nu: 3 if nu[0] >= 1 else 1, growth_c=3.0,
-            kind="custom", default_cap=8)
-        gens = generators_with_check(spec)
-        e = build_polyhedron(gens.points)
-        df = diagonal_face(e, spec)
-        assert df.iota == 1 and df.rho == 3  # weight 3 on the face, dim 0
-        rep = euler_constant(spec, df.c, 3, cutoff=50_000)
-        sieve_n = 1_000_000
-        omega = np.zeros(sieve_n + 1, dtype=np.int64)
-        for p in range(2, sieve_n + 1):
-            if omega[p] == 0:
-                omega[p::p] += 1
-        cum = np.cumsum(3 ** omega[1:])
-        rows, rhs = [], []
-        for x in (sieve_n >> k for k in range(7)):
-            logx = math.log(x)
-            rows.append([logx ** 2 / 2, logx, 1.0])
-            rhs.append(cum[x - 1] / x)
-        coef, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-        assert abs(coef[0] / float(rep.value) - 1) < 0.03
-
-    def test_noncompact_rejected(self):
-        # a weight supported entirely inside an upward cylinder: the diagonal face
-        # picks up a recession direction and no constant is predicted
-        from toric_density.model import UniformMultiplicativeSpec
-        spec = UniformMultiplicativeSpec(
-            arity=3, g=lambda nu: 1 if nu[0] >= 1 and nu[1] >= 1 else 0,
-            kind="custom", default_cap=8)
-        p3 = poly([(1, (1, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))])
+    def test_noncompact_rejected(self, monkeypatch, capsys):
+        # every one-row problem of width 3 or 4 has a compact diagonal face,
+        # so the (1,1) face is handed over as non-compact: no constant is
+        # predicted, and the CLI exits 3 on it
+        from dataclasses import replace
+        from toric_density import cli
+        real = counting.diagonal_face
+        monkeypatch.setattr(counting, "diagonal_face",
+                            lambda e, spec: replace(real(e, spec), compact=False))
         with pytest.raises(NonCompactFace):
-            manin_constant(spec, p3)
+            manin_constant(hypersurface_problem((1, 1)), SQUARES)
+        code = cli.main(["constants", "--hypersurface", "1,1",
+                         "--polynomial", "X1^2+X2^2+X3^2"])
+        assert code == cli.EXIT_FLAGGED
+        assert capsys.readouterr().err.startswith("hypothesis failure:")
 
 
 class TestSupNorm:

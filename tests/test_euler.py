@@ -11,13 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toric_density import euler
-from toric_density.euler import (NonPositivePolar, RationalWeight, WeightProfile,
-                                 epsilon_gap, euler_constant, local_factor,
-                                 primes_up_to, rational_weight, required_level)
+from toric_density.euler import (NonPositivePolar, WeightProfile, epsilon_gap,
+                                 euler_constant, local_factor, primes_up_to,
+                                 rational_weight, required_level)
 from toric_density.generators import generators_with_check
-from toric_density.model import (InvariantError, UniformMultiplicativeSpec,
-                                 free_weight, hypersurface_weight, toric_weight,
-                                 validate_toric_matrix)
+from toric_density.model import (InvariantError, free_weight, hypersurface_weight,
+                                 toric_weight, validate_toric_matrix)
 from toric_density.polyhedron import build_polyhedron, diagonal_face, polar_vectors
 
 HALF = Fraction(1, 2)
@@ -46,38 +45,18 @@ class TestLocalFactor:
     def test_free_weight_geometric(self):
         spec = free_weight(2)
         for p in (2, 3, 7):
-            lf = local_factor(spec, (1, 1), p, tol=1e-25)
+            lf = local_factor(spec, (1, 1), p)
             with mp.workprec(200):
                 expect = (1 - 1 / mp.mpf(p)) ** -2
                 assert abs(mpf(lf.value) - expect) < 1e-20
 
     def test_hypersurface_11_at_2(self):
-        lf = local_factor(hypersurface_weight((1, 1)), (HALF, HALF), 2, tol=1e-25)
+        lf = local_factor(hypersurface_weight((1, 1)), (HALF, HALF), 2)
         assert abs(lf.value - 3) < 1e-20
-
-    def test_unrestricted_cyclic_sum(self):
-        # weight: n divides |v|, no vanishing-coordinate condition; the local
-        # factor is sum binom((k+1)n - 1, n - 1) p^(-k) at c = 1/n * ones
-        n = 3
-        spec = UniformMultiplicativeSpec(
-            arity=n, g=lambda nu: 1 if sum(nu) % n == 0 else 0,
-            kind="custom", default_cap=4 * n)
-        c = tuple(Fraction(1, n) for _ in range(n))
-        for p in (2, 5):
-            lf = local_factor(spec, c, p, tol=1e-22)
-            oracle = sum(math.comb((k + 1) * n - 1, n - 1) * mp.mpf(p) ** -k
-                         for k in range(200))
-            assert abs(mpf(lf.value) - oracle) < 1e-15
 
     def test_nonpositive_polar_rejected(self):
         with pytest.raises(NonPositivePolar):
             local_factor(free_weight(2), (1, 0), 2)
-
-    def test_tail_bound_honest(self):
-        spec = hypersurface_weight((1, 2))
-        lf_loose = local_factor(spec, (Fraction(1, 3), Fraction(1, 3)), 2, tol=1e-6)
-        lf_tight = local_factor(spec, (Fraction(1, 3), Fraction(1, 3)), 2, tol=1e-20)
-        assert abs(lf_loose.value - lf_tight.value) <= lf_loose.tail_bound
 
 
 class TestEpsilonGap:
@@ -164,18 +143,6 @@ class TestEulerConstant:
         for rep in values[1:]:
             assert abs(rep.value - values[0].value) <= \
                 rep.error_bound + values[0].error_bound + 1e-12
-
-    def test_custom_weight_walks_to_the_anchor(self):
-        # n | |v| with no vanishing condition: W = (1 + 7x + x^2)/(1 - x)^3 in
-        # x = 1/p, so K = 10 regularizes it to (1 - 1/p)^7 (1 + 7/p + 1/p^2),
-        # the (1,1,1) factor; a custom weight takes the truncated box walk
-        n = 3
-        spec = UniformMultiplicativeSpec(
-            arity=n, g=lambda nu: 1 if sum(nu) % n == 0 else 0,
-            kind="custom", default_cap=4 * n)
-        rep = euler_constant(spec, (Fraction(1, n),) * n, 10, cutoff=500, tol=1e-8)
-        anchor = mp.mpf("0.00131764115485317810981735")
-        assert abs(mpf(rep.value) - anchor) <= rep.error_bound
 
     def test_inconsistent_k_rejected(self):
         spec = free_weight(2)
@@ -276,44 +243,6 @@ class TestPrimePass:
             lf = local_factor(spec, df.c, f.p, generators=gens)
             assert abs(f.value - (1 - Fraction(1, f.p)) ** k * lf.value) < 1e-40
 
-    def test_exact_kinds_read_their_terms_once(self, monkeypatch):
-        seen = []
-        real = RationalWeight.truncation
-
-        def spy(self, p):
-            seen.append(p)
-            return real(self, p)
-        monkeypatch.setattr(RationalWeight, "truncation", spy)
-        # (1,1) is a zeta product now; (1,1,1) still takes the pass
-        spec, gens, df = diagonal("hypersurface", (1, 1, 1))
-        rep = euler_constant(spec, df.c, df.face_point_count, cutoff=1000, generators=gens)
-        assert rep.method == "prime-pass"
-        assert seen and set(seen) == {2}
-
-    def test_custom_weight_truncates_per_prime(self, monkeypatch):
-        seen = []
-        real = WeightProfile.truncation
-
-        def spy(self, p, tol):
-            seen.append(p)
-            return real(self, p, tol)
-        monkeypatch.setattr(WeightProfile, "truncation", spy)
-        n = 3
-        spec = UniformMultiplicativeSpec(
-            arity=n, g=lambda nu: 1 if sum(nu) % n == 0 else 0,
-            kind="custom", default_cap=4 * n)
-        c = (Fraction(1, n),) * n
-        rep = euler_constant(spec, c, 10, cutoff=100, tol=1e-8, keep_factors=True)
-        primes = primes_up_to(100)
-        assert set(primes) <= set(seen)
-        tol_pp = 1e-8 / (4 * len(primes))
-        profile = WeightProfile(spec, c, required_level(spec, c, tol_pp))
-        levels = [profile.level_for(p, tol_pp) for p in primes]
-        assert len(set(levels)) > 1
-        assert [f.tail_bound for f in rep.factors] == \
-            [profile.tail_bound(p, level) for p, level in zip(primes, levels)]
-
-
 @functools.cache
 def diagonal(kind, entries):
     """(spec, generators, diagonal face) of a matrix row or hypersurface."""
@@ -369,7 +298,6 @@ class TestClosedForm:
             with mp.workprec(200):
                 want = (1 + mp.mpf(7) / p + mp.mpf(1) / p ** 2) / (1 - mp.mpf(1) / p) ** 2
                 assert abs(mpf(lf.value) - want) < 1e-40
-            assert lf.tail_bound == 0.0
 
     @pytest.mark.parametrize("kind, entries", [("matrix", (1, 1, -2)),
                                                ("hypersurface", (1, 1, 1)),
@@ -577,7 +505,7 @@ class TestZetaProduct:
         form = rational_weight(spec, df.c, gens)
         assert max(euler._witt_candidates(form, df.face_point_count)) <= \
             euler.EXPANSION_DEPTH * form.scale
-        ops = euler._layout(form.scale, form.truncation, plain.precision)[3]
+        ops = euler._layout(form, plain.precision)[3]
         envelope = len(primes_up_to(5000)) * ops * math.ldexp(1.0, 4 - plain.precision)
         assert abs(rep.value - plain.value) <= float(plain.value) * envelope + rep.error_bound
 

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toric_density.generators import (CapTooSmall, generators_with_check,
-                                      minimal_generators, proven_cap,
-                                      stabilization_check)
+from toric_density.generators import (generators_with_check, minimal_generators,
+                                      proven_cap, stabilization_check)
 from toric_density.model import (free_weight, hypersurface_weight, toric_weight,
                                  validate_toric_matrix)
 from toric_density.vectors import rank
@@ -70,8 +69,8 @@ class TestMinimalGenerators:
                 brute_minimal(spec, cap)
 
     def test_cap_too_small(self):
-        with pytest.raises(CapTooSmall):
-            minimal_generators(hypersurface_weight((3, 5)), cap=4)
+        # the nearest support points, (8, 0) and (0, 8), lie past the cap
+        assert minimal_generators(hypersurface_weight((3, 5)), cap=4).points == ()
 
 
 class TestPrunedScan:
@@ -89,12 +88,7 @@ class TestPrunedScan:
            cap=st.integers(1, 14))
     def test_three_variable_hypersurfaces(self, a, cap):
         spec = hypersurface_weight(a)
-        want = brute_minimal(spec, cap)
-        try:
-            got = list(minimal_generators(spec, cap).points)
-        except CapTooSmall:
-            got = []
-        assert got == want
+        assert list(minimal_generators(spec, cap).points) == brute_minimal(spec, cap)
 
     @pytest.mark.parametrize("cap", [4, 8])
     def test_width_five_two_rows(self, cap):
@@ -105,17 +99,12 @@ class TestPrunedScan:
     @given(a=st.lists(st.integers(1, 4), min_size=2, max_size=3),
            rows=st.none() | relation_matrices(), cap=st.integers(1, 10))
     def test_custom_weights_walk_the_whole_box(self, a, rows, cap):
-        """A custom weight has no last_coordinates, so its walk tries every
-        value of the last coordinate up to the cap."""
+        """With no last_coordinates, the unsolved walk tries every value of
+        the last coordinate up to the cap."""
         spec = hypersurface_weight(a) if rows is None else \
             toric_weight(validate_toric_matrix(rows))
-        custom = replace(spec, kind="custom", last_coordinates=None)
-        want = brute_minimal(spec, cap)
-        try:
-            got = list(minimal_generators(custom, cap).points)
-        except CapTooSmall:
-            got = []
-        assert got == want
+        unsolved = replace(spec, last_coordinates=None)
+        assert list(minimal_generators(unsolved, cap).points) == brute_minimal(spec, cap)
 
 
 class TestInvariants:
@@ -267,15 +256,6 @@ class TestProvenCap:
         assert proven_cap(spec) == 0
         with pytest.raises(ValueError, match="no nonzero point"):
             generators_with_check(spec)
-
-    def test_custom_weights_keep_the_heuristic(self):
-        spec = hypersurface_weight((1, 1))
-        custom = type(spec)(arity=2, g=spec.g, kind="custom", default_cap=4)
-        assert proven_cap(custom) is None
-        gens = generators_with_check(custom)
-        assert gens.cap == 8 and gens.stabilized
-        with pytest.raises(ValueError, match="proven cap"):
-            generators_with_check(spec, 4)
 
 
 class TestMembership:
